@@ -1,14 +1,14 @@
 """Johnson and Grassmann graphs: vertices, neighbors, eigenvalue ladders.
 
 Walk through the basic graph models:  J(n,k) on k-subsets and J_q(n,k) on
-k-subspaces, canonical vertex ids, neighbor generation, and the exact
+k-subspaces, canonical vertex ids, star-clique neighbors, and the exact
 eigenvalue ladder theta_0 > ... > theta_k.
 """
 
 import numpy as np
 
-from crcodes import (adjacency_lists, generate_neighbors,
-                     parse_graph_spec, theta_ladder, vertex_index)
+from crcodes import (adjacency_lists, neighbors, parse_graph_spec,
+                     theta_ladder, vertex_index)
 
 # Build a few graphs from their spec strings.
 for text in ["j:5,2", "jq:2,4,2", "jq:2,6,3", "j:16,6", "jq:2,8,4"]:
@@ -24,12 +24,12 @@ idx = vertex_index(spec)
 v0 = idx[0]
 print("vertex 0 of J2(6,3):", v0, "serialized:", v0.serialize())
 
-# Neighbors are generated by swapping a hyperplane's complement point;
-# below the cache threshold they are also tabulated.
-nbrs = sorted(generate_neighbors(spec, 0))
+# Neighbors are the other members of the vertex's star cliques (the
+# vertices over each of its 2-subspaces); small graphs also have a table.
+nbrs = neighbors(spec, 0)
 adj = adjacency_lists(spec)
 print("degree of vertex 0:", len(nbrs), " tabulated row equal:",
-      nbrs == adj[0].tolist())
+      nbrs.tolist() == adj[0].tolist())
 
 # The Johnson graph J(5,2) is the triangular graph T(5): spectrum 6, 1, -2
 # with multiplicities 1, 4, 5.  Verify by brute force on the adjacency

@@ -9,7 +9,7 @@ from .subspaces import (Subset, Subspace, enumerate_level, enumerate_subsets,
                         enumerate_subspaces, gaussian, intersection_dim,
                         contains, projective_points, rref)
 from .graphs import (GraphSpec, adjacency_check, adjacency_lists,
-                     containment_table, generate_neighbors, neighbors,
+                     containment_table, neighbors,
                      parse_graph_spec, theta, theta_ladder, vertex_index)
 from .verify import (Code, DistancePartition, IntersectionNumbers,
                      VerificationError, check_completely_regular,
@@ -39,7 +39,7 @@ __all__ = [
     "distance_partition", "enumerate_level", "enumerate_subsets",
     "enumerate_subspaces", "export_lp", "export_opb", "extended_hamming_sqs",
     "feasible_parameters", "frobenius_action", "gaussian",
-    "generate_neighbors", "hyperplane_code", "hyperplane_point_code",
+    "hyperplane_code", "hyperplane_point_code",
     "intersection_dim", "lift", "make_field", "neighbors", "orbit_system",
     "parse_graph_spec", "parse_opb", "projective_points", "pushforward",
     "quotient_matrix", "rref", "search_parameter_point",

@@ -131,17 +131,11 @@ def _parse_group(spec: GraphSpec, text: str):
     raise ValueError(f"unknown group spec {text!r}; use singer:<e> or identity")
 
 
-def _gamma_list(spec: GraphSpec, theta_value: int, only=None):
-    m = spec.valency
-    s = m - theta_value
-    out = []
-    for g1 in range(1, s // 2 + 1):
-        rep = vf.size_and_integrality_report(spec, s - g1, g1)
-        if rep["feasible"]:
-            out.append(g1)
-    if only is not None:
-        out = [g for g in out if g in only]
-    return out
+def _gamma_list(spec: GraphSpec, theta_value: int) -> list[int]:
+    """Integrality-screened gamma1 values (gamma1 <= beta0) for one eigenvalue."""
+    row = next(row for row in bip.feasible_parameters(spec)
+               if row["eigenvalue"] == theta_value)
+    return [g1 for _, g1 in row["pairs"]]
 
 
 def _point_worker(payload):
@@ -188,11 +182,12 @@ def cmd_search(args) -> int:
         if args.theta not in ladder[1:]:
             raise ValueError(
                 f"theta {args.theta} is not a nontrivial eigenvalue of {spec}")
-        gammas = _gamma_list(spec, args.theta,
-                             only=[args.gamma1] if args.gamma1 is not None else None)
-        if args.gamma1 is not None and not gammas:
-            raise ValueError(
-                f"gamma1 = {args.gamma1} fails the integrality screen")
+        gammas = _gamma_list(spec, args.theta)
+        if args.gamma1 is not None:
+            if args.gamma1 not in gammas:
+                raise ValueError(
+                    f"gamma1 = {args.gamma1} fails the integrality screen")
+            gammas = [args.gamma1]
         points = [(m - args.theta - g1, g1) for g1 in gammas]
     else:
         raise ValueError("search needs --theta (sweep) or --beta0 with --gamma1")
@@ -297,8 +292,6 @@ def _known_rho1_codes(spec: GraphSpec):
 
 def cmd_table1(args) -> int:
     spec = parse_graph_spec(args.graph)
-    ladder = theta_ladder(spec)
-    m = spec.valency
     known = _known_rho1_codes(spec) if (spec.q, spec.n, spec.k) == (2, 6, 3) else []
     cached = {}
     if args.results:
@@ -309,14 +302,13 @@ def cmd_table1(args) -> int:
                 if v.get("graph") == str(spec):
                     cached[(v["beta0"], v["gamma1"])] = v["status"]
     rows = []
-    for i in range(1, spec.k + 1):
-        th = ladder[i]
-        s = m - th
-        feas = _gamma_list(spec, th)
+    for screen in bip.feasible_parameters(spec):
+        th = screen["eigenvalue"]
+        s = screen["beta0_plus_gamma1"]
+        feas = [g1 for _, g1 in screen["pairs"]]
         mod = gcd(*feas) if len(feas) > 1 else (feas[0] if feas else 0)
         existing = []
         for entry in known:
-            pair = {entry["gamma1"], entry["beta0"]}
             if entry["eigenvalue"] == th:
                 g1 = entry["gamma1"] if entry["gamma1"] in feas else entry["beta0"]
                 existing.append({"gamma1": g1, "label": entry["label"],
@@ -330,7 +322,7 @@ def cmd_table1(args) -> int:
                       and all(e["gamma1"] != g for e in existing)]
         row = {
             "eigenvalue": th,
-            "strength": i - 1,
+            "strength": screen["strength"],
             "integer_condition": f"gamma1 mod {mod} = 0" if mod else "none",
             "feasible_gamma1": feas,
             "verified_constructions": existing,

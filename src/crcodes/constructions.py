@@ -292,10 +292,6 @@ class ValueVector:
             raise ValueError(
                 f"expected {self.spec.vertex_count} values, got {len(self.values)}")
 
-    def distinct_values(self):
-        return sorted(set(int(v) if isinstance(v, (int, np.integer)) else v
-                          for v in self.values), key=lambda x: (str(type(x)), x))
-
 
 def pushforward(values: ValueVector, l: int) -> ValueVector:
     """Sum the level-k values over the k-subobjects of each l-object.

@@ -394,14 +394,6 @@ class FieldSpec:
             return exp[(self.order - 1 - log[a]) % (self.order - 1)]
         return self.pow_i(a, self.order - 2)
 
-    def log_i(self, a: int) -> int:
-        """Discrete log base x; only for fields small enough to table."""
-        if a == 0:
-            raise FieldError("zero has no discrete logarithm")
-        if self.order > _LOG_TABLE_MAX_ORDER:
-            raise FieldError(f"no log table for GF({self.order})")
-        return self._exp_log()[1][a]
-
     # -- subfields and coordinates ----------------------------------------
 
     def subfield(self, d: int) -> tuple[FieldElement, ...]:

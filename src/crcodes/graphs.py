@@ -12,19 +12,20 @@ The eigenvalues come as the ladder
 with [m]_q = (q^m - 1)/(q - 1), degenerating to (k-i)(n-k-i) - i for the
 Johnson case; theta_0 is the valency.
 
-Adjacency is generated, never stored, above EDGE_CACHE_MAX_VERTICES; below
-the threshold per-vertex sorted neighbor lists are cached.  Large-scale
-counting goes through containment tables between levels: each adjacent
-pair of k-objects contains exactly one common (k-1)-object, so cliques of
-vertices over a fixed (k-1)-object carry all edge information.
+Adjacency is never stored for its own sake.  Every adjacency question goes
+through the (k-1) containment table: each adjacent pair of k-objects
+contains exactly one common (k-1)-object, so the star cliques (the vertices
+over one fixed (k-1)-object, ContainmentTable.members) carry all edge
+information.  Dense neighbor lists (adjacency_lists) are built from them
+only for small graphs, as a reference for tests.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Iterator, Optional, Union
+from functools import cached_property, lru_cache
+from typing import Optional, Union
 
 import numpy as np
 
@@ -208,11 +209,6 @@ def vertex_index(spec: GraphSpec) -> VertexIndex:
     return VertexIndex(spec)
 
 
-def clear_caches() -> None:
-    vertex_index.cache_clear()
-    containment_table.cache_clear()
-
-
 # ----------------------------------------------------------------------
 # Containment tables between levels
 # ----------------------------------------------------------------------
@@ -241,6 +237,17 @@ class ContainmentTable:
         """Number of k-objects containing a fixed j-object."""
         n, k, j, q = self.spec.n, self.spec.k, self.j, self.spec.q
         return gaussian(n - j, k - j, q)
+
+    @cached_property
+    def members(self) -> np.ndarray:
+        """(j-level count, containing_count) ascending ids over each j-object.
+
+        For j = k-1 the rows are the star cliques: two vertices are adjacent
+        iff they share a row, and then they share exactly one.
+        """
+        s = self.per_vertex
+        order = np.argsort(self.ids.ravel(), kind="stable")
+        return (order // s).reshape(len(self.sub_index), self.containing_count)
 
 
 @lru_cache(maxsize=None)
@@ -295,60 +302,23 @@ def adjacency_check(u: Vertex, w: Vertex) -> bool:
     return u.k == w.k and sp.intersection_dim(u, w) == u.k - 1
 
 
-def generate_neighbors(spec: GraphSpec, vid: int) -> Iterator[int]:
-    """Neighbor ids by direct construction (no adjacency cache).
+def adjacency_lists(spec: GraphSpec) -> np.ndarray:
+    """Cached (V, valency) sorted neighbor ids, for small graphs only.
 
-    Johnson: swap one member out and one nonmember in.  Grassmann: extend
-    each hyperplane of the vertex by each outside point, deduplicating the
-    span per hyperplane.
+    A dense reference for tests, built from the star cliques: every ordered
+    pair inside a star is a directed edge, each exactly once.  Refuses
+    graphs above EDGE_CACHE_MAX_VERTICES; neighbors() has no such limit.
     """
     idx = vertex_index(spec)
-    v = idx[vid]
-    if spec.q == 1:
-        members = set(v.members)
-        for out in v.members:
-            rest = members - {out}
-            for inn in range(1, spec.n + 1):
-                if inn not in members:
-                    yield idx.id_of(Subset(spec.n, tuple(sorted(rest | {inn}))))
-        return
-    n, q = spec.n, spec.q
-    all_vecs_in_v = set(v.vectors())
-    for pat in sp.subobject_patterns(spec.k, spec.k - 1, q):
-        hyper = sp.apply_pattern(v, pat)
-        seen = set()
-        for p in range(1, q ** n):
-            if p in all_vecs_in_v:
-                continue
-            w = sp.rref(list(hyper.rows) + [p], n, q)
-            if w.rows not in seen:
-                seen.add(w.rows)
-                yield idx.id_of(w)
-
-
-def adjacency_lists(spec: GraphSpec,
-                    max_vertices: int = EDGE_CACHE_MAX_VERTICES) -> np.ndarray:
-    """Cached (V, valency) sorted neighbor ids; refuses above the threshold.
-
-    Built from (k-1)-level cliques: the neighbors of v are all other
-    vertices containing one of its (k-1)-subobjects, each exactly once.
-    """
-    idx = vertex_index(spec)
-    if len(idx) > max_vertices:
+    if len(idx) > EDGE_CACHE_MAX_VERTICES:
         raise ValueError(
             f"adjacency for {spec} has {len(idx)} vertices, above the "
-            f"cache threshold {max_vertices}; use generate_neighbors")
+            f"cache threshold {EDGE_CACHE_MAX_VERTICES}; use neighbors")
     if idx._adjacency is not None:
         return idx._adjacency
-    table = containment_table(spec, spec.k - 1)
-    V, s = table.ids.shape
-    clique = table.containing_count
-    # members of the clique over each (k-1)-object
-    order = np.argsort(table.ids.ravel(), kind="stable")
-    members = (order // s).astype(np.int64).reshape(len(table.sub_index), clique)
-    val = spec.valency
-    # every ordered pair inside a clique is a directed edge, each exactly once
-    S = members.shape[0]
+    members = containment_table(spec, spec.k - 1).members
+    S, clique = members.shape
+    V, val = len(idx), spec.valency
     offdiag = ~np.eye(clique, dtype=bool)
     src = np.broadcast_to(members[:, :, None], (S, clique, clique))[:, offdiag].ravel()
     dst = np.broadcast_to(members[:, None, :], (S, clique, clique))[:, offdiag].ravel()
@@ -360,13 +330,8 @@ def adjacency_lists(spec: GraphSpec,
     return adj
 
 
-def neighbors(spec: GraphSpec, vid: int) -> Iterator[int]:
-    """Neighbor ids; cached lists below the edge-cache threshold."""
-    idx = vertex_index(spec)
-    if idx._adjacency is not None:
-        yield from (int(x) for x in idx._adjacency[vid])
-        return
-    if len(idx) <= EDGE_CACHE_MAX_VERTICES:
-        yield from (int(x) for x in adjacency_lists(spec)[vid])
-        return
-    yield from generate_neighbors(spec, vid)
+def neighbors(spec: GraphSpec, vid: int) -> np.ndarray:
+    """Sorted neighbor ids of one vertex: the other members of its stars."""
+    table = containment_table(spec, spec.k - 1)
+    nb = table.members[table.ids[vid]].ravel()
+    return np.sort(nb[nb != vid])

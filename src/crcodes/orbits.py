@@ -1,12 +1,11 @@
 """Group actions on graph vertices, orbits, and orbit quotient matrices.
 
 A group is given by explicit generator permutations of the vertex ids.
-Every generator is checked to be a graph automorphism before it is
-accepted: exhaustively for graphs up to 2000 vertices, on a seeded sample
-above that.  For a vertex-transitive-free action the orbits induce an
-equitable partition, and the orbit quotient matrix A (A_ij = neighbors of
-an O_i vertex inside O_j) is recounted from extra orbit members to catch
-any non-automorphism that slipped through.
+Every generator is checked exhaustively to be a graph automorphism before
+it is accepted, at every graph size, through the star cliques of the
+(k-1) containment table.  The orbits of an automorphism group induce an
+equitable partition, so the orbit quotient matrix B (B_ij = neighbors of
+an O_i vertex inside O_j) is counted from one representative per orbit.
 
 The Singer-type action multiplies vectors of GF(q)^n, read as elements of
 GF(q^n), by a fixed power of a primitive element.
@@ -14,7 +13,6 @@ GF(q^n), by a fixed power of a primitive element.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -22,11 +20,12 @@ import numpy as np
 
 from . import subspaces as sp
 from .galois import is_prime, make_field
-from .graphs import (GraphSpec, adjacency_lists, generate_neighbors,
-                     vertex_index)
+from .graphs import GraphSpec, containment_table, vertex_index
 from .verify import VerificationError
 
-AUTOMORPHISM_EXHAUSTIVE_MAX = 2000
+# Largest orbit count whose dense (r, r) int64 quotient matrix is built
+# (about 1.2 GB); quotient_matrix refuses more before allocating.
+QUOTIENT_MAX_ORBITS = 12_000
 
 
 @dataclass
@@ -50,21 +49,22 @@ class GroupAction:
             _check_automorphism(self.spec, g)
 
 
-def _check_automorphism(spec: GraphSpec, perm: np.ndarray,
-                        sample: int = 200, seed: int = 0) -> None:
-    V = spec.vertex_count
-    if V <= AUTOMORPHISM_EXHAUSTIVE_MAX:
-        adj = adjacency_lists(spec)
-        mapped = np.sort(perm[adj], axis=1)
-        if not np.array_equal(mapped, adj[perm]):
-            raise VerificationError("generator is not a graph automorphism")
-        return
-    rng = random.Random(seed)
-    for v in (rng.randrange(V) for _ in range(sample)):
-        lhs = sorted(int(perm[w]) for w in generate_neighbors(spec, v))
-        rhs = sorted(generate_neighbors(spec, int(perm[v])))
-        if lhs != rhs:
-            raise VerificationError("generator is not a graph automorphism")
+def _check_automorphism(spec: GraphSpec, perm: np.ndarray) -> None:
+    """Exhaustive: perm must map the set of star cliques onto itself.
+
+    Adjacent vertices share exactly one (k-1)-object, so a permutation that
+    maps every star onto a star is an automorphism.  The converse fails only
+    for a star<->top duality of an n = 2k graph, which is refused; none of
+    the actions built here is one.
+    """
+    stars = containment_table(spec, spec.k - 1).members
+    image = np.sort(perm[stars], axis=1)
+    if not np.array_equal(_rows_in_order(image), _rows_in_order(stars)):
+        raise VerificationError("generator is not a graph automorphism")
+
+
+def _rows_in_order(rows: np.ndarray) -> np.ndarray:
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 def _field_induced_perm(spec: GraphSpec, move) -> np.ndarray:
@@ -153,27 +153,28 @@ def orbit_system(action: GroupAction) -> OrbitSystem:
                        description=action.description)
 
 
-def quotient_matrix(spec: GraphSpec, osys: OrbitSystem,
-                    recount_max: int = 8) -> np.ndarray:
-    """Orbit quotient matrix, with row constancy re-verified per orbit.
+def quotient_matrix(spec: GraphSpec, osys: OrbitSystem) -> np.ndarray:
+    """Orbit quotient matrix, counted from each orbit's representative.
 
-    Counts from each orbit's representative; recounts from a second member
-    always, and from every member when the orbit has at most recount_max
-    vertices.  A mismatch means a generator was not an automorphism.
+    A representative's neighbors are the other members of its s stars, so
+    its row is the orbit-label count over those stars, less s on its own
+    orbit.  Generators are verified automorphisms, so every member of an
+    orbit has the same row; valency row sums and edge-count symmetry are
+    still checked.
     """
-    adj = adjacency_lists(spec)
     r = osys.count
+    if r > QUOTIENT_MAX_ORBITS:
+        raise ValueError(
+            f"{osys.description or 'this group'} has {r} orbits on {spec}; a "
+            f"dense quotient matrix is built for at most {QUOTIENT_MAX_ORBITS}")
+    table = containment_table(spec, spec.k - 1)
+    stars = table.members
+    s = table.per_vertex
     B = np.zeros((r, r), dtype=np.int64)
-    for i, orb in enumerate(osys.orbits):
-        row = np.bincount(osys.orbit_of[adj[orb[0]]], minlength=r)
-        B[i] = row
-        check = orb[1:] if len(orb) <= recount_max else orb[1:2]
-        for v in check:
-            row2 = np.bincount(osys.orbit_of[adj[int(v)]], minlength=r)
-            if not np.array_equal(row, row2):
-                raise VerificationError(
-                    f"orbit {i} is not equitable: vertex {int(v)} disagrees "
-                    f"with representative {int(orb[0])}")
+    for i, rep in enumerate(osys.representatives()):
+        B[i] = np.bincount(osys.orbit_of[stars[table.ids[rep]]].ravel(),
+                           minlength=r)
+        B[i, osys.orbit_of[rep]] -= s
     m = spec.valency
     if not (B.sum(axis=1) == m).all():
         raise VerificationError("quotient matrix row sums differ from valency")

@@ -156,7 +156,6 @@ def _from_lp_vertex(inst: BipInstance, seeds, deadline: float):
         return None
     Af, bf, A_ext, rhs = _lp_arrays(inst)
     r = A_ext.shape[1]
-    rng0 = np.random.default_rng(0)
     for k, seed in enumerate(seeds):
         if time.monotonic() > deadline:
             return None
@@ -169,7 +168,6 @@ def _from_lp_vertex(inst: BipInstance, seeds, deadline: float):
             x = np.round(res.x).astype(np.int8)
             if _exact_witness(inst, x):
                 return x, "lp-vertex"
-    del rng0
     return None
 
 
@@ -278,7 +276,8 @@ def search_parameter_point(spec: GraphSpec, osys: OrbitSystem,
         return SearchOutcome(status=bip.SAT, stage=stage, assignment=x,
                              code=bip.lift(x, osys, spec, label=label),
                              elapsed=time.monotonic() - t0)
-    # exact fallback: seeded restart sweep, then one exhaustive run
+    # exact fallback: seeded restart sweep, then one exhaustive run; an
+    # exhausted sweep run is already a proof of UNSAT
     remaining = deadline - time.monotonic()
     sweep_end = time.monotonic() + max(0.0, remaining) * 0.3
     limit = 4096
@@ -294,8 +293,12 @@ def search_parameter_point(spec: GraphSpec, osys: OrbitSystem,
                                                label=label),
                                  nodes=res.nodes,
                                  elapsed=time.monotonic() - t0)
+        if res.status == bip.UNSAT:
+            return SearchOutcome(status=bip.UNSAT, stage="dfs",
+                                 nodes=res.nodes,
+                                 elapsed=time.monotonic() - t0)
         attempt += 1
-        limit = int(limit * 1.5)
+        limit += limit // 2
     res = bip.solve(inst, mode="first", max_nodes=max_nodes,
                     max_seconds=max(1.0, deadline - time.monotonic()),
                     seed=seed)

@@ -82,9 +82,6 @@ class Subspace:
     def k(self) -> int:
         return len(self.rows)
 
-    def basis_digits(self) -> list[tuple[int, ...]]:
-        return [unpack_row(r, self.n, self.q) for r in self.rows]
-
     def digit_key(self) -> tuple[int, ...]:
         """Flattened digit matrix, row major: the canonical sort key."""
         out = []
@@ -287,10 +284,6 @@ def contains(u: Subspace, w: Subspace) -> bool:
     if w.k > u.k:
         return False
     return all(_reduce_vector(r, u.rows, u.n, u.q) == 0 for r in w.rows)
-
-
-def subset_contains(u: Subset, w: Subset) -> bool:
-    return set(w.members) <= set(u.members)
 
 
 def subset_meet(u: Subset, w: Subset) -> int:

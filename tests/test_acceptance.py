@@ -142,12 +142,12 @@ def test_criterion_7_orbit_system():
     osys = ob.orbit_system(action)
     assert osys.count == 465
     assert set(osys.sizes().tolist()) == {3}
-    B = ob.quotient_matrix(S63, osys)  # recounts every orbit member
+    B = ob.quotient_matrix(S63, osys)  # checks row sums and edge symmetry
     assert (B.sum(axis=1) == 98).all()
     elapsed = time.monotonic() - t0
     assert elapsed < 5.0
     report(7, t0, "Singer power 21: 465 orbits of size 3, quotient row "
-                  "sums 98, recounts pass")
+                  "sums 98, edge-count symmetry holds")
 
 
 def test_criterion_8_search_reproduction():

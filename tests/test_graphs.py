@@ -84,12 +84,17 @@ def test_adjacency_exhaustive_small(spec_text):
 @pytest.mark.parametrize("spec_text,samples", [
     ("jq:2,6,3", 40), ("j:16,6", 40)])
 def test_generated_neighbors_match_cliques(spec_text, samples):
+    # star-clique neighbors against the brute-force adjacency predicate
     spec = g.parse_graph_spec(spec_text)
+    idx = g.vertex_index(spec)
     adj = g.adjacency_lists(spec)
     rng = random.Random(13)
     for _ in range(samples):
         v = rng.randrange(spec.vertex_count)
-        assert sorted(g.generate_neighbors(spec, v)) == adj[v].tolist()
+        brute = [w for w in range(spec.vertex_count)
+                 if g.adjacency_check(idx[v], idx[w])]
+        assert adj[v].tolist() == brute
+        assert g.neighbors(spec, v).tolist() == brute
 
 
 def test_adjacency_check_agrees_with_neighbors_exhaustively():

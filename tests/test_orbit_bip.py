@@ -10,6 +10,7 @@ from crcodes.graphs import GraphSpec, adjacency_lists, vertex_index
 S63 = GraphSpec("grassmann", 2, 6, 3)
 S62 = GraphSpec("grassmann", 2, 6, 2)
 S42 = GraphSpec("grassmann", 2, 4, 2)
+S73 = GraphSpec("grassmann", 2, 7, 3)
 
 
 def brute_force_assignments(inst):
@@ -78,21 +79,26 @@ def test_composed_generators_coarsen():
 
 
 def test_non_automorphism_rejected():
-    perm = np.arange(S42.vertex_count, dtype=np.int64)
-    perm[[0, 1]] = perm[[1, 0]]  # a transposition is not an automorphism here
-    with pytest.raises(vf.VerificationError):
-        ob.GroupAction(S42, [perm])
+    # transpositions are not automorphisms here; the J_2(7,3) one moves
+    # only two of 11811 vertices
+    for spec, swap in [(S42, [0, 1]), (S73, [7, 41])]:
+        perm = np.arange(spec.vertex_count, dtype=np.int64)
+        perm[swap] = perm[swap[::-1]]
+        with pytest.raises(vf.VerificationError):
+            ob.GroupAction(spec, [perm])
 
 
 def test_quotient_matrix_identity_action_is_adjacency():
-    perm = np.arange(S42.vertex_count, dtype=np.int64)
-    osys = ob.orbit_system(ob.GroupAction(S42, [perm], description="identity"))
-    B = ob.quotient_matrix(S42, osys)
-    adj = adjacency_lists(S42)
-    dense = np.zeros_like(B)
-    for v in range(S42.vertex_count):
-        dense[v][adj[v]] = 1
-    assert np.array_equal(B, dense)
+    """B against the adjacency oracle, row by row for every orbit member."""
+    identity = ob.GroupAction(S42, [np.arange(S42.vertex_count)],
+                              description="identity")
+    for spec, action in [(S42, identity), (S63, ob.singer_action(S63, 21))]:
+        osys = ob.orbit_system(action)
+        B = ob.quotient_matrix(spec, osys)
+        adj = adjacency_lists(spec)
+        for v in range(spec.vertex_count):
+            row = np.bincount(osys.orbit_of[adj[v]], minlength=osys.count)
+            assert np.array_equal(row, B[osys.orbit_of[v]])
 
 
 def test_quotient_edge_symmetry(gamma21):

@@ -34,6 +34,25 @@ def test_all_mode_bypasses_probes(singer42):
     assert out.status == bip.SAT and out.count == 45
 
 
+def test_sweep_stops_at_exhausted_unsat(singer42, monkeypatch):
+    # (12, 3) passes the integrality screen but has no singer:5-invariant
+    # code: the first exhausted restart is the proof, nothing is re-solved
+    osys, B = singer42
+    own_solves = []
+    solve = bip.solve
+
+    def counting_solve(inst, **kwargs):
+        if inst.B is B:
+            own_solves.append(kwargs)
+        return solve(inst, **kwargs)
+
+    monkeypatch.setattr(bip, "solve", counting_solve)
+    out = search_parameter_point(S42, osys, 12, 3, B=B, max_seconds=5,
+                                 singer_exponent=5)
+    assert (out.status, out.stage) == (bip.UNSAT, "dfs")
+    assert len(own_solves) == 1
+
+
 def test_probe_witnesses_satisfy_original_system():
     osys = ob.orbit_system(ob.singer_action(S63, 21))
     B = ob.quotient_matrix(S63, osys)
@@ -52,7 +71,7 @@ def test_frobenius_action_is_automorphism():
     act = ob.frobenius_action(S42, 1)
     osys = ob.orbit_system(act)
     assert osys.count < S42.vertex_count  # not the identity
-    ob.quotient_matrix(S42, osys)  # row constancy holds
+    ob.quotient_matrix(S42, osys)  # row sums and edge symmetry hold
 
 
 def test_frobenius_fixed_subspaces_are_subfield_spans():
