@@ -268,8 +268,7 @@ def solve(inst: BipInstance, mode: str = "first",
         if max_nodes is not None and nodes > max_nodes:
             result.status = BUDGET_EXCEEDED
             break
-        if max_seconds is not None and nodes % 256 == 0 and \
-                time.monotonic() - t0 > max_seconds:
+        if max_seconds is not None and time.monotonic() - t0 > max_seconds:
             result.status = BUDGET_EXCEEDED
             break
         j = pick_branch()

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import bip, constructions as con, files, verify as vf
 from .graphs import GraphSpec, parse_graph_spec, theta_ladder
-from .orbits import GroupAction, orbit_system, quotient_matrix, singer_action
+from .orbits import (GroupAction, frobenius_action, orbit_system,
+                     quotient_matrix, singer_action)
 from .search import search_parameter_point
 from .verify import VerificationError
 
@@ -122,13 +123,24 @@ def cmd_verify(args) -> int:
 # ----------------------------------------------------------------------
 
 def _parse_group(spec: GraphSpec, text: str):
+    """identity, or singer:<e> and frobenius:<j> parts joined by '+' (the
+    names the refinement ladder prints).  Returns the action and, for a
+    pure singer:<e>, the exponent e whose refinement ladder search walks."""
     if text == "identity":
         perm = np.arange(spec.vertex_count, dtype=np.int64)
         return GroupAction(spec, [perm], description="identity"), None
-    if text.startswith("singer:"):
-        e = int(text.split(":", 1)[1])
-        return singer_action(spec, e), e
-    raise ValueError(f"unknown group spec {text!r}; use singer:<e> or identity")
+    builders = {"singer": singer_action, "frobenius": frobenius_action}
+    parts = [part.partition(":") for part in text.split("+")]
+    if any(kind not in builders for kind, _, _ in parts):
+        raise ValueError(f"unknown group spec {text!r}; use identity, or "
+                         "singer:<e> and frobenius:<j> joined by +")
+    actions = [builders[kind](spec, int(value)) for kind, _, value in parts]
+    if len(actions) == 1:
+        kind, _, value = parts[0]
+        return actions[0], (int(value) if kind == "singer" else None)
+    gens = [g for action in actions for g in action.generators]
+    name = "+".join(action.description for action in actions)
+    return GroupAction(spec, gens, description=name), None
 
 
 def _gamma_list(spec: GraphSpec, theta_value: int) -> list[int]:
@@ -396,7 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("search", help="orbit-collapsed feasibility search")
     ps.add_argument("--graph", required=True)
-    ps.add_argument("--group", required=True, help="singer:<e> or identity")
+    ps.add_argument("--group", required=True,
+                    help="identity, or singer:<e> and frobenius:<j> "
+                         "joined by +")
     ps.add_argument("--theta", type=int, help="eigenvalue row to sweep")
     ps.add_argument("--gamma1", type=int)
     ps.add_argument("--beta0", type=int)

@@ -162,6 +162,33 @@ def test_cli_search_parallel_jobs(tmp_path):
     data = json.loads((tmp_path / "verdicts.json").read_text())
     assert {v["gamma1"]: v["status"] for v in data["verdicts"]} == \
         {3: "SAT", 6: "SAT", 9: "SAT"}
+    # same flags and seed, byte-identical output whatever the job count;
+    # the identity group has no ladder, so its witnesses come from milp
+    outputs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"identity-jobs{jobs}"
+        assert main(["search", "--graph", "jq:2,4,2", "--group", "identity",
+                     "--theta", "-3", "--seed", "3", "--jobs", jobs,
+                     "--max-seconds", "60", "--out", str(out)]) == 0
+        outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert outputs[0] == outputs[1]
+    assert {"verdicts.json", "g3.code", "g6.code", "g9.code"} <= \
+        set(outputs[0])
+
+
+def test_cli_search_mixed_group_sweep(tmp_path):
+    # the name the refinement ladder prints is accepted as a --group; the
+    # group has orbits of 30 and 5 vertices, and a 2^2 enumeration leaves
+    # only gamma1 = 3 with an invariant code
+    rc = main(["search", "--graph", "jq:2,4,2",
+               "--group", "singer:1+frobenius:1", "--theta", "-3",
+               "--max-seconds", "30", "--out", str(tmp_path)])
+    assert rc == 1
+    data = json.loads((tmp_path / "verdicts.json").read_text())
+    assert data["group"] == "singer:1+frobenius:1"
+    assert {v["gamma1"]: v["status"] for v in data["verdicts"]} == \
+        {3: "SAT", 6: "UNSAT", 9: "UNSAT"}
+    assert data["verdicts"][0]["lift_verified"]
 
 
 def test_cli_search_opb_export(tmp_path):
@@ -241,8 +268,9 @@ def test_cli_verify_of_construct_exits_zero(tmp_path, capsys, construct_args,
 
 def test_cli_usage_errors(capsys):
     assert main(["verify", "--graph", "nope", "--code", "x"]) == 64
-    assert main(["search", "--graph", "jq:2,4,2", "--group", "mystery",
-                 "--theta", "-3"]) == 64
+    for group in ("mystery", "singer:1+bogus:2"):
+        assert main(["search", "--graph", "jq:2,4,2", "--group", group,
+                     "--theta", "-3"]) == 64
     assert main(["frobnicate"]) == 64
 
 

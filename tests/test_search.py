@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -36,7 +38,7 @@ def test_all_mode_bypasses_probes(singer42):
 
 def test_sweep_stops_at_exhausted_unsat(singer42, monkeypatch):
     # (12, 3) passes the integrality screen but has no singer:5-invariant
-    # code: the first exhausted restart is the proof, nothing is re-solved
+    # code: the one exhaustive DFS run is the proof, nothing is re-solved
     osys, B = singer42
     own_solves = []
     solve = bip.solve
@@ -51,6 +53,19 @@ def test_sweep_stops_at_exhausted_unsat(singer42, monkeypatch):
                                  singer_exponent=5)
     assert (out.status, out.stage) == (bip.UNSAT, "dfs")
     assert len(own_solves) == 1
+
+
+def test_max_seconds_bounds_the_point():
+    # 1395 orbits and no ladder: milp and then the DFS at about 5 ms a
+    # node must both stop at the one deadline
+    ident = ob.GroupAction(S63, [np.arange(S63.vertex_count)],
+                           description="identity")
+    osys = ob.orbit_system(ident)
+    B = ob.quotient_matrix(S63, osys)
+    t0 = time.monotonic()
+    out = search_parameter_point(S63, osys, 81, 12, B=B, max_seconds=2)
+    assert out.status in (bip.SAT, bip.BUDGET_EXCEEDED)
+    assert time.monotonic() - t0 < 6
 
 
 def test_probe_witnesses_satisfy_original_system():
