@@ -5,7 +5,7 @@ binary feasibility search.
 """
 
 from .galois import FieldElement, FieldError, FieldSpec, make_field
-from .subspaces import (Subset, Subspace, enumerate_level, enumerate_subsets,
+from .subspaces import (Subset, Subspace, enumerate_subsets,
                         enumerate_subspaces, gaussian, intersection_dim,
                         contains, projective_points, rref)
 from .graphs import (GraphSpec, adjacency_check, adjacency_lists,
@@ -36,7 +36,7 @@ __all__ = [
     "build_instance", "check_completely_regular", "code_eigenvalues",
     "contained_blocks_count", "containment_table", "contains",
     "desarguesian_2spread", "desarguesian_spread", "design_strength",
-    "distance_partition", "enumerate_level", "enumerate_subsets",
+    "distance_partition", "enumerate_subsets",
     "enumerate_subspaces", "export_lp", "export_opb", "extended_hamming_sqs",
     "feasible_parameters", "frobenius_action", "gaussian",
     "hyperplane_code", "hyperplane_point_code",

@@ -125,21 +125,16 @@ class SolveResult:
 def solve(inst: BipInstance, mode: str = "first",
           max_nodes: Optional[int] = None,
           max_seconds: Optional[float] = None,
-          seed: Optional[int] = None,
-          branch_row: str = "slack",
-          value_first: int = 1) -> SolveResult:
+          seed: Optional[int] = None) -> SolveResult:
     """Depth-first feasibility search; UNSAT is a proof, budget is not.
 
     mode 'first' stops at one solution, 'all' collects every solution,
     'count' only counts them.  Branching picks a free variable of maximum
-    absolute coefficient inside a row of minimum slack ('slack') or of
-    fewest free variables ('arity'), value 1 first by default; the
+    absolute coefficient inside a row of minimum slack, value 1 first; the
     optional seed shuffles only tie-breaks, deterministically.
     """
     if mode not in ("first", "all", "count"):
         raise ValueError(f"unknown mode {mode!r}")
-    if branch_row not in ("slack", "arity"):
-        raise ValueError(f"unknown branch_row {branch_row!r}")
     A_ext, rhs = inst.rows()
     r = A_ext.shape[1]
     cols = np.ascontiguousarray(A_ext.T)          # cols[j] = column j
@@ -219,17 +214,11 @@ def solve(inst: BipInstance, mode: str = "first",
             for j in np.nonzero(to_zero)[0]:
                 assign(int(j), 0)
 
-    nz_mask = A_ext != 0
-
     def pick_branch() -> int:
         free = x == -1
         open_rows = np.nonzero((P > 0) | (N < 0))[0]
-        if branch_row == "arity":
-            arity = nz_mask[open_rows][:, free].sum(axis=1)
-            row = int(open_rows[np.argmin(arity)])
-        else:
-            slack = np.minimum(rhs - (S + N), (S + P) - rhs)
-            row = int(open_rows[np.argmin(slack[open_rows])])
+        slack = np.minimum(rhs - (S + N), (S + P) - rhs)
+        row = int(open_rows[np.argmin(slack[open_rows])])
         coeffs = np.abs(A_ext[row]) * free
         best = coeffs.max()
         cand = np.nonzero(coeffs == best)[0]
@@ -272,8 +261,8 @@ def solve(inst: BipInstance, mode: str = "first",
             result.status = BUDGET_EXCEEDED
             break
         j = pick_branch()
-        stack.append((len(trail), j, [1 - value_first]))
-        assign(j, value_first)
+        stack.append((len(trail), j, [0]))
+        assign(j, 1)
         if not propagate():
             alive = backtrack()
 

@@ -65,7 +65,9 @@ class Design:
 
     def block_ids(self) -> np.ndarray:
         idx = vertex_index(self.level_spec())
-        return np.asarray(sorted(idx.id_of(b) for b in self.blocks), dtype=np.int64)
+        rows = [b.members if self.q == 1 else b.rows for b in self.blocks]
+        return np.sort(idx.ids_of_rows(
+            np.array(rows, dtype=np.uint64).reshape(len(rows), self.k)))
 
     def __repr__(self) -> str:
         return f"Design(n={self.n}, k={self.k}, q={self.q}, blocks={len(self)})"
@@ -186,10 +188,8 @@ def symplectic_code(n: int = 6, q: int = 2) -> Code:
     if q != 2 or n != 6:
         raise ValueError("symplectic code is implemented for J_2(6,3)")
     spec = GraphSpec("grassmann", 2, 6, 3)
-    idx = vertex_index(spec)
     ids = []
-    for vid, v in enumerate(idx.vertices):
-        rows = v.rows
+    for vid, rows in enumerate(vertex_index(spec).rows.tolist()):
         good = True
         for i in range(3):
             for j in range(i, 3):
@@ -217,7 +217,7 @@ def hyperplane_code(spec: GraphSpec, hyperplane: Optional[Subspace] = None) -> C
     if h.k != spec.n - 1:
         raise ValueError(f"hyperplane must have dimension {spec.n - 1}")
     idx = vertex_index(spec)
-    ids = [vid for vid, v in enumerate(idx.vertices) if sp.contains(h, v)]
+    ids = [vid for vid in range(len(idx)) if sp.contains(h, idx[vid])]
     return Code(spec, ids, label="hyperplane")
 
 
@@ -233,8 +233,8 @@ def hyperplane_point_code(spec: GraphSpec,
     if h.contains_vector(v):
         raise ValueError("point must lie outside the hyperplane")
     idx = vertex_index(spec)
-    ids = [vid for vid, u in enumerate(idx.vertices)
-           if sp.contains(h, u) or u.contains_vector(v)]
+    ids = [vid for vid in range(len(idx))
+           if sp.contains(h, idx[vid]) or idx[vid].contains_vector(v)]
     return Code(spec, ids, label="hyperplane-point")
 
 

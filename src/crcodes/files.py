@@ -11,8 +11,11 @@ in the same vertex syntax.
 
 from __future__ import annotations
 
+from itertools import repeat
 from pathlib import Path
 from typing import Union
+
+import numpy as np
 
 from .constructions import Design
 from .graphs import parse_graph_spec, vertex_index
@@ -34,13 +37,15 @@ def _parse_header(line: str, expected: str) -> dict:
 
 
 def code_to_text(code: Code) -> str:
-    idx = vertex_index(code.spec)
     head = f"code graph={code.spec} size={len(code)}"
     if code.label:
         head += f" label={code.label}"
-    lines = [head]
-    lines.extend(idx[int(i)].serialize() for i in code.ids)
-    return "\n".join(lines) + "\n"
+    rows = vertex_index(code.spec).rows[code.ids].tolist()
+    if code.spec.q == 1:
+        body = [",".join(map(str, row)) for row in rows]
+    else:
+        body = [":".join(format(r, "x") for r in row) for row in rows]
+    return "\n".join([head] + body) + "\n"
 
 
 def write_code(path: Union[str, Path], code: Code) -> None:
@@ -48,26 +53,50 @@ def write_code(path: Union[str, Path], code: Code) -> None:
 
 
 def code_from_text(text: str) -> Code:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1)
+             if ln.strip()]
     if not lines:
         raise ValueError("empty code file")
-    fields = _parse_header(lines[0], "code")
+    fields = _parse_header(lines[0][1], "code")
     spec = parse_graph_spec(fields["graph"], allow_unbalanced=True)
     size = int(fields["size"])
     body = lines[1:]
     if len(body) != size:
         raise ValueError(f"header says {size} vertices, file has {len(body)}")
     idx = vertex_index(spec)
-    ids = []
-    for ln in body:
-        if spec.q == 1:
-            v = Subset.deserialize(ln.strip(), spec.n)
-        else:
-            v = Subspace.deserialize(ln.strip(), spec.n, spec.q)
-        if v.k != spec.k:
-            raise ValueError(f"vertex {ln.strip()!r} has the wrong dimension")
-        ids.append(idx.id_of(v))
+    try:
+        ids = idx.ids_of_rows(_vertex_rows([ln for _, ln in body], spec))
+    except (ValueError, OverflowError, KeyError):
+        for no, ln in body:  # name the first line that is no vertex
+            try:
+                idx.ids_of_rows(_vertex_rows([ln], spec))
+            except (ValueError, OverflowError, KeyError):
+                raise ValueError(
+                    f"line {no}: {ln!r} is not a vertex of {spec}") from None
+        raise
     return Code(spec, ids, label=fields.get("label"))
+
+
+# lines parsed per block: bounds the short-lived token strings
+_PARSE_LINES = 1 << 14
+
+
+def _vertex_rows(texts: list, spec) -> np.ndarray:
+    """The (len(texts), k) uint64 rows of vertex lines, in one pass.
+
+    Raises ValueError or OverflowError unless every line holds k integers
+    that fit in a uint64; whether a row is a vertex is left to the lookup.
+    """
+    k = spec.k
+    sep, base = (",", 10) if spec.q == 1 else (":", 16)
+    if not (np.char.count(np.array(texts, dtype=str), sep) == k - 1).all():
+        raise ValueError(f"a line does not hold {k} integers")
+    rows = np.empty((len(texts), k), dtype=np.uint64)
+    for at in range(0, len(texts), _PARSE_LINES):
+        part = sep.join(texts[at:at + _PARSE_LINES]).split(sep)
+        rows[at:at + _PARSE_LINES] = np.array(
+            list(map(int, part, repeat(base))), dtype=np.uint64).reshape(-1, k)
+    return rows
 
 
 def read_code(path: Union[str, Path]) -> Code:

@@ -2,8 +2,10 @@
 
 J(n,k) has the k-subsets of {1..n} as vertices, adjacent when they share
 k-1 elements; J_q(n,k) has the k-subspaces of GF(q)^n, adjacent when they
-meet in a (k-1)-subspace.  Vertex ids follow the canonical enumeration
-order of the subspaces module, so ids are stable across runs.
+meet in a (k-1)-subspace.  A graph's vertices are held as one (V, k)
+uint64 array of packed rows (subspaces.enumerate_rows): vertex id i is
+row i, so ids follow the canonical order and are stable across runs.
+Subspace and Subset objects are built one at a time, only when asked for.
 
 The eigenvalues come as the ladder
 
@@ -23,6 +25,7 @@ only for small graphs, as a reference for tests.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Optional, Union
@@ -132,76 +135,73 @@ def eigenvalue_multiplicity(spec: GraphSpec, i: int) -> int:
 class VertexIndex:
     """Bijection between [0, vertex_count) and canonical vertices.
 
-    Ids follow the canonical enumeration order.  A packed uint64 key array
-    provides fast id lookup whenever the vertex fits in one word (q = 2
-    with n*k <= 64, or any Johnson graph with n <= 64); otherwise a dict
-    keyed on the vertex object is used.
+    The only state is rows, the (V, k) uint64 array of subspaces.enumerate_rows:
+    row i is vertex i.  Each row packs into one uint64 key (subspace rows as
+    the digits of radix q^n, subsets by colex rank), and every vertex -> id
+    question is answered by ids_of_rows, one searchsorted over the sorted
+    keys.  idx[vid] builds the one Subspace or Subset asked for.
     """
 
     def __init__(self, spec: GraphSpec):
         self.spec = spec
-        self.vertices: list[Vertex] = sp.enumerate_level(spec.n, spec.k, spec.q)
-        self._keys: Optional[np.ndarray] = None
-        self._sorted_keys: Optional[np.ndarray] = None
-        self._sort_perm: Optional[np.ndarray] = None
-        self._lookup: Optional[dict] = None
-        self.rows: Optional[np.ndarray] = None  # (V, k) packed rows / members
+        self.rows: np.ndarray = sp.enumerate_rows(spec.n, spec.k, spec.q)
+        keys = self._pack(self.rows)
+        self._order = np.argsort(keys)
+        self._sorted_keys = keys[self._order]
         self._adjacency: Optional[np.ndarray] = None
-        if spec.q == 2 and spec.n * spec.k <= 64:
-            rows = np.zeros((len(self.vertices), spec.k), dtype=np.uint32)
-            for i, v in enumerate(self.vertices):
-                rows[i] = v.rows
-            self.rows = rows
-            self._keys = self._pack_keys(rows)
-        elif spec.q == 1 and spec.n <= 64:
-            rows = np.zeros((len(self.vertices), spec.k), dtype=np.uint32)
-            for i, v in enumerate(self.vertices):
-                rows[i] = v.members
-            self.rows = rows
-            self._keys = np.zeros(len(self.vertices), dtype=np.uint64)
-            for i, v in enumerate(self.vertices):
-                self._keys[i] = v.bitmask()
-        if self._keys is not None:
-            self._sort_perm = np.argsort(self._keys).astype(np.int64)
-            self._sorted_keys = self._keys[self._sort_perm]
-        else:
-            self._lookup = {v: i for i, v in enumerate(self.vertices)}
 
-    def _pack_keys(self, rows: np.ndarray) -> np.ndarray:
-        n = self.spec.n
+    def _pack(self, rows: np.ndarray) -> np.ndarray:
+        """One key per row; injective on the rows of vertices only."""
+        n, k, q = self.spec.n, self.spec.k, self.spec.q
         keys = np.zeros(len(rows), dtype=np.uint64)
-        for c in range(rows.shape[1]):
-            keys = (keys << np.uint64(n)) | rows[:, c].astype(np.uint64)
+        if q == 1:
+            # colex rank sum_c C(m_c - 1, c + 1) < C(n, k); members out of
+            # range are clipped, and their rows fail the equality check
+            col = np.clip(rows, 1, n) - np.uint64(1)
+            table = _colex_table(n, k)
+            for c in range(k):
+                keys += table[col[:, c], c]
+            return keys
+        radix = np.uint64(q ** n)
+        for c in range(k):
+            keys = keys * radix + rows[:, c]
         return keys
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self.rows)
 
     def __getitem__(self, vid: int) -> Vertex:
-        return self.vertices[vid]
-
-    def key_of_vertex(self, v: Vertex) -> int:
+        row = tuple(self.rows[vid].tolist())
         if self.spec.q == 1:
-            return v.bitmask()
-        key = 0
-        for r in v.rows:
-            key = (key << self.spec.n) | r
-        return key
+            return Subset(self.spec.n, row)
+        return Subspace(self.spec.n, self.spec.q, row)
 
     def id_of(self, v: Vertex) -> int:
-        if self._lookup is not None:
-            return self._lookup[v]
-        return int(self.ids_of_keys(np.array([self.key_of_vertex(v)],
-                                             dtype=np.uint64))[0])
+        row = v.members if self.spec.q == 1 else v.rows
+        return int(self.ids_of_rows([row])[0])
 
-    def ids_of_keys(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorized key -> id; raises KeyError if any key is unknown."""
-        pos = np.searchsorted(self._sorted_keys, keys)
-        if (pos >= len(self._sorted_keys)).any() or \
-                (self._sorted_keys[np.minimum(pos, len(self._sorted_keys) - 1)]
-                 != keys).any():
-            raise KeyError("key does not name a vertex of this graph")
-        return self._sort_perm[pos]
+    def ids_of_rows(self, rows) -> np.ndarray:
+        """Ids of an (m, k) array of rows; KeyError if any row is no vertex.
+
+        A row that is not canonical (a subspace row wider than n digits,
+        members out of order) can pack to the key of another vertex, so the
+        rows found are compared with the rows asked for.
+        """
+        rows = np.asarray(rows, dtype=np.uint64)
+        if rows.ndim != 2 or rows.shape[1] != self.spec.k:
+            raise KeyError(f"rows of shape {rows.shape} are not {self.spec.k}-rows")
+        pos = np.searchsorted(self._sorted_keys, self._pack(rows))
+        ids = self._order[np.minimum(pos, len(self._order) - 1)]
+        if not np.array_equal(self.rows[ids], rows):
+            raise KeyError(f"a row does not name a vertex of {self.spec}")
+        return ids
+
+
+def _colex_table(n: int, k: int) -> np.ndarray:
+    """T[a, c] = C(a, c + 1) where member a + 1 can stand at place c, else 0."""
+    return np.array([[math.comb(a, c + 1) if c <= a <= n - k + c else 0
+                      for c in range(k)] for a in range(n)],
+                    dtype=np.uint64).reshape(n, k)
 
 
 @lru_cache(maxsize=None)
@@ -252,42 +252,39 @@ class ContainmentTable:
 
 @lru_cache(maxsize=None)
 def containment_table(spec: GraphSpec, j: int) -> ContainmentTable:
-    """Build the k-level to j-level containment table, vectorized when possible."""
+    """Build the k-level to j-level containment table.
+
+    A j-subobject of every vertex at once is a pattern of j rows over the
+    vertex's k rows: the j-subspaces of a subspace are K*B over the RREF
+    j-by-k patterns K (subspaces.subobject_patterns), and a j-subset picks
+    j member columns, a pattern of unit rows.  Over q <= 2 each pattern's
+    sub-rows are XOR sums of columns of idx.rows, looked up at once; over
+    q > 2 they are built vertex by vertex.
+    """
     if not 0 <= j <= spec.k:
         raise ValueError(f"sublevel {j} out of range 0..{spec.k}")
     idx = vertex_index(spec)
     sub = vertex_index(spec.level(j))
-    V = len(idx)
-    q, n, k = spec.q, spec.n, spec.k
-    if q == 1 and idx.rows is not None:
-        pats = list(itertools.combinations(range(k), j))
-        ids = np.zeros((V, len(pats)), dtype=np.int64)
-        for t, cols in enumerate(pats):
-            keys = np.zeros(V, dtype=np.uint64)
-            for c in cols:
-                keys |= np.uint64(1) << (idx.rows[:, c].astype(np.uint64) - np.uint64(1))
-            ids[:, t] = sub.ids_of_keys(keys)
-        return ContainmentTable(spec, j, sub, ids)
-    if q == 2 and idx.rows is not None and sub._sorted_keys is not None:
+    V, q, k = len(idx), spec.q, spec.k
+    if q > 2:
+        sub_rows = [s.rows for vid in range(V)
+                    for s in sp.subspaces_of(idx[vid], j)]
+        found = sub.ids_of_rows(
+            np.array(sub_rows, dtype=np.uint64).reshape(len(sub_rows), j))
+        return ContainmentTable(spec, j, sub, found.reshape(V, -1))
+    if q == 1:
+        unit = np.eye(k, dtype=int)
+        pats = [unit[list(cols)] for cols in itertools.combinations(range(k), j)]
+    else:
         pats = sp.subobject_patterns(k, j, 2)
-        ids = np.zeros((V, len(pats)), dtype=np.int64)
-        for t, pat in enumerate(pats):
-            keys = np.zeros(V, dtype=np.uint64)
-            for prow in pat:
-                acc = np.zeros(V, dtype=np.uint64)
-                for col, c in enumerate(prow):
-                    if c:
-                        acc ^= idx.rows[:, col].astype(np.uint64)
-                keys = (keys << np.uint64(n)) | acc
-            ids[:, t] = sub.ids_of_keys(keys)
-        return ContainmentTable(spec, j, sub, ids)
-    # general path (small graphs over q > 2)
-    pats = sp.subobject_patterns(k, j, q) if q > 1 else None
-    ids = np.zeros((V, gaussian(k, j, q)), dtype=np.int64)
-    for i, v in enumerate(idx.vertices):
-        subs = sp.subspaces_of(v, j) if q > 1 else sp.subsets_of(v, j)
-        for t, s in enumerate(subs):
-            ids[i, t] = sub.id_of(s)
+    ids = np.empty((V, len(pats)), dtype=np.int64)
+    for t, pat in enumerate(pats):
+        sub_rows = np.zeros((V, j), dtype=np.uint64)
+        for r, prow in enumerate(pat):
+            for col, c in enumerate(prow):
+                if c:
+                    sub_rows[:, r] ^= idx.rows[:, col]
+        ids[:, t] = sub.ids_of_rows(sub_rows)
     return ContainmentTable(spec, j, sub, ids)
 
 

@@ -68,12 +68,12 @@ def _rows_in_order(rows: np.ndarray) -> np.ndarray:
 
 
 def _field_induced_perm(spec: GraphSpec, move) -> np.ndarray:
+    """Vertex id -> id of the span of its moved basis rows."""
     idx = vertex_index(spec)
-    perm = np.empty(len(idx), dtype=np.int64)
-    for vid, v in enumerate(idx.vertices):
-        perm[vid] = idx.id_of(sp.rref([move(r) for r in v.rows],
-                                      spec.n, spec.q))
-    return perm
+    images = [sp.rref([move(r) for r in row], spec.n, spec.q).rows
+              for row in idx.rows.tolist()]
+    return idx.ids_of_rows(
+        np.array(images, dtype=np.uint64).reshape(len(idx), spec.k))
 
 
 def _field_for(spec: GraphSpec, modulus):

@@ -5,6 +5,11 @@ into a single integer in base q, column j in digit j, so for q = 2 a row
 is a bitmask with column j at bit j and row reduction is word XOR.  Two
 Subspace values are equal exactly when they are the same subspace.
 
+enumerate_rows gives a whole level at once as a (count, k) uint64 array:
+packed basis rows for subspaces, sorted members for subsets.  This array
+is the graph layer's vertex representation; Subspace and Subset are the
+per-vertex objects for row reduction, containment tests and file text.
+
 The canonical order of subspaces (used for vertex ids) is lexicographic on
 the flattened k-by-n matrix of coefficient digits, row major; subsets are
 ordered lexicographically on their sorted member lists.
@@ -151,9 +156,6 @@ class Subset:
     def k(self) -> int:
         return len(self.members)
 
-    def bitmask(self) -> int:
-        return sum(1 << (m - 1) for m in self.members)
-
     def serialize(self) -> str:
         return ",".join(str(m) for m in self.members)
 
@@ -294,75 +296,56 @@ def subset_meet(u: Subset, w: Subset) -> int:
 # Enumeration in canonical order
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=32)
-def _bitrev_table(n: int) -> np.ndarray:
-    return np.array([int(format(i, f"0{n}b")[::-1], 2) for i in range(1 << n)],
-                    dtype=np.uint64)
+def enumerate_rows(n: int, k: int, q: int) -> np.ndarray:
+    """Every vertex of one level as a row of a (count, k) uint64 array.
 
+    For q = 1 a row is a k-subset of {1..n}, members ascending, and rows
+    come in lexicographic order.  For q >= 2 a row is the packed RREF basis
+    of a k-subspace of GF(q)^n, in canonical order.  Raises ValueError when
+    q^(n*k) > 2^64: the k rows then no longer pack into one uint64 key.
+    """
+    if q == 1:
+        members = list(itertools.combinations(range(1, n + 1), k))
+        return np.array(members, dtype=np.uint64).reshape(len(members), k)
+    if q ** (n * k) > 1 << 64:
+        raise ValueError(
+            f"the {k}-subspaces of GF({q})^{n} need q^(n*k) <= 2^64 "
+            f"to pack into one word, got {q}^{n * k}")
+    # canonical order is lexicographic on the flattened digit matrix, so
+    # digit (r, c) weighs q^(n*k - 1 - (r*n + c)) in the sort key
+    def lex(r: int, c: int) -> np.uint64:
+        return np.uint64(q ** (n * k - 1 - r * n - c))
 
-def _enumerate_gf2_rows(n: int, k: int) -> np.ndarray:
-    """All RREF matrices as packed bit rows, shape (count, k), canonical order."""
-    if k == 0:
-        return np.zeros((1, 0), dtype=np.uint32)
-    chunks = []
+    rows, keys = [], []
     for piv in itertools.combinations(range(n), k):
-        pivset = set(piv)
         free = [(r, c) for r in range(k) for c in range(piv[r] + 1, n)
-                if c not in pivset]
-        f = len(free)
-        vals = np.arange(1 << f, dtype=np.uint64)
-        rows = np.zeros((1 << f, k), dtype=np.uint32)
-        for r in range(k):
-            rows[:, r] = np.uint32(1 << piv[r])
-        for s, (r, c) in enumerate(free):
-            rows[:, r] |= ((vals >> np.uint64(s)) & np.uint64(1)).astype(np.uint32) << np.uint32(c)
-        chunks.append(rows)
-    allrows = np.concatenate(chunks)
-    # canonical order: digit-lex = compare bit-reversed rows, row 0 first
-    rev = _bitrev_table(n)
-    keys = np.zeros(len(allrows), dtype=np.uint64)
-    for r in range(k):
-        keys = (keys << np.uint64(n)) | rev[allrows[:, r]]
-    order = np.argsort(keys, kind="stable")
-    return allrows[order]
-
-
-def _enumerate_general(n: int, k: int, q: int) -> list[tuple[int, ...]]:
-    out = []
-    for piv in itertools.combinations(range(n), k):
-        pivset = set(piv)
-        free = [(r, c) for r in range(k) for c in range(piv[r] + 1, n)
-                if c not in pivset]
-        for assign in itertools.product(range(q), repeat=len(free)):
-            mat = [[0] * n for _ in range(k)]
-            for r in range(k):
-                mat[r][piv[r]] = 1
-            for (r, c), v in zip(free, assign):
-                mat[r][c] = v
-            out.append(tuple(pack_row(row, q) for row in mat))
-    out.sort(key=lambda rows: tuple(
-        d for row in rows for d in unpack_row(row, n, q)))
-    return out
+                if c not in piv]
+        count = q ** len(free)
+        pivots = np.array([q ** c for c in piv], dtype=np.uint64)
+        chunk = np.tile(pivots, (count, 1))
+        key = np.full(count, sum(lex(r, c) for r, c in enumerate(piv)),
+                      dtype=np.uint64)
+        vals = np.arange(count, dtype=np.uint64)
+        for r, c in free:
+            digit = vals % np.uint64(q)
+            vals //= np.uint64(q)
+            chunk[:, r] += digit * np.uint64(q ** c)
+            key += digit * lex(r, c)
+        rows.append(chunk)
+        keys.append(key)
+    return np.concatenate(rows)[np.argsort(np.concatenate(keys))]
 
 
 def enumerate_subspaces(n: int, k: int, q: int) -> list[Subspace]:
     """All k-subspaces of GF(q)^n, strictly sorted in canonical order."""
     if k < 0 or k > n:
         return []
-    if q == 2:
-        rows = _enumerate_gf2_rows(n, k)
-        return [Subspace(n, 2, tuple(int(x) for x in row)) for row in rows]
-    return [Subspace(n, q, rows) for rows in _enumerate_general(n, k, q)]
+    return [Subspace(n, q, tuple(row)) for row in enumerate_rows(n, k, q).tolist()]
 
 
 def enumerate_subsets(n: int, k: int) -> list[Subset]:
     """All k-subsets of {1..n} in lexicographic member order."""
-    return [Subset(n, c) for c in itertools.combinations(range(1, n + 1), k)]
-
-
-def enumerate_level(n: int, k: int, q: int):
-    """Subsets for q = 1, subspaces otherwise."""
-    return enumerate_subsets(n, k) if q == 1 else enumerate_subspaces(n, k, q)
+    return [Subset(n, row) for row in enumerate_rows(n, k, 1).tolist()]
 
 
 def projective_points(u: Subspace) -> list[Subspace]:
@@ -396,8 +379,8 @@ def projective_points(u: Subspace) -> list[Subspace]:
 @lru_cache(maxsize=128)
 def subobject_patterns(k: int, j: int, q: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All RREF patterns, each a j-tuple of digit rows of length k."""
-    pats = enumerate_subspaces(k, j, q)
-    return tuple(tuple(unpack_row(r, k, q) for r in p.rows) for p in pats)
+    return tuple(tuple(unpack_row(r, k, q) for r in rows)
+                 for rows in enumerate_rows(k, j, q).tolist())
 
 
 def apply_pattern(u: Subspace, pattern) -> Subspace:

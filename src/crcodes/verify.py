@@ -26,8 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import (GraphSpec, containment_table, theta, theta_ladder,
-                     vertex_index)
+from .graphs import GraphSpec, containment_table, theta, theta_ladder
 from .subspaces import gaussian
 
 
@@ -50,10 +49,6 @@ class Code:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def vertices(self):
-        idx = vertex_index(self.spec)
-        return [idx[int(i)] for i in self.ids]
 
     def complement(self, label: Optional[str] = None) -> "Code":
         mask = np.ones(self.spec.vertex_count, dtype=bool)

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -30,6 +31,31 @@ def test_code_file_rejects_bad_size(tmp_path):
     bad = "\n".join([lines[0]] + lines[1:-1])
     with pytest.raises(ValueError):
         files.code_from_text(bad)
+
+
+@pytest.mark.parametrize("graph,line", [
+    ("jq:2,6,3", "3:3:4"),        # not a reduced echelon basis
+    ("jq:2,6,3", "1:2"),          # too few rows
+    ("jq:2,6,3", "1:2:4:8"),      # too many rows
+    ("jq:2,6,3", "1:2:100"),      # row wider than n = 6 digits
+    ("jq:2,6,3", "0:42:4"),       # packs to the key of 1:2:4
+    ("jq:2,6,3", "-1:2:4"),
+    ("jq:2,6,3", "1:2:zz"),
+    ("j:16,6", "6,5,4,3,2,1"),    # members decreasing
+    ("j:16,6", "0,1,2,3,4,5"),    # member below 1
+    ("j:16,6", "1,2,3,4,5,17"),   # member above n
+    ("j:16,6", "1,2,3,4,5"),      # too few members
+])
+def test_code_file_rejects_malformed_lines(graph, line):
+    if graph == "jq:2,6,3":
+        code = con.hyperplane_code(S63)
+    else:
+        code = con.avoid_code(GraphSpec("johnson", 1, 16, 6),
+                              con.extended_hamming_sqs(4))
+    lines = files.code_to_text(code).splitlines()
+    lines[5] = line
+    with pytest.raises(ValueError, match=re.escape(f"line 6: {line!r}")):
+        files.code_from_text("\n".join(lines) + "\n")
 
 
 def test_design_file_round_trip(tmp_path):

@@ -82,7 +82,8 @@ def test_adjacency_exhaustive_small(spec_text):
 
 
 @pytest.mark.parametrize("spec_text,samples", [
-    ("jq:2,6,3", 40), ("j:16,6", 40)])
+    ("jq:2,6,3", 40), ("j:16,6", 40), ("jq:3,4,2", 130), ("jq:4,4,2", 60),
+    ("j:70,2", 40)])
 def test_generated_neighbors_match_cliques(spec_text, samples):
     # star-clique neighbors against the brute-force adjacency predicate
     spec = g.parse_graph_spec(spec_text)
@@ -178,10 +179,37 @@ def test_containment_table_content_spotcheck():
 
 
 def test_vertex_index_id_lookup_round_trip():
-    for text in ["jq:2,6,3", "j:16,6", "jq:2,4,2"]:
+    for text in ["jq:2,6,3", "j:16,6", "jq:2,4,2", "jq:3,4,2", "jq:4,4,2",
+                 "j:70,2"]:
         spec = g.parse_graph_spec(text)
         idx = g.vertex_index(spec)
+        assert len(idx) == spec.vertex_count
+        assert idx.ids_of_rows(idx.rows).tolist() == list(range(len(idx)))
         rng = random.Random(17)
         for _ in range(50):
             vid = rng.randrange(len(idx))
             assert idx.id_of(idx[vid]) == vid
+
+
+@pytest.mark.parametrize("spec_text,row,alias", [
+    # 0x42 is wider than 6 bits: 0:42:4 packs to the key of 1:2:4
+    ("jq:2,6,3", [0, 0x42, 4], [1, 2, 4]),
+    ("jq:3,4,2", [0, 81 + 3], [1, 3]),
+    ("j:16,6", [6, 5, 4, 3, 2, 1], None),
+    ("j:16,6", [0, 1, 2, 3, 4, 5], None),
+    ("j:16,6", [1, 2, 3, 4, 5, 17], None),
+])
+def test_ids_of_rows_rejects_rows_that_are_no_vertex(spec_text, row, alias):
+    idx = g.vertex_index(g.parse_graph_spec(spec_text))
+    if alias is not None:
+        idx.ids_of_rows([alias])
+    with pytest.raises(KeyError):
+        idx.ids_of_rows([row])
+    with pytest.raises(KeyError):
+        idx.ids_of_rows([idx.rows[0].tolist(), row])
+
+
+def test_vertex_index_refuses_rows_wider_than_a_word():
+    # q^(n*k) = 2^72: the packed key of a row would not fit in 64 bits
+    with pytest.raises(ValueError):
+        g.vertex_index(g.GraphSpec("grassmann", 2, 9, 8, allow_unbalanced=True))

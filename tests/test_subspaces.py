@@ -105,6 +105,8 @@ def test_enumerate_subspaces_counts_and_order(n, k, q, count):
     assert len(subs) == count == sp.gaussian(n, k, q)
     keys = [s.digit_key() for s in subs]
     assert all(keys[i] < keys[i + 1] for i in range(len(keys) - 1))
+    # each packed row set is already the reduced basis row reduction gives
+    assert all(sp.rref(list(s.rows), n, q) == s for s in subs)
 
 
 def test_enumerate_subsets():
