@@ -4,7 +4,7 @@ Exact (integer-only) constructions, verification, and symmetry-reduced
 binary feasibility search.
 """
 
-from .galois import FieldElement, FieldError, FieldSpec, make_field
+from .galois import FieldError, FieldSpec, make_field
 from .subspaces import (Subset, Subspace, enumerate_subsets,
                         enumerate_subspaces, gaussian, intersection_dim,
                         contains, projective_points, rref)
@@ -28,8 +28,8 @@ from .bip import (BipInstance, build_instance, export_lp, export_opb,
 from .search import SearchOutcome, search_parameter_point
 
 __all__ = [
-    "BipInstance", "Code", "Design", "DistancePartition", "FieldElement",
-    "FieldError", "FieldSpec", "GraphSpec", "GroupAction",
+    "BipInstance", "Code", "Design", "DistancePartition", "FieldError",
+    "FieldSpec", "GraphSpec", "GroupAction",
     "IntersectionNumbers", "OrbitSystem", "SearchOutcome", "Subset",
     "Subspace", "ValueVector", "VerificationError", "adjacency_check",
     "adjacency_lists", "avoid_code", "blocks_contained_counts",

@@ -95,13 +95,13 @@ def desarguesian_spread(q: int, n: int, d: int = 2) -> Design:
     a = field.generator
     count = (q ** n - 1) // (q ** d - 1)
     # basis of GF(q^d) over GF(q): 1, b, ..., b^(d-1) with b = a^count
-    b_pows = [field.pow_i(a.index, j * count) if j else 1 for j in range(d)]
+    b_pows = [field.pow_i(a, j * count) if j else 1 for j in range(d)]
     blocks = []
     coset = 1
     for _ in range(count):
         rows = [field.digits_of_index(field.mul_i(coset, bp)) for bp in b_pows]
         blocks.append(sp.rref(rows, n, q))
-        coset = field.mul_i(coset, a.index)
+        coset = field.mul_i(coset, a)
     return Design(n, d, q, blocks)
 
 

@@ -61,6 +61,10 @@ def code_from_text(text: str) -> Code:
     spec = parse_graph_spec(fields["graph"], allow_unbalanced=True)
     size = int(fields["size"])
     body = lines[1:]
+    if spec.k == 0:  # its one vertex is written as a blank line
+        head = lines[0][0]
+        body = list(enumerate(
+            (ln.strip() for ln in text.splitlines()[head:]), head + 1))
     if len(body) != size:
         raise ValueError(f"header says {size} vertices, file has {len(body)}")
     idx = vertex_index(spec)
@@ -88,6 +92,10 @@ def _vertex_rows(texts: list, spec) -> np.ndarray:
     that fit in a uint64; whether a row is a vertex is left to the lookup.
     """
     k = spec.k
+    if k == 0:
+        if any(texts):
+            raise ValueError("a line of a k = 0 graph is not blank")
+        return np.empty((len(texts), 0), dtype=np.uint64)
     sep, base = (",", 10) if spec.q == 1 else (":", 16)
     if not (np.char.count(np.array(texts, dtype=str), sep) == k - 1).all():
         raise ValueError(f"a line does not hold {k} integers")

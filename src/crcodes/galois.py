@@ -4,7 +4,9 @@ An element of GF(p^m) is stored as its *index*: the integer whose base-p
 digits (least significant digit first) are the coefficients of the residue
 polynomial modulo the field's defining polynomial.  Index 0 is the zero
 element, index 1 the unit, and index p is the residue class of x, which is
-a multiplicative generator for every modulus accepted here.
+a multiplicative generator for every modulus accepted here.  Elements
+are plain ints throughout: FieldSpec's *_i methods are the whole
+arithmetic API.
 
 Default defining polynomials (all primitive, coefficient lists ascending):
 
@@ -28,7 +30,7 @@ primitivity of x by checking x^((q-1)/r) != 1 for each prime r | q-1.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 # Ascending coefficient lists, constant term first, all monic and primitive.
 _DEFAULT_MODULI = {
@@ -43,8 +45,6 @@ _DEFAULT_MODULI = {
     (2, 9): (1, 0, 0, 0, 1, 0, 0, 0, 0, 1),
     (2, 10): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1),
 }
-
-_LOG_TABLE_MAX_ORDER = 4096
 
 
 def is_prime(n: int) -> bool:
@@ -125,61 +125,6 @@ class FieldError(ValueError):
     """Invalid field construction or operation."""
 
 
-class FieldElement:
-    """An element of a FieldSpec, identified by its integer index."""
-
-    __slots__ = ("field", "index")
-
-    def __init__(self, field: "FieldSpec", index: int):
-        self.field = field
-        self.index = index
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field is not self.field and other.field != self.field:
-                raise FieldError("elements belong to different fields")
-            return other.index
-        raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field.add_i(self.index, self._coerce(other)))
-
-    def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub_i(self.index, self._coerce(other)))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg_i(self.index))
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul_i(self.index, self._coerce(other)))
-
-    def __truediv__(self, other):
-        j = self._coerce(other)
-        return FieldElement(self.field, self.field.mul_i(self.index, self.field.inv_i(j)))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow_i(self.index, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv_i(self.index))
-
-    def __bool__(self) -> bool:
-        return self.index != 0
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldElement)
-            and other.field == self.field
-            and other.index == self.index
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field.characteristic, self.field.degree, self.index))
-
-    def __repr__(self) -> str:
-        return f"GF({self.field.order})[{self.index}]"
-
-
 class FieldSpec:
     """The field GF(p^m) with a fixed primitive defining polynomial.
 
@@ -193,10 +138,7 @@ class FieldSpec:
         irreducible and x must generate the multiplicative group.
     """
 
-    __slots__ = (
-        "characteristic", "degree", "order", "modulus",
-        "_mod_int", "_xpow", "_tables",
-    )
+    __slots__ = ("characteristic", "degree", "order", "modulus", "_xpow")
 
     def __init__(self, characteristic: int, degree: int,
                  modulus: Optional[Sequence[int]] = None):
@@ -214,14 +156,11 @@ class FieldSpec:
         self.degree = m
         self.order = p ** m
         self.modulus = modulus
-        # packed modulus for the characteristic-2 fast path
-        self._mod_int = sum(c << i for i, c in enumerate(modulus)) if p == 2 else 0
         # digits of x^t mod f for t = m .. 2m-2, used to fold products
         self._xpow: list[tuple[int, ...]] = []
         for t in range(m, 2 * m - 1):
             xs = [0] * t + [1]
             self._xpow.append(tuple(_poly_mod(xs, modulus, p) + [0] * m)[:m])
-        self._tables = None  # lazy (exp, log) pair, published once
         self._check_modulus()
 
     # -- construction-time verification ---------------------------------
@@ -230,8 +169,7 @@ class FieldSpec:
         p, m = self.characteristic, self.degree
         if m > 1 and not _poly_is_irreducible(self.modulus, p):
             raise FieldError(f"modulus {self.modulus} is reducible over GF({p})")
-        x = p if m > 1 else self.index_of_digits(
-            [(-self.modulus[0]) % p])  # for m = 1, x maps to a scalar
+        x = self.generator
         qm1 = self.order - 1
         for r in prime_factors(qm1):
             if self.pow_i(x, qm1 // r) == 1:
@@ -258,28 +196,12 @@ class FieldSpec:
 
     # -- element plumbing -------------------------------------------------
 
-    def element(self, index: int) -> FieldElement:
-        if not 0 <= index < self.order:
-            raise FieldError(f"index {index} out of range for GF({self.order})")
-        return FieldElement(self, index)
-
     @property
-    def zero(self) -> FieldElement:
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> FieldElement:
-        return FieldElement(self, 1)
-
-    @property
-    def generator(self) -> FieldElement:
-        """The residue class of x (a scalar for degree 1), always primitive."""
+    def generator(self) -> int:
+        """Index of the class of x (a scalar for degree 1), always primitive."""
         if self.degree == 1:
-            return FieldElement(self, (-self.modulus[0]) % self.characteristic)
-        return FieldElement(self, self.characteristic)
-
-    def elements(self) -> Iterable[FieldElement]:
-        return (FieldElement(self, i) for i in range(self.order))
+            return (-self.modulus[0]) % self.characteristic
+        return self.characteristic
 
     def digits_of_index(self, index: int) -> tuple[int, ...]:
         p = self.characteristic
@@ -299,8 +221,6 @@ class FieldSpec:
     # -- index arithmetic -------------------------------------------------
 
     def add_i(self, a: int, b: int) -> int:
-        if self.characteristic == 2:
-            return a ^ b
         p = self.characteristic
         out, mult = 0, 1
         for _ in range(self.degree):
@@ -311,8 +231,6 @@ class FieldSpec:
         return out
 
     def neg_i(self, a: int) -> int:
-        if self.characteristic == 2:
-            return a
         p = self.characteristic
         out, mult = 0, 1
         for _ in range(self.degree):
@@ -327,19 +245,6 @@ class FieldSpec:
     def mul_i(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self.characteristic == 2:
-            # carry-less multiply, then reduce by the modulus bits
-            res = 0
-            while b:
-                if b & 1:
-                    res ^= a
-                a <<= 1
-                b >>= 1
-            deg, mod = self.degree, self._mod_int
-            for t in range(res.bit_length() - 1, deg - 1, -1):
-                if (res >> t) & 1:
-                    res ^= mod << (t - deg)
-            return res
         p, m = self.characteristic, self.degree
         da = self.digits_of_index(a)
         db = self.digits_of_index(b)
@@ -368,120 +273,10 @@ class FieldSpec:
             e >>= 1
         return result
 
-    def _exp_log(self):
-        """Lazily built (exp, log) tables; assigned once, benign to race."""
-        tables = self._tables
-        if tables is None:
-            g = self.generator.index
-            exp = [1] * (self.order - 1)
-            log = [0] * self.order
-            v = 1
-            for i in range(self.order - 1):
-                exp[i] = v
-                log[v] = i
-                v = self.mul_i(v, g)
-            tables = (exp, log)
-            self._tables = tables
-        return tables
-
     def inv_i(self, a: int) -> int:
         if a == 0:
             raise FieldError("zero has no multiplicative inverse")
-        if a == 1:
-            return 1
-        if self.order <= _LOG_TABLE_MAX_ORDER:
-            exp, log = self._exp_log()
-            return exp[(self.order - 1 - log[a]) % (self.order - 1)]
         return self.pow_i(a, self.order - 2)
-
-    # -- subfields and coordinates ----------------------------------------
-
-    def subfield(self, d: int) -> tuple[FieldElement, ...]:
-        """All elements of the subfield of order p^d, sorted by index.
-
-        The result is {0} together with the powers a^(j*(q-1)/(p^d-1)) of
-        the generator; closure under + and * is verified before returning.
-        """
-        p, m = self.characteristic, self.degree
-        if d < 1 or m % d != 0:
-            raise FieldError(f"no subfield of degree {d} in GF({p}^{m})")
-        sub_order = p ** d
-        step = (self.order - 1) // (sub_order - 1)
-        g = self.generator.index
-        idxs = {0, 1}
-        v = self.pow_i(g, step)
-        w = v
-        for _ in range(sub_order - 2):
-            idxs.add(w)
-            w = self.mul_i(w, v)
-        if len(idxs) != sub_order:
-            raise FieldError("internal: subfield has wrong size")
-        for a in idxs:
-            for b in idxs:
-                if self.add_i(a, b) not in idxs or self.mul_i(a, b) not in idxs:
-                    raise FieldError("internal: subfield not closed")
-        return tuple(FieldElement(self, i) for i in sorted(idxs))
-
-    def as_vector(self, elem: FieldElement) -> tuple[int, ...]:
-        """Coordinates of elem over the prime field in the basis 1, x, ..., x^(m-1)."""
-        if elem.field != self:
-            raise FieldError("element belongs to a different field")
-        return self.digits_of_index(elem.index)
-
-    def from_vector(self, digits: Sequence[int]) -> FieldElement:
-        """Inverse of as_vector."""
-        if len(digits) != self.degree:
-            raise FieldError(f"expected {self.degree} coordinates, got {len(digits)}")
-        return FieldElement(self, self.index_of_digits(digits))
-
-    def subfield_coords(self, elem: FieldElement, d: int) -> tuple[FieldElement, ...]:
-        """Coordinates of elem over the order-p^d subfield in the basis 1, x, ..., x^(n-1).
-
-        The n = m/d coordinates are returned as elements of this field that
-        happen to lie in the subfield, so no external isomorphism is needed.
-        """
-        if elem.field != self:
-            raise FieldError("element belongs to a different field")
-        p, m = self.characteristic, self.degree
-        if d < 1 or m % d != 0:
-            raise FieldError(f"no subfield of degree {d} in GF({p}^{m})")
-        n = m // d
-        if d == 1:
-            return tuple(FieldElement(self, c) for c in self.digits_of_index(elem.index))
-        b = self.pow_i(self.generator.index, (self.order - 1) // (p ** d - 1))
-        # GF(p)-basis x^i * b^j of the whole field, one column per (i, j)
-        cols = []
-        for i in range(n):
-            xi = self.pow_i(self.generator.index, i) if i else 1
-            for j in range(d):
-                bj = self.pow_i(b, j) if j else 1
-                cols.append(self.digits_of_index(self.mul_i(xi, bj)))
-        sol = _solve_mod_p(cols, self.digits_of_index(elem.index), p)
-        coords = []
-        for i in range(n):
-            acc = 0
-            for j in range(d):
-                c = sol[i * d + j]
-                if c:
-                    acc = self.add_i(acc, self.mul_i(c, self.pow_i(b, j) if j else 1))
-            coords.append(FieldElement(self, acc))
-        return tuple(coords)
-
-
-def _solve_mod_p(cols: list[tuple[int, ...]], rhs: tuple[int, ...], p: int) -> list[int]:
-    """Solve M c = rhs over GF(p) where M has the given columns (square, invertible)."""
-    m = len(rhs)
-    aug = [[cols[j][i] % p for j in range(m)] + [rhs[i] % p] for i in range(m)]
-    for col in range(m):
-        piv = next(r for r in range(col, m) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = pow(aug[col][col], p - 2, p)
-        aug[col] = [(v * inv) % p for v in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(a - f * b) % p for a, b in zip(aug[r], aug[col])]
-    return [aug[i][m] for i in range(m)]
 
 
 def _default_modulus(p: int, m: int) -> tuple[int, ...]:

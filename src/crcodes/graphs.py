@@ -19,7 +19,10 @@ through the (k-1) containment table: each adjacent pair of k-objects
 contains exactly one common (k-1)-object, so the star cliques (the vertices
 over one fixed (k-1)-object, ContainmentTable.members) carry all edge
 information.  Dense neighbor lists (adjacency_lists) are built from them
-only for small graphs, as a reference for tests.
+only for small graphs, as a reference for tests.  Every table, for every
+q, comes from one vectorized pattern loop over the packed rows; the level-1
+table (a subspace is the set of its points) also carries the field actions
+of orbits.py.
 """
 
 from __future__ import annotations
@@ -39,6 +42,10 @@ from .subspaces import Subset, Subspace, gaussian
 Vertex = Union[Subspace, Subset]
 
 EDGE_CACHE_MAX_VERTICES = 100_000
+
+# Largest q whose (q, q) GF(q) tables containment_table builds; every
+# balanced graph with k >= 2 has q <= 256 (q^(n*k) <= 2^64 with n >= 4)
+FIELD_TABLE_MAX_Q = 256
 
 
 @dataclass(frozen=True)
@@ -257,35 +264,63 @@ def containment_table(spec: GraphSpec, j: int) -> ContainmentTable:
     A j-subobject of every vertex at once is a pattern of j rows over the
     vertex's k rows: the j-subspaces of a subspace are K*B over the RREF
     j-by-k patterns K (subspaces.subobject_patterns), and a j-subset picks
-    j member columns, a pattern of unit rows.  Over q <= 2 each pattern's
-    sub-rows are XOR sums of columns of idx.rows, looked up at once; over
-    q > 2 they are built vertex by vertex.
+    j member columns, a pattern of unit rows.  Each pattern row is a GF(q)
+    combination of columns of idx.rows, written into one (V, j) array that
+    is looked up at once.  When every combination is a XOR of columns
+    (q <= 2, or j in {0, k} where the pattern rows are unit rows) the
+    packed columns are XORed in place; otherwise the rows are unpacked once
+    into base-q digits and combined through GF(q) tables, built for
+    q <= FIELD_TABLE_MAX_Q only (ValueError above it).
     """
     if not 0 <= j <= spec.k:
         raise ValueError(f"sublevel {j} out of range 0..{spec.k}")
+    q, n, k = spec.q, spec.n, spec.k
+    xor = q <= 2 or j in (0, k)
+    if not xor and q > FIELD_TABLE_MAX_Q:
+        raise ValueError(
+            f"the level-{j} table of {spec} combines rows over GF({q}); "
+            f"GF(q) tables are built for q <= {FIELD_TABLE_MAX_Q} only")
     idx = vertex_index(spec)
     sub = vertex_index(spec.level(j))
-    V, q, k = len(idx), spec.q, spec.k
-    if q > 2:
-        sub_rows = [s.rows for vid in range(V)
-                    for s in sp.subspaces_of(idx[vid], j)]
-        found = sub.ids_of_rows(
-            np.array(sub_rows, dtype=np.uint64).reshape(len(sub_rows), j))
-        return ContainmentTable(spec, j, sub, found.reshape(V, -1))
+    V = len(idx)
     if q == 1:
         unit = np.eye(k, dtype=int)
         pats = [unit[list(cols)] for cols in itertools.combinations(range(k), j)]
     else:
-        pats = sp.subobject_patterns(k, j, 2)
+        pats = sp.subobject_patterns(k, j, q)
+    if not xor:
+        add, mul = _field_tables(q)
+        weights = np.uint64(q) ** np.arange(n, dtype=np.uint64)
+        # (k, V, n) base-q digits of the packed rows
+        digits = (idx.rows.T[:, :, None] // weights
+                  % np.uint64(q)).astype(np.uint8)
     ids = np.empty((V, len(pats)), dtype=np.int64)
+    sub_rows = np.empty((V, j), dtype=np.uint64)
     for t, pat in enumerate(pats):
-        sub_rows = np.zeros((V, j), dtype=np.uint64)
         for r, prow in enumerate(pat):
-            for col, c in enumerate(prow):
-                if c:
-                    sub_rows[:, r] ^= idx.rows[:, col]
+            # a pattern row is never zero
+            (col0, c0), *rest = [(col, c) for col, c in enumerate(prow) if c]
+            if xor:
+                out = sub_rows[:, r]
+                out[:] = idx.rows[:, col0]
+                for col, _ in rest:
+                    out ^= idx.rows[:, col]
+                continue
+            acc = mul[c0][digits[col0]]
+            for col, c in rest:
+                acc = add[acc, mul[c][digits[col]]]
+            sub_rows[:, r] = acc @ weights
         ids[:, t] = sub.ids_of_rows(sub_rows)
     return ContainmentTable(spec, j, sub, ids)
+
+
+@lru_cache(maxsize=None)
+def _field_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(q, q) uint8 addition and multiplication tables of GF(q)."""
+    f = sp.scalar_field(q)
+    add = [[f.add_i(a, b) for b in range(q)] for a in range(q)]
+    mul = [[f.mul_i(a, b) for b in range(q)] for a in range(q)]
+    return np.array(add, dtype=np.uint8), np.array(mul, dtype=np.uint8)
 
 
 # ----------------------------------------------------------------------

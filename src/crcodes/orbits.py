@@ -8,7 +8,11 @@ equitable partition, so the orbit quotient matrix B (B_ij = neighbors of
 an O_i vertex inside O_j) is counted from one representative per orbit.
 
 The Singer-type action multiplies vectors of GF(q)^n, read as elements of
-GF(q^n), by a fixed power of a primitive element.
+GF(q^n), by a fixed power of a primitive element; the Frobenius action
+raises them to a power q^j.  A GF(q)-linear map permutes the [n]_q points,
+and a k-subspace is the set of its points, so a field action moves the
+points only and reads the vertex permutation off the level-1 containment
+table, by the same sorted-row match that checks the star cliques.
 """
 
 from __future__ import annotations
@@ -58,22 +62,41 @@ def _check_automorphism(spec: GraphSpec, perm: np.ndarray) -> None:
     the actions built here is one.
     """
     stars = containment_table(spec, spec.k - 1).members
-    image = np.sort(perm[stars], axis=1)
-    if not np.array_equal(_rows_in_order(image), _rows_in_order(stars)):
-        raise VerificationError("generator is not a graph automorphism")
+    _match_rows(stars, np.sort(perm[stars], axis=1),
+                "generator is not a graph automorphism")
 
 
-def _rows_in_order(rows: np.ndarray) -> np.ndarray:
-    return rows[np.lexsort(rows.T[::-1])]
+def _match_rows(rows: np.ndarray, image: np.ndarray, error: str) -> np.ndarray:
+    """The permutation p with image[i] == rows[p[i]].
+
+    Both row sets are lexsorted; VerificationError(error) unless image
+    holds exactly the rows of rows.
+    """
+    at = np.lexsort(rows.T[::-1])
+    im = np.lexsort(image.T[::-1])
+    if not np.array_equal(rows[at], image[im]):
+        raise VerificationError(error)
+    p = np.empty(len(rows), dtype=np.int64)
+    p[im] = at
+    return p
 
 
 def _field_induced_perm(spec: GraphSpec, move) -> np.ndarray:
-    """Vertex id -> id of the span of its moved basis rows."""
-    idx = vertex_index(spec)
-    images = [sp.rref([move(r) for r in row], spec.n, spec.q).rows
-              for row in idx.rows.tolist()]
-    return idx.ids_of_rows(
-        np.array(images, dtype=np.uint64).reshape(len(idx), spec.k))
+    """Vertex id -> id of the image of a GF(q)-linear map, read off its points.
+
+    move maps a packed vector to a packed vector.  Only the [n]_q points are
+    moved and re-normalized; a k-subspace is the set of its points, so its
+    image is the vertex whose sorted row of the level-1 table equals the
+    moved, sorted row.
+    """
+    points = vertex_index(spec.level(1))
+    moved = [sp.rref([move(r)], spec.n, spec.q).rows
+             for r in points.rows[:, 0].tolist()]
+    point_perm = points.ids_of_rows(
+        np.array(moved, dtype=np.uint64).reshape(len(points), 1))
+    rows = np.sort(containment_table(spec, 1).ids, axis=1)
+    return _match_rows(rows, np.sort(point_perm[rows], axis=1),
+                       "field map does not permute the vertices")
 
 
 def _field_for(spec: GraphSpec, modulus):
@@ -89,12 +112,12 @@ def singer_action(spec: GraphSpec, exponent: int,
                   modulus: Optional[Sequence[int]] = None) -> GroupAction:
     """Multiplication of GF(q)^n by a^exponent, a primitive in GF(q^n).
 
-    Prime q only: for prime q a packed basis row of a subspace is already
-    the index of the corresponding field element, so the action is a field
-    multiplication followed by re-canonicalization.
+    Prime q only: for prime q a packed vector of GF(q)^n is already the
+    index of the corresponding field element, so each point moves by one
+    field multiplication.
     """
     field = _field_for(spec, modulus)
-    factor = field.pow_i(field.generator.index, exponent)
+    factor = field.pow_i(field.generator, exponent)
     perm = _field_induced_perm(spec, lambda r: field.mul_i(r, factor))
     return GroupAction(spec, [perm], description=f"singer:{exponent}")
 

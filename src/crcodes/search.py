@@ -57,11 +57,10 @@ def _exact_witness(inst: BipInstance, x) -> bool:
 
 
 @functools.lru_cache(maxsize=8)
-def _refinement_ladder(spec: GraphSpec, exponent: int, modulus,
-                       max_orbits: int = 300):
+def _refinement_ladder(spec: GraphSpec, exponent: int, max_orbits: int = 300):
     """Supergroups of <a^exponent>: a^d with d | exponent, optionally with a
     Frobenius power mixed in; sorted by orbit count so small instances go
-    first.  modulus is a tuple or None, so that the ladder can be cached."""
+    first."""
     from .orbits import frobenius_action
     divisors = [d for d in range(1, exponent + 1) if exponent % d == 0]
     frob_powers = [0] + [j for j in range(1, spec.n) if spec.n % j == 0]
@@ -71,10 +70,10 @@ def _refinement_ladder(spec: GraphSpec, exponent: int, modulus,
             if d == exponent and j == 0:
                 continue  # that is the original group
             try:
-                gens = [singer_action(spec, d, modulus).generators[0]]
+                gens = [singer_action(spec, d).generators[0]]
                 name = f"singer:{d}"
                 if j:
-                    gens.append(frobenius_action(spec, j, modulus).generators[0])
+                    gens.append(frobenius_action(spec, j).generators[0])
                     name += f"+frobenius:{j}"
                 sup = orbit_system(GroupAction(spec, gens, description=name))
             except VerificationError:
@@ -118,10 +117,9 @@ def _solve_small_exact_or_milp(inst: BipInstance, deadline: float):
 
 
 def _from_refinement(spec: GraphSpec, osys: OrbitSystem, inst: BipInstance,
-                     exponent: int, modulus, deadline: float):
+                     exponent: int, deadline: float):
     """Walk the supergroup ladder; convert any hit to the original orbits."""
-    modulus = None if modulus is None else tuple(modulus)
-    for count, name, sup in _refinement_ladder(spec, exponent, modulus):
+    for count, name, sup in _refinement_ladder(spec, exponent):
         if time.monotonic() > deadline:
             return None
         try:
@@ -150,7 +148,6 @@ def search_parameter_point(spec: GraphSpec, osys: OrbitSystem,
                            seed: Optional[int] = None,
                            probes: bool = True,
                            singer_exponent: Optional[int] = None,
-                           modulus=None,
                            label: Optional[str] = None) -> SearchOutcome:
     """Decide one parameter point; witnesses are exact, UNSAT means exhausted.
 
@@ -167,8 +164,7 @@ def search_parameter_point(spec: GraphSpec, osys: OrbitSystem,
         deadline = t0 + (max_seconds if max_seconds is not None else 3600.0)
         hit = None
         if singer_exponent is not None and singer_exponent > 1:
-            hit = _from_refinement(spec, osys, inst, singer_exponent, modulus,
-                                   deadline)
+            hit = _from_refinement(spec, osys, inst, singer_exponent, deadline)
         if hit is None:
             x = _milp_witness(inst, deadline - time.monotonic())
             if x is not None:

@@ -9,6 +9,7 @@ from crcodes import constructions as con
 from crcodes import files
 from crcodes.cli import main
 from crcodes.graphs import GraphSpec
+from crcodes.verify import Code
 
 S63 = GraphSpec("grassmann", 2, 6, 3)
 
@@ -56,6 +57,17 @@ def test_code_file_rejects_malformed_lines(graph, line):
     lines[5] = line
     with pytest.raises(ValueError, match=re.escape(f"line 6: {line!r}")):
         files.code_from_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("spec", [GraphSpec("grassmann", 2, 4, 0),
+                                  GraphSpec("johnson", 1, 5, 0)])
+def test_code_file_round_trip_k0(spec):
+    # the one vertex of a k = 0 graph is a blank line of the file
+    for ids in ([0], []):
+        code = Code(spec, ids)
+        back = files.code_from_text(files.code_to_text(code))
+        assert back.spec == spec
+        assert list(back.ids) == ids
 
 
 def test_design_file_round_trip(tmp_path):

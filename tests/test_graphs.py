@@ -167,15 +167,30 @@ def test_containment_table_shapes():
 
 
 def test_containment_table_content_spotcheck():
-    spec = g.parse_graph_spec("jq:2,6,3")
-    idx = g.vertex_index(spec)
-    t = g.containment_table(spec, 2)
+    # one test id over every q path: the q <= 2 XOR path and the GF(q)
+    # digit path for prime and prime-power q, at every 0 < j < k
     from crcodes import subspaces as sp
-    rng = random.Random(3)
-    for _ in range(30):
-        v = rng.randrange(len(idx))
-        named = {t.sub_index[int(i)] for i in t.ids[v]}
-        assert named == set(sp.subspaces_of(idx[v], 2))
+    for text in ["jq:2,6,3", "jq:3,4,2", "jq:4,4,2", "jq:5,4,2", "jq:8,4,2",
+                 "jq:9,4,2"]:
+        spec = g.parse_graph_spec(text)
+        idx = g.vertex_index(spec)
+        rng = random.Random(3)
+        for j in range(1, spec.k):
+            t = g.containment_table(spec, j)
+            for _ in range(30):
+                v = rng.randrange(len(idx))
+                named = {t.sub_index[int(i)] for i in t.ids[v]}
+                assert named == set(sp.subspaces_of(idx[v], j)), (text, j, v)
+
+
+def test_containment_table_refuses_field_tables_above_256():
+    # J_257(2,2) at j = 1 combines rows over GF(257): refused before any
+    # table is built; a k = 1 level needs no GF(q) arithmetic at all
+    unbalanced = g.GraphSpec("grassmann", 257, 2, 2, allow_unbalanced=True)
+    with pytest.raises(ValueError):
+        g.containment_table(unbalanced, 1)
+    t = g.containment_table(g.parse_graph_spec("jq:65537,2,1"), 0)
+    assert t.ids.shape == (65538, 1)
 
 
 def test_vertex_index_id_lookup_round_trip():

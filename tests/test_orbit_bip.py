@@ -54,6 +54,38 @@ def test_orbit_counts_invariant_under_modulus_choice():
     assert (B.sum(axis=1) == 98).all()
 
 
+def _rref_oracle_perm(spec, move):
+    """Vertex permutation of a field map by row-reducing every vertex image."""
+    from crcodes import subspaces as sp
+    idx = vertex_index(spec)
+    images = [sp.rref([move(r) for r in row], spec.n, spec.q).rows
+              for row in idx.rows.tolist()]
+    return idx.ids_of_rows(
+        np.array(images, dtype=np.uint64).reshape(len(idx), spec.k))
+
+
+@pytest.mark.parametrize("spec_text,kind,e", [
+    ("jq:2,6,3", "singer", 1), ("jq:2,6,3", "singer", 21),
+    ("jq:2,6,3", "frobenius", 1), ("jq:2,6,3", "frobenius", 2),
+    ("jq:3,4,2", "singer", 1), ("jq:3,4,2", "frobenius", 1),
+    ("jq:5,4,2", "singer", 1), ("jq:5,4,2", "frobenius", 1),
+])
+def test_field_actions_match_rref_oracle(spec_text, kind, e):
+    from crcodes.galois import make_field
+    from crcodes.graphs import parse_graph_spec
+    spec = parse_graph_spec(spec_text)
+    field = make_field(spec.q, spec.n)
+    if kind == "singer":
+        factor = field.pow_i(field.generator, e)
+        action = ob.singer_action(spec, e)
+        want = _rref_oracle_perm(spec, lambda r: field.mul_i(r, factor))
+    else:
+        action = ob.frobenius_action(spec, e)
+        want = _rref_oracle_perm(
+            spec, lambda r: field.pow_i(r, spec.q ** (e % spec.n)))
+    assert np.array_equal(action.generators[0], want)
+
+
 def test_singer_21_fixed_vertices_on_lines_are_the_spread():
     action = ob.singer_action(S62, 21)
     osys = ob.orbit_system(action)

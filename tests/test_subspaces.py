@@ -35,9 +35,9 @@ def test_rref_same_span():
 def test_rref_of_subfield_images():
     f = make_field(2, 6)
     a = f.generator
-    one = f.as_vector(f.one)
-    a21 = f.as_vector(a ** 21)
-    a42 = f.as_vector(a ** 42)
+    one = f.digits_of_index(1)
+    a21 = f.digits_of_index(f.pow_i(a, 21))
+    a42 = f.digits_of_index(f.pow_i(a, 42))
     u = sp.rref([one, a21], 6, 2)
     w = sp.rref([a21, a42], 6, 2)
     assert u == w  # both span the subfield of order 4
