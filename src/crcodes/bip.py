@@ -7,12 +7,18 @@ code with intersection array {beta0; gamma1} is exactly a binary vector x
     sum_j B_ij x_j = (m - beta0 - gamma1) x_i + gamma1       for every i
     sum_j |O_j| x_j = |V| gamma1 / (beta0 + gamma1)
 
-The solver is a self-contained depth-first search with per-row interval
-propagation: writing A = B - theta I with theta = m - beta0 - gamma1 and
-appending the cardinality row, each row's achievable sum under the partial
-assignment must bracket its right-hand side; rows whose bracket collapses
-onto the target force all their free variables.  Exhaustion proves UNSAT;
-hitting a node or time budget does not.
+The solver is a depth-first search with per-row interval propagation:
+writing A = B - theta I with theta = m - beta0 - gamma1 and appending the
+cardinality row, each row's achievable sum under the partial assignment
+must bracket its right-hand side; rows whose bracket collapses onto the
+target force all their free variables.  Below the root, every node that
+propagation leaves open also gets an LP bound: one warm-started HiGHS
+model of 0 <= x <= 1 with the fixed columns' bounds set.  An infeasible
+LP prunes the node only when its dual ray, rounded to integers, passes an
+exact check (farkas_certificate); otherwise the LP point picks the branch.
+An UNSAT is an exhausted tree in which every pruned node is a propagation
+conflict or an integer-checked Farkas vector, so floating point never
+decides it.  Hitting a node or time budget proves nothing.
 """
 
 from __future__ import annotations
@@ -120,6 +126,56 @@ class SolveResult:
     count: int = 0
     nodes: int = 0
     elapsed: float = 0.0
+    lp_calls: int = 0
+    certificates: int = 0      # nodes pruned by a checked Farkas vector
+
+
+FARKAS_SCALES = (10 ** 3, 10 ** 6, 10 ** 9)
+
+
+def farkas_certificate(ray, A_ext: np.ndarray, rhs: np.ndarray,
+                       lo: np.ndarray, hi: np.ndarray) -> Optional[np.ndarray]:
+    """An integer y proving A_ext x = rhs has no x with lo <= x <= hi, or None.
+
+    ray is a floating-point dual ray; it is scaled so its largest entry
+    has magnitude 10^3, 10^6 or 10^9 and rounded, and each rounding y is
+    checked in integers: C = y^T A_ext, and y^T rhs must lie outside
+    [min, max] of C x over the 0/1 box.  Only that integer check decides.
+    """
+    ray = np.asarray(ray, dtype=float)
+    top = np.abs(ray).max() if ray.size else 0.0
+    if not np.isfinite(top) or top == 0:
+        return None
+    # |y| <= 10^9 bounds every partial sum below by this, so int64 is exact
+    if FARKAS_SCALES[-1] * max(int(np.abs(A_ext).sum()),
+                               int(np.abs(rhs).sum())) >= 2 ** 63:
+        raise OverflowError("system too large for an int64 Farkas check")
+    for scale in FARKAS_SCALES:
+        y = np.rint(ray * (scale / top)).astype(np.int64)
+        C = y @ A_ext
+        low = int(np.where(C > 0, C * lo, C * hi).sum())
+        high = int(np.where(C > 0, C * hi, C * lo).sum())
+        target = int(y @ rhs)
+        if target < low or target > high:
+            return y
+    return None
+
+
+def _node_lp(A_ext: np.ndarray, rhs: np.ndarray):
+    """HiGHS model of A_ext x = rhs, 0 <= x <= 1, zero objective, presolve
+    off; scipy is imported here so that importing the package stays cheap."""
+    from scipy.optimize._highspy import _core as highs
+    lp = highs._Highs()
+    lp.setOptionValue("output_flag", False)
+    lp.setOptionValue("presolve", "off")
+    m, r = A_ext.shape
+    lp.addVars(r, np.zeros(r), np.ones(r))
+    rows, cols = np.nonzero(A_ext)
+    starts = np.searchsorted(rows, np.arange(m)).astype(np.int32)
+    b = rhs.astype(float)
+    lp.addRows(m, b, b, len(cols), starts, cols.astype(np.int32),
+               A_ext[rows, cols].astype(float))
+    return lp
 
 
 def solve(inst: BipInstance, mode: str = "first",
@@ -129,9 +185,15 @@ def solve(inst: BipInstance, mode: str = "first",
     """Depth-first feasibility search; UNSAT is a proof, budget is not.
 
     mode 'first' stops at one solution, 'all' collects every solution,
-    'count' only counts them.  Branching picks a free variable of maximum
-    absolute coefficient inside a row of minimum slack, value 1 first; the
-    optional seed shuffles only tie-breaks, deterministically.
+    'count' only counts them.  At every open node below the root the node
+    LP runs with the time left as its HiGHS time_limit, so max_seconds
+    reaches inside it; a timed-out LP decides nothing.  It prunes the node only on a Farkas vector that passes the
+    integer check, which a subtree holding a solution never passes, so
+    'all' and 'count' stay exact.  Branching takes the most fractional
+    free variable of the LP point; when the LP is integral on the free
+    variables or gives no point, it takes a free variable of maximum
+    absolute coefficient inside a row of minimum slack.  Value 1 goes
+    first; the optional seed shuffles only tie-breaks, deterministically.
     """
     if mode not in ("first", "all", "count"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -214,6 +276,41 @@ def solve(inst: BipInstance, mode: str = "first",
             for j in np.nonzero(to_zero)[0]:
                 assign(int(j), 0)
 
+    lp = None  # the HiGHS model, built at the first open node
+    all_cols = np.arange(r, dtype=np.int32)
+
+    def lp_check():
+        """'prune' on a checked certificate, else the most fractional free
+        variable of the LP point, or None when the LP gives no branch."""
+        nonlocal lp
+        left = None if max_seconds is None else \
+            max_seconds - (time.monotonic() - t0)
+        if left is not None and left <= 0:
+            return None  # HiGHS ignores a negative time_limit
+        if lp is None:
+            lp = _node_lp(A_ext, rhs)
+        lo = (x == 1).astype(np.int64)
+        hi = (x != 0).astype(np.int64)
+        lp.changeColsBounds(r, all_cols, lo.astype(float), hi.astype(float))
+        # HiGHS holds time_limit against its run time summed over all runs
+        lp.setOptionValue("time_limit", np.inf if left is None
+                          else lp.getRunTime() + left)
+        lp.run()
+        result.lp_calls += 1
+        status = lp.getModelStatus().name
+        if status == "kInfeasible":
+            _, has_ray, ray = lp.getDualRay()
+            if has_ray and farkas_certificate(ray, A_ext, rhs, lo, hi) is not None:
+                return "prune"
+        elif status == "kOptimal":
+            value = np.asarray(lp.getSolution().col_value)
+            dist = np.where(x == -1, np.abs(value - 0.5), np.inf)
+            best = dist.min()
+            if best < 0.5 - 1e-6:
+                cand = np.nonzero(dist == best)[0]
+                return int(cand[np.argmin(tie_rank[cand])])
+        return None
+
     def pick_branch() -> int:
         free = x == -1
         open_rows = np.nonzero((P > 0) | (N < 0))[0]
@@ -260,7 +357,13 @@ def solve(inst: BipInstance, mode: str = "first",
         if max_seconds is not None and time.monotonic() - t0 > max_seconds:
             result.status = BUDGET_EXCEEDED
             break
-        j = pick_branch()
+        j = lp_check() if stack else None
+        if j == "prune":
+            result.certificates += 1
+            alive = backtrack()
+            continue
+        if j is None:
+            j = pick_branch()
         stack.append((len(trail), j, [0]))
         assign(j, 1)
         if not propagate():

@@ -11,16 +11,22 @@ one deadline; the stage that decided is reported by name:
               powers a^d with d | e, optionally with a Frobenius power
               mixed in); any solution is invariant under the requested
               group too, so it converts to an assignment of the original
-              system.  Each rung runs the exact DFS capped at 5000 nodes,
-              then HiGHS milp.
+              system.  Each rung runs the exact solver capped at
+              RUNG_MAX_NODES = 300 nodes, then HiGHS milp unless the
+              capped solve proved the rung UNSAT.  Each node runs an LP
+              and costs 10-15x a propagation-only node at 100-155 orbits,
+              so 300 nodes take about the seconds 5000 pure-propagation
+              nodes took, while most small rungs are now proven UNSAT and
+              skip their milp.
   milp        HiGHS branch-and-cut on the point's own 0/1 system.
   dfs         one exhaustive run of the exact solver on the time left.
 
 Every witness is checked exactly (integer substitution into the orbit
 system) and the lift is meant to be re-verified on the full graph by the
 caller; floating point never decides a reported verdict.  A milp run
-that ends without a witness proves nothing; only exhaustive DFS reports
-UNSAT.
+that ends without a witness proves nothing; only the exact solver
+reports UNSAT, from an exhausted tree whose every pruned node is a
+propagation conflict or an integer-checked Farkas vector.
 """
 
 from __future__ import annotations
@@ -45,9 +51,11 @@ class SearchOutcome:
     stage: str                  # which stage decided
     assignment: Optional[np.ndarray] = None
     code: Optional[Code] = None
-    nodes: int = 0
+    nodes: int = 0              # of the stage-'dfs' solve
     count: Optional[int] = None
     elapsed: float = 0.0
+    lp_calls: int = 0           # over every bip.solve of this point
+    certificates: int = 0       # nodes pruned by a checked Farkas vector
 
 
 def _exact_witness(inst: BipInstance, x) -> bool:
@@ -105,10 +113,15 @@ def _milp_witness(inst: BipInstance, budget: float):
     return None
 
 
-def _solve_small_exact_or_milp(inst: BipInstance, deadline: float):
-    """A small refined instance: quick exact DFS, then milp, witnesses exact."""
-    res = bip.solve(inst, mode="first", max_nodes=5000,
+RUNG_MAX_NODES = 300
+
+
+def _solve_small_exact_or_milp(inst: BipInstance, deadline: float, tally):
+    """A small refined instance: capped exact solve, then milp unless the
+    solve proved UNSAT; witnesses exact."""
+    res = bip.solve(inst, mode="first", max_nodes=RUNG_MAX_NODES,
                     max_seconds=deadline - time.monotonic())
+    tally(res)
     if res.status == bip.SAT:
         return res.solutions[0]
     if res.status == bip.UNSAT:
@@ -117,7 +130,7 @@ def _solve_small_exact_or_milp(inst: BipInstance, deadline: float):
 
 
 def _from_refinement(spec: GraphSpec, osys: OrbitSystem, inst: BipInstance,
-                     exponent: int, deadline: float):
+                     exponent: int, deadline: float, tally):
     """Walk the supergroup ladder; convert any hit to the original orbits."""
     for count, name, sup in _refinement_ladder(spec, exponent):
         if time.monotonic() > deadline:
@@ -126,7 +139,7 @@ def _from_refinement(spec: GraphSpec, osys: OrbitSystem, inst: BipInstance,
             super_inst = build_instance(spec, sup, inst.beta0, inst.gamma1)
         except VerificationError:
             continue
-        sol = _solve_small_exact_or_milp(super_inst, deadline)
+        sol = _solve_small_exact_or_milp(super_inst, deadline, tally)
         if sol is None:
             continue
         lifted = bip.lift(sol, sup, spec)
@@ -160,11 +173,19 @@ def search_parameter_point(spec: GraphSpec, osys: OrbitSystem,
     """
     t0 = time.monotonic()
     inst = build_instance(spec, osys, beta0, gamma1, B=B)
+    lp_calls = certificates = 0
+
+    def tally(res):
+        nonlocal lp_calls, certificates
+        lp_calls += res.lp_calls
+        certificates += res.certificates
+
     if mode == "first" and probes:
         deadline = t0 + (max_seconds if max_seconds is not None else 3600.0)
         hit = None
         if singer_exponent is not None and singer_exponent > 1:
-            hit = _from_refinement(spec, osys, inst, singer_exponent, deadline)
+            hit = _from_refinement(spec, osys, inst, singer_exponent,
+                                   deadline, tally)
         if hit is None:
             x = _milp_witness(inst, deadline - time.monotonic())
             if x is not None:
@@ -173,12 +194,15 @@ def search_parameter_point(spec: GraphSpec, osys: OrbitSystem,
             x, stage = hit
             return SearchOutcome(status=bip.SAT, stage=stage, assignment=x,
                                  code=bip.lift(x, osys, spec, label=label),
-                                 elapsed=time.monotonic() - t0)
+                                 elapsed=time.monotonic() - t0,
+                                 lp_calls=lp_calls, certificates=certificates)
         max_seconds = deadline - time.monotonic()
     res = bip.solve(inst, mode=mode, max_nodes=max_nodes,
                     max_seconds=max_seconds, seed=seed)
+    tally(res)
     out = SearchOutcome(status=res.status, stage="dfs", nodes=res.nodes,
-                        count=res.count, elapsed=time.monotonic() - t0)
+                        count=res.count, elapsed=time.monotonic() - t0,
+                        lp_calls=lp_calls, certificates=certificates)
     if res.solutions:
         out.assignment = res.solutions[0]
         out.code = bip.lift(res.solutions[0], osys, spec, label=label)

@@ -323,3 +323,13 @@ def test_cli_json_byte_stability(tmp_path):
         capture_output=True, text=True, check=True)
     assert out.stdout == out2.stdout
     assert json.loads(out.stdout)["eigenvalues"] == [98, 35, 5, -7]
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs about half a second to import; only a search
+    # that reaches HiGHS may pay for it
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, crcodes.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -242,6 +242,65 @@ def test_inconsistent_parameters_unsat():
     assert brute_force_assignments(inst) == []
 
 
+# x1 + x2 + x3 = 2 and x1 - x2 = 0: the only 0/1 solution is (1, 1, 0)
+FARKAS_A = np.array([[1, 1, 1], [1, -1, 0]], dtype=np.int64)
+FARKAS_B = np.array([2, 0], dtype=np.int64)
+FULL_BOX = (np.zeros(3, dtype=np.int64), np.ones(3, dtype=np.int64))
+X1_ZERO = (np.zeros(3, dtype=np.int64), np.array([0, 1, 1]))  # x1 fixed to 0
+
+
+def test_farkas_certificate_accepts_a_true_ray():
+    # y = (1, 1): y^T A = (2, 0, 1) reaches at most 1 with x1 = 0, y^T b = 2
+    for ray in ([1.0, 1.0], [0.5, 0.5], [-3.0, -3.0]):
+        y = bip.farkas_certificate(ray, FARKAS_A, FARKAS_B, *X1_ZERO)
+        assert y is not None and y.dtype == np.int64
+        box = [np.array([0, a, b]) for a in (0, 1) for b in (0, 1)]
+        assert all(y @ FARKAS_A @ x != y @ FARKAS_B for x in box)
+
+
+def test_farkas_certificate_rejects_non_certificates():
+    assert bip.farkas_certificate([0.0, 0.0], FARKAS_A, FARKAS_B,
+                                  *X1_ZERO) is None
+    # y = (1, -1): y^T A = (0, 2, 1) spans [0, 3] over the box, y^T b = 2
+    assert bip.farkas_certificate([1.0, -1.0], FARKAS_A, FARKAS_B,
+                                  *X1_ZERO) is None
+    # the full box holds (1, 1, 0), so no vector at all may pass there
+    assert bip.farkas_certificate([1.0, 1.0], FARKAS_A, FARKAS_B,
+                                  *FULL_BOX) is None
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        ray = rng.normal(size=2) * 10.0 ** rng.integers(-6, 7)
+        assert bip.farkas_certificate(ray, FARKAS_A, FARKAS_B,
+                                      *FULL_BOX) is None
+
+
+def test_farkas_certificate_refuses_systems_int64_cannot_hold():
+    big = np.array([[1 << 54]], dtype=np.int64)
+    with pytest.raises(OverflowError):
+        bip.farkas_certificate([1.0], big, np.array([1]), np.zeros(1),
+                               np.ones(1))
+
+
+def test_farkas_certificate_on_highs_duals():
+    lp = bip._node_lp(FARKAS_A, FARKAS_B)
+    lp.changeColsBounds(3, np.arange(3, dtype=np.int32),
+                        X1_ZERO[0].astype(float), X1_ZERO[1].astype(float))
+    lp.run()
+    assert lp.getModelStatus().name == "kInfeasible"
+    _, has_ray, ray = lp.getDualRay()
+    assert has_ray
+    assert bip.farkas_certificate(ray, FARKAS_A, FARKAS_B, *X1_ZERO) is not None
+    # the same ray, and the duals of the LP on the feasible box, prove
+    # nothing about the feasible box
+    assert bip.farkas_certificate(ray, FARKAS_A, FARKAS_B, *FULL_BOX) is None
+    lp.changeColsBounds(3, np.arange(3, dtype=np.int32),
+                        FULL_BOX[0].astype(float), FULL_BOX[1].astype(float))
+    lp.run()
+    assert lp.getModelStatus().name == "kOptimal"
+    duals = np.asarray(lp.getSolution().row_dual)
+    assert bip.farkas_certificate(duals, FARKAS_A, FARKAS_B, *FULL_BOX) is None
+
+
 def test_budget_exceeded_reported(gamma21):
     osys, B = gamma21
     inst = bip.build_instance(S63, osys, 84, 9, B=B)

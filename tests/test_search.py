@@ -11,6 +11,7 @@ from crcodes.search import search_parameter_point
 
 S42 = GraphSpec("grassmann", 2, 4, 2)
 S63 = GraphSpec("grassmann", 2, 6, 3)
+S73 = GraphSpec("grassmann", 2, 7, 3)
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +67,36 @@ def test_max_seconds_bounds_the_point():
     out = search_parameter_point(S63, osys, 81, 12, B=B, max_seconds=2)
     assert out.status in (bip.SAT, bip.BUDGET_EXCEEDED)
     assert time.monotonic() - t0 < 6
+
+
+def test_node_lp_stops_at_the_deadline():
+    # 1395 orbits: each node LP is slow, and HiGHS gets the time left as
+    # its time_limit, so no LP runs past max_seconds
+    ident = ob.GroupAction(S63, [np.arange(S63.vertex_count)],
+                           description="identity")
+    osys = ob.orbit_system(ident)
+    inst = bip.build_instance(S63, osys, 56, 7,
+                              B=ob.quotient_matrix(S63, osys))
+    t0 = time.monotonic()
+    res = bip.solve(inst, seed=0, max_seconds=2)
+    assert res.status in (bip.SAT, bip.BUDGET_EXCEEDED)
+    assert time.monotonic() - t0 < 4
+
+
+@pytest.fixture(scope="module")
+def singer73():
+    osys = ob.orbit_system(ob.singer_action(S73, 1))
+    return osys, ob.quotient_matrix(S73, osys)
+
+
+@pytest.mark.parametrize("beta0,gamma1", [(203, 14), (126, 63)])
+def test_j273_points_end_unsat_by_certificates(singer73, beta0, gamma1):
+    # both ran out of a 30 s budget on propagation alone
+    osys, B = singer73
+    out = search_parameter_point(S73, osys, beta0, gamma1, B=B,
+                                 max_seconds=12, singer_exponent=1)
+    assert (out.status, out.stage) == (bip.UNSAT, "dfs")
+    assert 0 < out.certificates <= out.lp_calls
 
 
 def test_probe_witnesses_satisfy_original_system():
