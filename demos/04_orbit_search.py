@@ -3,9 +3,10 @@
 Prescribing the order-3 group generated by multiplication with a^21
 collapses the 1395 vertices into 465 orbits; a code invariant under the
 group is a 0/1 solution of the orbit quotient system.  The search (the
-refinement ladder, then HiGHS milp, then the exact solver) reproduces a
-completely regular code for every feasible gamma1 on the strength-1 row,
-each one re-verified vertex by vertex on the full graph.
+refinement ladder, then a node slice of the exact solver, HiGHS milp and
+the exhaustive exact solver) reproduces a completely regular code for
+every feasible gamma1 on the strength-1 row, each one re-verified vertex
+by vertex on the full graph.
 """
 
 import time

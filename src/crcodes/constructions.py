@@ -5,8 +5,9 @@ the subfield GF(q^d) inside GF(q^n): each coset together with zero is a
 d-subspace, the cosets partition the nonzero vectors, and walking powers
 a^j of a primitive element enumerates coset representatives.
 
-The Steiner quadruple system is the support set of the weight-4 codewords
-of the extended Hamming code of length 2^m, a 3-(2^m, 4, 1) design.
+The Steiner quadruple system is the set of zero-sum 4-subsets of GF(2)^m,
+the supports of the weight-4 codewords of the extended Hamming code of
+length 2^m, a 3-(2^m, 4, 1) design.
 
 An avoid code collects the vertices containing no block of a design; the
 push-forward of a value vector from level k to level l sums the values
@@ -15,6 +16,7 @@ over the k-subobjects of each l-object.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -116,54 +118,23 @@ def desarguesian_2spread(q: int, n: int) -> Design:
 # Extended Hamming code and its Steiner quadruple system
 # ----------------------------------------------------------------------
 
-def extended_hamming_codewords(m: int) -> np.ndarray:
-    """All 2^(2^m - m - 1) codewords as a (count, 2^m) 0/1 array.
-
-    The parity check matrix of the Hamming code has the nonzero m-bit
-    columns; the extension appends an overall parity bit.
-    """
-    if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
-    n = 2 ** m
-    cols = np.array([[(c >> i) & 1 for i in range(m)]
-                     for c in range(1, n)], dtype=np.int64).T  # (m, n-1)
-    # nullspace basis of the Hamming check matrix over GF(2)
-    rows = [sp.pack_row(cols[i], 2) for i in range(m)]
-    rr = sp.rref(rows, n - 1, 2)
-    pivots = [(r & -r).bit_length() - 1 for r in rr.rows]
-    free_cols = [c for c in range(n - 1) if c not in pivots]
-    basis = []
-    for c in free_cols:
-        vec = 1 << c
-        for prow, pc in zip(rr.rows, pivots):
-            if (prow >> c) & 1:
-                vec |= 1 << pc
-        basis.append(vec)
-    k = len(basis)
-    assert k == n - 1 - m
-    words = np.zeros((1 << k, n), dtype=np.uint8)
-    basis_bits = np.array([[(b >> c) & 1 for c in range(n - 1)] for b in basis],
-                          dtype=np.uint8)
-    sel = np.arange(1 << k, dtype=np.uint64)
-    acc = np.zeros((1 << k, n - 1), dtype=np.uint8)
-    for i in range(k):
-        take = ((sel >> np.uint64(i)) & np.uint64(1)).astype(np.uint8)
-        acc ^= take[:, None] * basis_bits[i][None, :]
-    words[:, : n - 1] = acc
-    words[:, n - 1] = acc.sum(axis=1) % 2  # overall parity bit
-    return words
-
-
 def extended_hamming_sqs(m: int) -> Design:
-    """Supports of the weight-4 codewords: a 3-(2^m, 4, 1) design."""
+    """The zero-sum 4-subsets {a, b, c, d} of GF(2)^m: a 3-(2^m, 4, 1) design.
+
+    They are the supports of the weight-4 words of the extended Hamming
+    code of length 2^m.  The nonzero vector v sits at position v and the
+    zero vector at position 2^m.  Each block is taken once, from its three
+    smallest vectors a < b < c, whose sum d = a ^ b ^ c is then the largest.
+    """
     if m < 3:
         raise ValueError(f"need m >= 3 for a quadruple system, got {m}")
-    words = extended_hamming_codewords(m)
-    n = words.shape[1]
-    weight4 = words[words.sum(axis=1) == 4]
-    blocks = [Subset(n, tuple(int(j) + 1 for j in np.nonzero(w)[0]))
-              for w in weight4]
-    return Design(n, 4, 1, blocks)
+    n = 2 ** m
+    abc = np.array(list(itertools.combinations(range(n), 3)), dtype=np.int64)
+    quads = np.column_stack([abc, np.bitwise_xor.reduce(abc, axis=1)])
+    quads = quads[quads[:, 3] > quads[:, 2]]
+    quads[quads == 0] = n
+    quads.sort(axis=1)
+    return Design(n, 4, 1, [Subset(n, tuple(row)) for row in quads.tolist()])
 
 
 # ----------------------------------------------------------------------

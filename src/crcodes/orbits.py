@@ -18,6 +18,7 @@ table, by the same sorted-row match that checks the star cliques.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -61,18 +62,35 @@ def _check_automorphism(spec: GraphSpec, perm: np.ndarray) -> None:
     for a star<->top duality of an n = 2k graph, which is refused; none of
     the actions built here is one.
     """
-    stars = containment_table(spec, spec.k - 1).members
-    _match_rows(stars, np.sort(perm[stars], axis=1),
+    stars = _fixed_side(spec, True)
+    _match_rows(stars, np.sort(perm[stars[0]], axis=1),
                 "generator is not a graph automorphism")
 
 
-def _match_rows(rows: np.ndarray, image: np.ndarray, error: str) -> np.ndarray:
-    """The permutation p with image[i] == rows[p[i]].
+@lru_cache(maxsize=4)
+def _fixed_side(spec: GraphSpec, stars: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The rows every match on spec compares against, and their lexsort.
 
-    Both row sets are lexsorted; VerificationError(error) unless image
+    stars: the star cliques, one row of vertex ids per (k-1)-object;
+    otherwise the sorted point ids of each vertex.  Every generator and
+    every field action on one graph matches against the same rows, so
+    their sort order is computed once.
+    """
+    if stars:
+        rows = containment_table(spec, spec.k - 1).members
+    else:
+        rows = np.sort(containment_table(spec, 1).ids, axis=1)
+    return rows, np.lexsort(rows.T[::-1])
+
+
+def _match_rows(fixed: tuple[np.ndarray, np.ndarray], image: np.ndarray,
+                error: str) -> np.ndarray:
+    """The permutation p with image[i] == rows[p[i]], (rows, order) = fixed.
+
+    fixed comes from _fixed_side; VerificationError(error) unless image
     holds exactly the rows of rows.
     """
-    at = np.lexsort(rows.T[::-1])
+    rows, at = fixed
     im = np.lexsort(image.T[::-1])
     if not np.array_equal(rows[at], image[im]):
         raise VerificationError(error)
@@ -94,8 +112,8 @@ def _field_induced_perm(spec: GraphSpec, move) -> np.ndarray:
              for r in points.rows[:, 0].tolist()]
     point_perm = points.ids_of_rows(
         np.array(moved, dtype=np.uint64).reshape(len(points), 1))
-    rows = np.sort(containment_table(spec, 1).ids, axis=1)
-    return _match_rows(rows, np.sort(point_perm[rows], axis=1),
+    points_of = _fixed_side(spec, False)
+    return _match_rows(points_of, np.sort(point_perm[points_of[0]], axis=1),
                        "field map does not permute the vertices")
 
 

@@ -3,8 +3,9 @@
 The exact depth-first solver in bip.solve is the only authority for UNSAT
 and for all/count enumeration.  Finding a satisfying assignment of a
 465-variable orbit system by blind DFS alone is unreliable, so mode
-'first' runs two witness-finding steps before it, all three charged to
-one deadline; the stage that decided is reported by name:
+'first' pairs each capped exact solve with HiGHS milp as a witness
+finder, all charged to one deadline; the stage that decided is reported
+by name:
 
   refinement:<group>  solve the same parameter point under a larger group
               whose orbits refine into ours (for a Singer power a^e, the
@@ -13,13 +14,21 @@ one deadline; the stage that decided is reported by name:
               group too, so it converts to an assignment of the original
               system.  Each rung runs the exact solver capped at
               RUNG_MAX_NODES = 300 nodes, then HiGHS milp unless the
-              capped solve proved the rung UNSAT.  Each node runs an LP
-              and costs 10-15x a propagation-only node at 100-155 orbits,
-              so 300 nodes take about the seconds 5000 pure-propagation
+              capped solve decided the rung.  Each node runs an LP and
+              costs 10-15x a propagation-only node at 100-155 orbits, so
+              300 nodes take about the seconds 5000 pure-propagation
               nodes took, while most small rungs are now proven UNSAT and
               skip their milp.
-  milp        HiGHS branch-and-cut on the point's own 0/1 system.
-  dfs         one exhaustive run of the exact solver on the time left.
+  dfs         the exact solver on the point's own system, first in a
+              slice of SLICE_WORK // r**2 nodes (r orbits), since a
+              node's cost grows about as r**2: 1-2 ms at r = 93-109,
+              50-80 ms at r = 465.  A slice that decides ends the search;
+              small systems are decided here and never reach milp.
+  milp        HiGHS branch-and-cut on the point's own 0/1 system, run only
+              when the slice ran out of nodes, for at most 60 s as on a
+              rung.
+  dfs         otherwise one exhaustive run of the exact solver on the
+              time left.
 
 Every witness is checked exactly (integer substitution into the orbit
 system) and the lift is meant to be re-verified on the full graph by the
@@ -51,7 +60,8 @@ class SearchOutcome:
     stage: str                  # which stage decided
     assignment: Optional[np.ndarray] = None
     code: Optional[Code] = None
-    nodes: int = 0              # of the stage-'dfs' solve
+    nodes: int = 0              # of the stage-'dfs' solve: the slice when
+                                # it decided, else the exhaustive run
     count: Optional[int] = None
     elapsed: float = 0.0
     lp_calls: int = 0           # over every bip.solve of this point
@@ -114,19 +124,29 @@ def _milp_witness(inst: BipInstance, budget: float):
 
 
 RUNG_MAX_NODES = 300
+# the own-system slice gets SLICE_WORK // r**2 nodes: 462 at r = 93, 18 at
+# r = 465 and 2 at r = 1395, so a large system reaches milp within seconds
+SLICE_WORK = 4_000_000
 
 
-def _solve_small_exact_or_milp(inst: BipInstance, deadline: float, tally):
-    """A small refined instance: capped exact solve, then milp unless the
-    solve proved UNSAT; witnesses exact."""
-    res = bip.solve(inst, mode="first", max_nodes=RUNG_MAX_NODES,
-                    max_seconds=deadline - time.monotonic())
+def _slice_nodes(r: int) -> int:
+    return SLICE_WORK // r ** 2
+
+
+def _capped_exact_or_milp(inst: BipInstance, deadline: float, tally,
+                          max_nodes: int, seed: Optional[int] = None):
+    """Exact solve capped at max_nodes, then milp unless the solve decided.
+
+    Returns (the capped solve's SolveResult, an exact witness or None).
+    """
+    res = bip.solve(inst, mode="first", max_nodes=max_nodes,
+                    max_seconds=deadline - time.monotonic(), seed=seed)
     tally(res)
     if res.status == bip.SAT:
-        return res.solutions[0]
+        return res, res.solutions[0]
     if res.status == bip.UNSAT:
-        return None
-    return _milp_witness(inst, min(60.0, deadline - time.monotonic()))
+        return res, None
+    return res, _milp_witness(inst, min(60.0, deadline - time.monotonic()))
 
 
 def _from_refinement(spec: GraphSpec, osys: OrbitSystem, inst: BipInstance,
@@ -139,7 +159,8 @@ def _from_refinement(spec: GraphSpec, osys: OrbitSystem, inst: BipInstance,
             super_inst = build_instance(spec, sup, inst.beta0, inst.gamma1)
         except VerificationError:
             continue
-        sol = _solve_small_exact_or_milp(super_inst, deadline, tally)
+        _, sol = _capped_exact_or_milp(super_inst, deadline, tally,
+                                       RUNG_MAX_NODES)
         if sol is None:
             continue
         lifted = bip.lift(sol, sup, spec)
@@ -167,9 +188,12 @@ def search_parameter_point(spec: GraphSpec, osys: OrbitSystem,
     mode 'all'/'count', and 'first' without probes, run the exact solver
     alone (stage 'dfs').  With probes, mode 'first' walks the refinement
     ladder of a Singer power a^singer_exponent (stage 'refinement:<group>'),
-    then runs milp on the point's own system (stage 'milp'), then the
-    exhaustive DFS (stage 'dfs'), all against one deadline of max_seconds
-    (an hour when unset).  seed breaks the DFS's branching ties.
+    then runs the exact solver on the point's own system for a slice of
+    _slice_nodes(r) nodes (at most max_nodes), which ends the search when
+    it decides (stage 'dfs'); only when the slice runs out does milp run
+    (stage 'milp'), then the exhaustive DFS (stage 'dfs').  All stages
+    share one deadline of max_seconds (an hour when unset).  seed breaks
+    the own-system solves' branching ties.
     """
     t0 = time.monotonic()
     inst = build_instance(spec, osys, beta0, gamma1, B=B)
@@ -180,6 +204,7 @@ def search_parameter_point(spec: GraphSpec, osys: OrbitSystem,
         lp_calls += res.lp_calls
         certificates += res.certificates
 
+    res = None
     if mode == "first" and probes:
         deadline = t0 + (max_seconds if max_seconds is not None else 3600.0)
         hit = None
@@ -187,9 +212,15 @@ def search_parameter_point(spec: GraphSpec, osys: OrbitSystem,
             hit = _from_refinement(spec, osys, inst, singer_exponent,
                                    deadline, tally)
         if hit is None:
-            x = _milp_witness(inst, deadline - time.monotonic())
-            if x is not None:
-                hit = x, "milp"
+            cap = _slice_nodes(inst.r)
+            if max_nodes is not None:
+                cap = min(cap, max_nodes)
+            res, x = _capped_exact_or_milp(inst, deadline, tally, cap,
+                                           seed=seed)
+            if res.status == bip.BUDGET_EXCEEDED:
+                res = None
+                if x is not None:
+                    hit = x, "milp"
         if hit is not None:
             x, stage = hit
             return SearchOutcome(status=bip.SAT, stage=stage, assignment=x,
@@ -197,9 +228,10 @@ def search_parameter_point(spec: GraphSpec, osys: OrbitSystem,
                                  elapsed=time.monotonic() - t0,
                                  lp_calls=lp_calls, certificates=certificates)
         max_seconds = deadline - time.monotonic()
-    res = bip.solve(inst, mode=mode, max_nodes=max_nodes,
-                    max_seconds=max_seconds, seed=seed)
-    tally(res)
+    if res is None:
+        res = bip.solve(inst, mode=mode, max_nodes=max_nodes,
+                        max_seconds=max_seconds, seed=seed)
+        tally(res)
     out = SearchOutcome(status=res.status, stage="dfs", nodes=res.nodes,
                         count=res.count, elapsed=time.monotonic() - t0,
                         lp_calls=lp_calls, certificates=certificates)

@@ -43,7 +43,7 @@ def test_3spread_inside_gf64():
     assert (t, lambdas) == (1, (1,))
 
 
-@pytest.mark.parametrize("m,blocks", [(3, 14), (4, 140)])
+@pytest.mark.parametrize("m,blocks", [(3, 14), (4, 140), (5, 1240)])
 def test_sqs_block_counts(m, blocks):
     q = con.extended_hamming_sqs(m)
     n = 2 ** m
@@ -51,14 +51,17 @@ def test_sqs_block_counts(m, blocks):
 
 
 def test_sqs_from_parity_checks():
-    # independent recount: every block is the support of a codeword, i.e.
-    # the indicator satisfies all parity checks of the extended code
-    q4 = con.extended_hamming_sqs(4)
-    words = con.extended_hamming_codewords(4)
-    assert len(words) == 2 ** 11
-    wt4 = {tuple(int(j) + 1 for j in np.nonzero(w)[0])
-           for w in words if w.sum() == 4}
-    assert wt4 == {b.members for b in q4.blocks}
+    # independent recount over all 1820 4-subsets of the 16 positions: the
+    # blocks are exactly the supports of weight-4 vectors that pass every
+    # parity check of the extended Hamming code.  Position p < 16 carries
+    # the bits of the vector p, position 16 the zero vector, and the last
+    # check is overall parity.
+    vectors = np.arange(1, 17) % 16
+    H = np.vstack([(vectors >> np.arange(4)[:, None]) & 1,
+                   np.ones(16, dtype=np.int64)])
+    supports = {quad for quad in itertools.combinations(range(1, 17), 4)
+                if not (H[:, [p - 1 for p in quad]].sum(axis=1) % 2).any()}
+    assert supports == {b.members for b in con.extended_hamming_sqs(4).blocks}
 
 
 @pytest.mark.parametrize("m", [3, 4])

@@ -5,6 +5,7 @@ import pytest
 
 from crcodes import bip
 from crcodes import orbits as ob
+from crcodes import search
 from crcodes import verify as vf
 from crcodes.graphs import GraphSpec
 from crcodes.search import search_parameter_point
@@ -97,6 +98,52 @@ def test_j273_points_end_unsat_by_certificates(singer73, beta0, gamma1):
                                  max_seconds=12, singer_exponent=1)
     assert (out.status, out.stage) == (bip.UNSAT, "dfs")
     assert 0 < out.certificates <= out.lp_calls
+
+
+@pytest.mark.parametrize("beta0,gamma1,status", [
+    (210, 7, bip.UNSAT), (203, 14, bip.UNSAT), (196, 21, bip.SAT)])
+def test_slice_decides_j273_points_without_milp(singer73, monkeypatch,
+                                                beta0, gamma1, status):
+    # 93 orbits get a 462-node slice of the exact solver, which decides
+    # these points, so the own-system milp never runs
+    def no_milp(inst, budget):
+        raise AssertionError("milp ran on a point the slice decides")
+
+    monkeypatch.setattr(search, "_milp_witness", no_milp)
+    osys, B = singer73
+    out = search_parameter_point(S73, osys, beta0, gamma1, B=B,
+                                 max_seconds=30, seed=0, singer_exponent=1)
+    assert (out.status, out.stage) == (status, "dfs")
+    assert 0 < out.nodes <= search._slice_nodes(osys.count)
+    if status == bip.SAT:
+        rep = vf.verify_report(S73, out.code)
+        assert rep["completely_regular"] and rep["gamma"] == [gamma1]
+
+
+def test_slice_shrinks_as_orbits_grow():
+    sizes = [search._slice_nodes(r) for r in (15, 93, 109, 465, 1395)]
+    assert sizes == sorted(sizes, reverse=True)
+    assert search._slice_nodes(93) >= 400
+    assert search._slice_nodes(1395) <= 5
+
+
+def test_slice_keeps_to_max_nodes(singer73, monkeypatch):
+    # (203, 14) needs 346 nodes; with max_nodes=10 the slice runs out,
+    # milp (here finding nothing) runs, and the final solve is capped too
+    osys, B = singer73
+    caps = []
+    solve = bip.solve
+
+    def recording_solve(inst, **kwargs):
+        caps.append(kwargs["max_nodes"])
+        return solve(inst, **kwargs)
+
+    monkeypatch.setattr(bip, "solve", recording_solve)
+    monkeypatch.setattr(search, "_milp_witness", lambda inst, budget: None)
+    out = search_parameter_point(S73, osys, 203, 14, B=B, max_nodes=10,
+                                 max_seconds=30, singer_exponent=1)
+    assert (out.status, out.stage) == (bip.BUDGET_EXCEEDED, "dfs")
+    assert caps == [10, 10]
 
 
 def test_probe_witnesses_satisfy_original_system():
