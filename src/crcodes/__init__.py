@@ -5,11 +5,9 @@ binary feasibility search.
 """
 
 from .galois import FieldError, FieldSpec, make_field
-from .subspaces import (Subset, Subspace, enumerate_subsets,
-                        enumerate_subspaces, gaussian, intersection_dim,
-                        contains, projective_points, rref)
-from .graphs import (GraphSpec, adjacency_check, adjacency_lists,
-                     containment_table, neighbors,
+from .subspaces import (Subset, Subspace, gaussian, intersection_dim,
+                        contains, rref)
+from .graphs import (GraphSpec, adjacency_lists, containment_table, neighbors,
                      parse_graph_spec, theta, theta_ladder, vertex_index)
 from .verify import (Code, DistancePartition, IntersectionNumbers,
                      VerificationError, check_completely_regular,
@@ -24,24 +22,23 @@ from .constructions import (Design, ValueVector, avoid_code,
 from .orbits import (GroupAction, OrbitSystem, frobenius_action, orbit_system,
                      quotient_matrix, singer_action)
 from .bip import (BipInstance, build_instance, export_lp, export_opb,
-                  feasible_parameters, lift, parse_opb, solve)
+                  feasible_parameters, lift, solve)
 from .search import SearchOutcome, search_parameter_point
 
 __all__ = [
     "BipInstance", "Code", "Design", "DistancePartition", "FieldError",
     "FieldSpec", "GraphSpec", "GroupAction",
     "IntersectionNumbers", "OrbitSystem", "SearchOutcome", "Subset",
-    "Subspace", "ValueVector", "VerificationError", "adjacency_check",
-    "adjacency_lists", "avoid_code", "blocks_contained_counts",
+    "Subspace", "ValueVector", "VerificationError", "adjacency_lists",
+    "avoid_code", "blocks_contained_counts",
     "build_instance", "check_completely_regular", "code_eigenvalues",
     "contained_blocks_count", "containment_table", "contains",
     "desarguesian_2spread", "desarguesian_spread", "design_strength",
-    "distance_partition", "enumerate_subsets",
-    "enumerate_subspaces", "export_lp", "export_opb", "extended_hamming_sqs",
+    "distance_partition", "export_lp", "export_opb", "extended_hamming_sqs",
     "feasible_parameters", "frobenius_action", "gaussian",
     "hyperplane_code", "hyperplane_point_code",
     "intersection_dim", "lift", "make_field", "neighbors", "orbit_system",
-    "parse_graph_spec", "parse_opb", "projective_points", "pushforward",
+    "parse_graph_spec", "pushforward",
     "quotient_matrix", "rref", "search_parameter_point",
     "size_and_integrality_report", "singer_action", "solve",
     "symplectic_code", "theta", "theta_ladder", "verify_report",

@@ -23,7 +23,6 @@ decides it.  Hitting a node or time budget proves nothing.
 
 from __future__ import annotations
 
-import re
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -408,22 +407,6 @@ def export_opb(inst: BipInstance) -> str:
     for i in range(len(rhs)):
         lines.append(" ".join(_terms(A_ext[i])) + f" = {int(rhs[i])} ;")
     return "\n".join(lines) + "\n"
-
-
-def parse_opb(text: str) -> tuple[list[dict[int, int]], list[int]]:
-    """Inverse of export_opb, for round-trip checks: (rows, rhs)."""
-    rows, rhs = [], []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("*"):
-            continue
-        body, target = line.split("=")
-        coeffs: dict[int, int] = {}
-        for m in re.finditer(r"([+-]\d+)\s+x(\d+)", body):
-            coeffs[int(m.group(2)) - 1] = int(m.group(1))
-        rows.append(coeffs)
-        rhs.append(int(target.replace(";", "").strip()))
-    return rows, rhs
 
 
 def export_lp(inst: BipInstance) -> str:

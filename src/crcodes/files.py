@@ -117,10 +117,6 @@ def design_to_text(design: Design) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_design(path: Union[str, Path], design: Design) -> None:
-    Path(path).write_text(design_to_text(design), encoding="utf-8")
-
-
 def design_from_text(text: str) -> Design:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:

@@ -327,13 +327,6 @@ def _field_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
 # Adjacency
 # ----------------------------------------------------------------------
 
-def adjacency_check(u: Vertex, w: Vertex) -> bool:
-    """True iff u and w are adjacent (meet in a (k-1)-object)."""
-    if isinstance(u, Subset):
-        return u.k == w.k and sp.subset_meet(u, w) == u.k - 1
-    return u.k == w.k and sp.intersection_dim(u, w) == u.k - 1
-
-
 def adjacency_lists(spec: GraphSpec) -> np.ndarray:
     """Cached (V, valency) sorted neighbor ids, for small graphs only.
 

@@ -31,11 +31,12 @@ by name:
               time left.
 
 Every witness is checked exactly (integer substitution into the orbit
-system) and the lift is meant to be re-verified on the full graph by the
-caller; floating point never decides a reported verdict.  A milp run
-that ends without a witness proves nothing; only the exact solver
-reports UNSAT, from an exhausted tree whose every pruned node is a
-propagation conflict or an integer-checked Farkas vector.
+system), and its lift is verified on the full graph by verify_report
+before it is returned (SearchOutcome.lift_verified); a lift that fails
+raises VerificationError.  Floating point never decides a reported
+verdict.  A milp run that ends without a witness proves nothing; only the
+exact solver reports UNSAT, from an exhausted tree whose every pruned node
+is a propagation conflict or an integer-checked Farkas vector.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from . import bip
 from .bip import BipInstance, build_instance
 from .graphs import GraphSpec
 from .orbits import GroupAction, OrbitSystem, orbit_system, singer_action
-from .verify import Code, VerificationError
+from .verify import Code, VerificationError, verify_report
 
 
 @dataclass
@@ -66,12 +67,24 @@ class SearchOutcome:
     elapsed: float = 0.0
     lp_calls: int = 0           # over every bip.solve of this point
     certificates: int = 0       # nodes pruned by a checked Farkas vector
+    lift_verified: bool = False  # code passed verify_report on the graph
 
 
 def _exact_witness(inst: BipInstance, x) -> bool:
     A_ext, rhs = inst.rows()
     xi = np.asarray(x, dtype=np.int64)
     return bool(((xi == 0) | (xi == 1)).all() and ((A_ext @ xi) == rhs).all())
+
+
+def _verified_lift(x, osys: OrbitSystem, spec: GraphSpec, gamma1: int,
+                   label: Optional[str]) -> Code:
+    """The lift of a witness, verified on the full graph; raises if it fails."""
+    code = bip.lift(x, osys, spec, label=label)
+    if not verify_report(spec, code)["completely_regular"]:
+        raise VerificationError(
+            f"lifted solution for gamma1={gamma1} failed full-graph "
+            "verification; solver is inconsistent")
+    return code
 
 
 @functools.lru_cache(maxsize=8)
@@ -223,10 +236,11 @@ def search_parameter_point(spec: GraphSpec, osys: OrbitSystem,
                     hit = x, "milp"
         if hit is not None:
             x, stage = hit
+            code = _verified_lift(x, osys, spec, gamma1, label)
             return SearchOutcome(status=bip.SAT, stage=stage, assignment=x,
-                                 code=bip.lift(x, osys, spec, label=label),
-                                 elapsed=time.monotonic() - t0,
-                                 lp_calls=lp_calls, certificates=certificates)
+                                 code=code, elapsed=time.monotonic() - t0,
+                                 lp_calls=lp_calls, certificates=certificates,
+                                 lift_verified=True)
         max_seconds = deadline - time.monotonic()
     if res is None:
         res = bip.solve(inst, mode=mode, max_nodes=max_nodes,
@@ -237,5 +251,6 @@ def search_parameter_point(spec: GraphSpec, osys: OrbitSystem,
                         lp_calls=lp_calls, certificates=certificates)
     if res.solutions:
         out.assignment = res.solutions[0]
-        out.code = bip.lift(res.solutions[0], osys, spec, label=label)
+        out.code = _verified_lift(out.assignment, osys, spec, gamma1, label)
+        out.lift_verified = True
     return out

@@ -288,10 +288,6 @@ def contains(u: Subspace, w: Subspace) -> bool:
     return all(_reduce_vector(r, u.rows, u.n, u.q) == 0 for r in w.rows)
 
 
-def subset_meet(u: Subset, w: Subset) -> int:
-    return len(set(u.members) & set(w.members))
-
-
 # ----------------------------------------------------------------------
 # Enumeration in canonical order
 # ----------------------------------------------------------------------
@@ -334,39 +330,6 @@ def enumerate_rows(n: int, k: int, q: int) -> np.ndarray:
         rows.append(chunk)
         keys.append(key)
     return np.concatenate(rows)[np.argsort(np.concatenate(keys))]
-
-
-def enumerate_subspaces(n: int, k: int, q: int) -> list[Subspace]:
-    """All k-subspaces of GF(q)^n, strictly sorted in canonical order."""
-    if k < 0 or k > n:
-        return []
-    return [Subspace(n, q, tuple(row)) for row in enumerate_rows(n, k, q).tolist()]
-
-
-def enumerate_subsets(n: int, k: int) -> list[Subset]:
-    """All k-subsets of {1..n} in lexicographic member order."""
-    return [Subset(n, row) for row in enumerate_rows(n, k, 1).tolist()]
-
-
-def projective_points(u: Subspace) -> list[Subspace]:
-    """The 1-subspaces contained in u, canonical and sorted."""
-    if u.q == 2:
-        pts = [Subspace(u.n, 2, (v,)) for v in sorted(u.vectors()) if v]
-    else:
-        sc = scalar_field(u.q)
-        seen = {}
-        for v in u.vectors():
-            if v == 0:
-                continue
-            digits = unpack_row(v, u.n, u.q)
-            lead = next(d for d in digits if d)
-            inv = sc.inv_i(lead)
-            norm = pack_row([sc.mul_i(inv, d) for d in digits], u.q)
-            seen[norm] = True
-        pts = [Subspace(u.n, u.q, (v,)) for v in seen]
-    pts.sort(key=lambda s: s.digit_key())
-    assert len(pts) == gaussian(u.k, 1, u.q)
-    return pts
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,11 @@ Johnson or Grassmann graph two distinct k-objects over a common
 cell containing it gives every vertex's per-cell neighbor counts by a sum
 over its own (k-1)-subobjects.  That turns the 10^8-edge check of the
 largest graph here into a handful of array passes.
+
+The design strength reads the same (k-1) table and no other full-size
+one: the code's cover of the (k-1)-objects is counted down, level by
+level, through the tables of the much smaller sub-levels (design_strength),
+so a verify holds one table of the graph itself.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ class Code:
     """A vertex subset of a Johnson or Grassmann graph, ids sorted."""
 
     def __init__(self, spec: GraphSpec, ids, label: Optional[str] = None):
-        ids = np.asarray(sorted(int(i) for i in ids), dtype=np.int64)
+        ids = _sorted_ids(ids)
         if len(ids) and (ids[0] < 0 or ids[-1] >= spec.vertex_count):
             raise VerificationError("vertex id out of range")
         if len(ids) > 1 and (np.diff(ids) == 0).any():
@@ -100,12 +105,21 @@ class RegularityCheck:
     counterexample: Optional[Counterexample]
 
 
+def _sorted_ids(ids) -> np.ndarray:
+    """A fresh sorted int64 array; a 1-d integer ndarray is sorted by numpy."""
+    if isinstance(ids, np.ndarray) and ids.ndim == 1 and ids.dtype.kind in "iu":
+        out = ids.astype(np.int64)
+        out.sort()
+        return out
+    return np.asarray(sorted(int(i) for i in ids), dtype=np.int64)
+
+
 def _code_ids(spec: GraphSpec, code) -> np.ndarray:
     if isinstance(code, Code):
         if code.spec != spec:
             raise VerificationError("code belongs to a different graph")
         return code.ids
-    return np.asarray(sorted(int(i) for i in code), dtype=np.int64)
+    return _sorted_ids(code)
 
 
 def distance_partition(spec: GraphSpec, code) -> DistancePartition:
@@ -269,20 +283,45 @@ def design_strength(spec: GraphSpec, ids) -> tuple[int, tuple[int, ...]]:
     """Largest t with every t-subobject covered by a constant number of blocks.
 
     The blocks are the vertices named by ids inside the given level; the
-    returned lambdas are the cover counts (lambda_1, ..., lambda_t).
+    returned lambdas are the cover counts (lambda_1, ..., lambda_t).  Only
+    the level's (k-1) table is read: cover_{k-1} counts the blocks over
+    each (k-1)-object, and each lower cover is counted down from the one
+    above through the small table of level j+1 over level j,
+
+        cover_j[T] = (sum of cover_{j+1}[S] over the (j+1)-objects
+                      S containing T) / [k-j]_q,
+
+    since every block over T holds exactly [k-j]_q such S.  A division
+    that is not exact means an inconsistent table and raises.
     """
     ids = _code_ids(spec, ids)
     if len(ids) == 0:
         raise VerificationError("empty block set has no strength")
-    lambdas: list[int] = []
-    for t in range(1, spec.k + 1):
-        table = containment_table(spec, t)
+    k = spec.k
+    covers = []  # cover_{k-1}, ..., cover_1
+    if k >= 2:
+        table = containment_table(spec, k - 1)
         cover = np.bincount(table.ids[ids].ravel(),
                             minlength=len(table.sub_index))
+        covers.append(cover)
+        for j in range(k - 2, 0, -1):
+            up = containment_table(spec.level(j + 1), j)
+            total = np.zeros(len(up.sub_index), dtype=np.int64)
+            for c in range(up.per_vertex):
+                np.add.at(total, up.ids[:, c], cover)
+            cover, rest = np.divmod(total, gaussian(k - j, 1, spec.q))
+            if rest.any():
+                raise VerificationError(
+                    f"level-{j} cover of {spec} is not a whole count")
+            covers.append(cover)
+    lambdas: list[int] = []
+    for cover in reversed(covers):
         if (cover != cover[0]).any():
-            return t - 1, tuple(lambdas)
+            return len(lambdas), tuple(lambdas)
         lambdas.append(int(cover[0]))
-    return spec.k, tuple(lambdas)
+    if k and len(ids) == spec.vertex_count:
+        lambdas.append(1)  # the full vertex set covers each vertex once
+    return len(lambdas), tuple(lambdas)
 
 
 def strength_from_eigenvalues(spec: GraphSpec, values: Sequence[int]) -> int:

@@ -261,3 +261,21 @@ def test_criterion_9_property_suite():
     assert elapsed < 600.0
     report(9, t0, "duality, solver-vs-oracle (r=15), push-forward laws, "
                   "canonicalization and field fuzzing")
+
+
+def test_sqs_avoid_code_j326():
+    # the SQS theorem at the next size: 472192 of J(32,6)'s 906192 vertices
+    t0 = time.monotonic()
+    s326 = GraphSpec("johnson", 1, 32, 6)
+    code = con.avoid_code(s326, con.extended_hamming_sqs(5))
+    assert len(code) == 472192
+    rep = vf.verify_report(s326, code)
+    assert rep["completely_regular"] and rep["rho"] == 2
+    assert rep["cells"] == [472192, 416640, 17360]
+    assert rep["beta"] == [60, 6] and rep["gamma"] == [68, 144]
+    assert rep["eigenvalues"] == [156, 40, -6]
+    assert rep["strength"] == 3
+    assert rep["lambdas"] == [88536, 14280, 1904]
+    report("J(32,6)", t0, "SQS(32) avoid-code {60,6;68,144}, cells "
+                          "(472192,416640,17360), eigenvalues {156,40,-6}, "
+                          "strength 3")

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import oracles
 from crcodes import constructions as con
 from crcodes import files
 from crcodes.cli import main
@@ -73,7 +74,7 @@ def test_code_file_round_trip_k0(spec):
 def test_design_file_round_trip(tmp_path):
     spread = con.desarguesian_2spread(2, 6)
     path = tmp_path / "spread.design"
-    files.write_design(path, spread)
+    oracles.write_design(path, spread)
     assert path.read_text().splitlines()[0] == "design n=6 k=2 q=2"
     back = files.read_design(path)
     assert back.blocks == spread.blocks
@@ -165,6 +166,18 @@ def test_cli_search_small_sweep(tmp_path, capsys):
     assert got == {3: "SAT", 6: "SAT", 9: "SAT"}
     assert all(v["lift_verified"] for v in data["verdicts"])
     assert (tmp_path / "g3.code").exists()
+
+
+def test_cli_search_failed_lift_is_a_usage_error(tmp_path, capsys,
+                                                 monkeypatch):
+    from crcodes import search
+    monkeypatch.setattr(search, "verify_report",
+                        lambda spec, code: {"completely_regular": False})
+    rc = main(["search", "--graph", "jq:2,4,2", "--group", "singer:5",
+               "--beta0", "18", "--gamma1", "3", "--out", str(tmp_path)])
+    assert rc == 64
+    assert "solver is inconsistent" in capsys.readouterr().err
+    assert not (tmp_path / "verdicts.json").exists()
 
 
 def test_cli_search_single_point_no_probes(capsys):

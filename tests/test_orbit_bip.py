@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from crcodes import bip
 from crcodes import constructions as con
 from crcodes import orbits as ob
@@ -343,7 +344,7 @@ def test_export_opb_golden():
 
 def test_export_opb_round_trip():
     inst = toy_triangle_instance()
-    rows, rhs = bip.parse_opb(bip.export_opb(inst))
+    rows, rhs = oracles.parse_opb(bip.export_opb(inst))
     A_ext, want_rhs = inst.rows()
     assert rhs == [int(v) for v in want_rhs]
     for i, row in enumerate(rows):

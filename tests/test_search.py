@@ -25,7 +25,7 @@ def test_first_mode_finds_and_lift_verifies(singer42):
     osys, B = singer42
     out = search_parameter_point(S42, osys, 18, 3, B=B, max_seconds=60,
                                  singer_exponent=5)
-    assert out.status == bip.SAT
+    assert out.status == bip.SAT and out.lift_verified
     rep = vf.verify_report(S42, out.code)
     assert rep["completely_regular"]
     assert rep["beta"] == [18] and rep["gamma"] == [3]
@@ -36,6 +36,17 @@ def test_all_mode_bypasses_probes(singer42):
     out = search_parameter_point(S42, osys, 15, 6, B=B, mode="all")
     assert out.stage == "dfs"
     assert out.status == bip.SAT and out.count == 45
+
+
+@pytest.mark.parametrize("beta0,gamma1,mode", [(18, 3, "first"),
+                                               (15, 6, "all")])
+def test_failed_lift_raises(singer42, monkeypatch, beta0, gamma1, mode):
+    osys, B = singer42
+    monkeypatch.setattr(search, "verify_report",
+                        lambda spec, code: {"completely_regular": False})
+    with pytest.raises(vf.VerificationError, match="solver is inconsistent"):
+        search_parameter_point(S42, osys, beta0, gamma1, B=B, mode=mode,
+                               max_seconds=60, singer_exponent=5)
 
 
 def test_sweep_stops_at_exhausted_unsat(singer42, monkeypatch):
@@ -54,6 +65,7 @@ def test_sweep_stops_at_exhausted_unsat(singer42, monkeypatch):
     out = search_parameter_point(S42, osys, 12, 3, B=B, max_seconds=5,
                                  singer_exponent=5)
     assert (out.status, out.stage) == (bip.UNSAT, "dfs")
+    assert not out.lift_verified
     assert len(own_solves) == 1
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from crcodes import constructions as con
 from crcodes import verify as vf
-from crcodes.graphs import GraphSpec, adjacency_lists
+from crcodes.graphs import (GraphSpec, adjacency_lists, containment_table,
+                            parse_graph_spec)
 
 S63 = GraphSpec("grassmann", 2, 6, 3)
 S166 = GraphSpec("johnson", 1, 16, 6)
@@ -205,3 +206,114 @@ def test_report_json_stability():
     a = json.dumps(vf.verify_report(S63, code), indent=2)
     b = json.dumps(vf.verify_report(S63, code), indent=2)
     assert a == b
+
+
+# ----------------------------------------------------------------------
+# Design strength against the per-level reference
+# ----------------------------------------------------------------------
+
+def per_level_strength(spec, ids):
+    """The old design_strength (test oracle): one bincount over the level's
+    own containment table at every t = 1..k."""
+    ids = np.sort(np.asarray(ids, dtype=np.int64))
+    lambdas = []
+    for t in range(1, spec.k + 1):
+        table = containment_table(spec, t)
+        cover = np.bincount(table.ids[ids].ravel(),
+                            minlength=len(table.sub_index))
+        if (cover != cover[0]).any():
+            return t - 1, tuple(lambdas)
+        lambdas.append(int(cover[0]))
+    return spec.k, tuple(lambdas)
+
+
+def _strength_cases():
+    spread6 = con.desarguesian_2spread(2, 6)
+    avoid6 = con.avoid_code(S63, spread6)
+    yield "j263-hyperplane", S63, con.hyperplane_code(S63).ids
+    yield "j263-hyperplane-point", S63, con.hyperplane_point_code(S63).ids
+    yield "j263-symplectic", S63, con.symplectic_code().ids
+    yield "j263-spread-avoid", S63, avoid6.ids
+    yield "j263-spread-line", S63, avoid6.complement().ids
+    for text, sizes in (("jq:3,4,2", (1, 13, 40, 129)),
+                        ("j:10,4", (1, 7, 105, 209)),
+                        ("jq:3,6,3", (2, 3000))):
+        spec = parse_graph_spec(text)
+        rng = random.Random(text)
+        for size in sizes:
+            yield (f"{text}-random-{size}", spec,
+                   rng.sample(range(spec.vertex_count), size))
+    for m in (3, 4):
+        sqs = con.extended_hamming_sqs(m)
+        yield f"sqs-{m}", sqs.level_spec(), sqs.block_ids()
+    for q, n in ((2, 6), (2, 8), (3, 4)):
+        spread = con.desarguesian_2spread(q, n)
+        yield f"spread-{q}-{n}", spread.level_spec(), spread.block_ids()
+    S363 = GraphSpec("grassmann", 3, 6, 3)
+    yield ("j363-spread-avoid", S363,
+           con.avoid_code(S363, con.desarguesian_2spread(3, 6)).ids)
+    S84 = GraphSpec("grassmann", 2, 8, 4)
+    yield ("j284-spread-avoid", S84,
+           con.avoid_code(S84, con.desarguesian_2spread(2, 8)).ids)
+    for text in ("jq:2,6,3", "j:7,3", "jq:3,4,2", "jq:3,6,3"):
+        spec = parse_graph_spec(text)
+        yield f"{text}-full", spec, np.arange(spec.vertex_count)
+    for text in ("jq:2,5,1", "j:9,1"):
+        spec = parse_graph_spec(text)
+        yield f"{text}-full", spec, np.arange(spec.vertex_count)
+        yield f"{text}-part", spec, [0, 2, 3]
+    yield "jq:2,4,0-full", GraphSpec("grassmann", 2, 4, 0), [0]
+
+
+def test_design_strength_matches_per_level_oracle():
+    seen = {}
+    for name, spec, ids in _strength_cases():
+        got = vf.design_strength(spec, ids)
+        assert got == per_level_strength(spec, ids), name
+        seen[name] = got
+    assert seen["j263-symplectic"] == (1, (15,))
+    assert seen["j284-spread-avoid"] == (1, (8640,))
+    assert seen["sqs-4"][0] == 3 and seen["sqs-4"][1][2] == 1
+    assert seen["spread-3-4"] == (1, (1,))
+    assert seen["jq:2,6,3-full"] == (3, (155, 15, 1))
+    assert seen["j:9,1-full"] == (1, (1,))
+    assert seen["j:9,1-part"] == (0, ())
+    assert seen["jq:2,4,0-full"] == (0, ())
+
+
+def test_design_strength_refuses_a_cover_that_does_not_divide(monkeypatch):
+    # with a wrong count of (j+1)-objects per block over T the level-1
+    # cover of the symplectic code is 45 / 4: not a whole count
+    monkeypatch.setattr(vf, "gaussian", lambda n, k, q: 4)
+    with pytest.raises(vf.VerificationError, match="not a whole count"):
+        vf.design_strength(S63, con.symplectic_code().ids)
+
+
+# ----------------------------------------------------------------------
+# Id normalisation
+# ----------------------------------------------------------------------
+
+def test_code_ids_are_sorted_from_any_integer_input():
+    ids = [1394, 3, 700, 0, 41]
+    want = np.array(sorted(ids), dtype=np.int64)
+    for given in (np.array(ids, dtype=np.int64), np.array(ids, dtype=np.uint32),
+                  np.array(ids, dtype=np.uint64), ids, tuple(ids), iter(ids)):
+        code = vf.Code(S63, given)
+        assert code.ids.dtype == np.int64
+        assert np.array_equal(code.ids, want)
+    raw = np.array(ids, dtype=np.int64)
+    vf.Code(S63, raw)
+    assert raw.tolist() == ids  # the caller's array is not sorted in place
+    assert np.array_equal(vf._code_ids(S63, raw), np.sort(raw))
+    assert np.array_equal(vf._code_ids(S63, raw.astype(np.uint16)),
+                          np.sort(raw))
+
+
+@pytest.mark.parametrize("bad", [[5, 7, 5], [0, 1395], [-1, 4]])
+def test_code_rejects_duplicate_and_out_of_range_ids(bad):
+    for given in (bad, np.array(bad, dtype=np.int64)):
+        with pytest.raises(vf.VerificationError):
+            vf.Code(S63, given)
+    if min(bad) >= 0:
+        with pytest.raises(vf.VerificationError):
+            vf.Code(S63, np.array(bad, dtype=np.uint64))
