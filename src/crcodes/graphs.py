@@ -145,16 +145,21 @@ class VertexIndex:
     The only state is rows, the (V, k) uint64 array of subspaces.enumerate_rows:
     row i is vertex i.  Each row packs into one uint64 key (subspace rows as
     the digits of radix q^n, subsets by colex rank), and every vertex -> id
-    question is answered by ids_of_rows, one searchsorted over the sorted
-    keys.  idx[vid] builds the one Subspace or Subset asked for.
+    question is answered by ids_of_rows: one searchsorted over the sorted
+    subspace keys, or for subsets one lookup by the colex rank itself, which
+    runs over 0..V-1.  idx[vid] builds the one Subspace or Subset asked for.
     """
 
     def __init__(self, spec: GraphSpec):
         self.spec = spec
         self.rows: np.ndarray = sp.enumerate_rows(spec.n, spec.k, spec.q)
         keys = self._pack(self.rows)
-        self._order = np.argsort(keys)
-        self._sorted_keys = keys[self._order]
+        if spec.q == 1:  # _order[rank] is the id of the subset of that rank
+            self._order = np.empty(len(keys), dtype=np.intp)
+            self._order[keys] = np.arange(len(keys))
+        else:
+            self._order = np.argsort(keys)
+            self._sorted_keys = keys[self._order]
         self._adjacency: Optional[np.ndarray] = None
 
     def _pack(self, rows: np.ndarray) -> np.ndarray:
@@ -197,8 +202,13 @@ class VertexIndex:
         rows = np.asarray(rows, dtype=np.uint64)
         if rows.ndim != 2 or rows.shape[1] != self.spec.k:
             raise KeyError(f"rows of shape {rows.shape} are not {self.spec.k}-rows")
-        pos = np.searchsorted(self._sorted_keys, self._pack(rows))
-        ids = self._order[np.minimum(pos, len(self._order) - 1)]
+        keys = self._pack(rows)
+        if self.spec.q == 1:
+            # a clipped colex key is at most sum_c C(n-k+c, c+1) = C(n, k) - 1
+            ids = self._order[keys]
+        else:
+            pos = np.searchsorted(self._sorted_keys, keys)
+            ids = self._order[np.minimum(pos, len(self._order) - 1)]
         if not np.array_equal(self.rows[ids], rows):
             raise KeyError(f"a row does not name a vertex of {self.spec}")
         return ids

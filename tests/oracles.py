@@ -5,11 +5,16 @@ Each one answers a question the package answers faster some other way
 """
 
 import re
+from itertools import repeat
 from pathlib import Path
+
+import numpy as np
 
 from crcodes import files
 from crcodes import subspaces as sp
+from crcodes.graphs import parse_graph_spec, vertex_index
 from crcodes.subspaces import Subset, Subspace
+from crcodes.verify import Code
 
 
 def enumerate_subspaces(n: int, k: int, q: int) -> list:
@@ -64,3 +69,53 @@ def parse_opb(text: str):
 
 def write_design(path, design) -> None:
     Path(path).write_text(files.design_to_text(design), encoding="utf-8")
+
+
+def code_from_lines(text: str) -> Code:
+    """Inverse of files.code_to_text, one str line at a time.
+
+    The reader that files.py's byte parser replaced: str.strip per line, a
+    separator count per line, one int() per token, and a per-line pass that
+    names the first line that is no vertex.
+    """
+    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1)
+             if ln.strip()]
+    if not lines:
+        raise ValueError("empty code file")
+    fields = files._parse_header(lines[0][1], "code")
+    spec = parse_graph_spec(fields["graph"], allow_unbalanced=True)
+    size = int(fields["size"])
+    body = lines[1:]
+    if spec.k == 0:  # its one vertex is written as a blank line
+        head = lines[0][0]
+        body = list(enumerate(
+            (ln.strip() for ln in text.splitlines()[head:]), head + 1))
+    if len(body) != size:
+        raise ValueError(f"header says {size} vertices, file has {len(body)}")
+    idx = vertex_index(spec)
+    try:
+        ids = idx.ids_of_rows(_line_rows([ln for _, ln in body], spec))
+    except (ValueError, OverflowError, KeyError):
+        for no, ln in body:  # name the first line that is no vertex
+            try:
+                idx.ids_of_rows(_line_rows([ln], spec))
+            except (ValueError, OverflowError, KeyError):
+                raise ValueError(
+                    f"line {no}: {ln!r} is not a vertex of {spec}") from None
+        raise
+    return Code(spec, ids, label=fields.get("label"))
+
+
+def _line_rows(texts: list, spec) -> np.ndarray:
+    """The (len(texts), k) uint64 rows of vertex lines."""
+    k = spec.k
+    if k == 0:
+        if any(texts):
+            raise ValueError("a line of a k = 0 graph is not blank")
+        return np.empty((len(texts), 0), dtype=np.uint64)
+    sep, base = (",", 10) if spec.q == 1 else (":", 16)
+    if not (np.char.count(np.array(texts, dtype=str), sep) == k - 1).all():
+        raise ValueError(f"a line does not hold {k} integers")
+    part = sep.join(texts).split(sep)
+    return np.array(list(map(int, part, repeat(base))),
+                    dtype=np.uint64).reshape(-1, k)

@@ -3,13 +3,14 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import oracles
 from crcodes import constructions as con
 from crcodes import files
 from crcodes.cli import main
-from crcodes.graphs import GraphSpec
+from crcodes.graphs import GraphSpec, parse_graph_spec
 from crcodes.verify import Code
 
 S63 = GraphSpec("grassmann", 2, 6, 3)
@@ -47,6 +48,12 @@ def test_code_file_rejects_bad_size(tmp_path):
     ("j:16,6", "0,1,2,3,4,5"),    # member below 1
     ("j:16,6", "1,2,3,4,5,17"),   # member above n
     ("j:16,6", "1,2,3,4,5"),      # too few members
+    ("jq:2,6,3", "1:2:10000000000000004"),  # 17 hex digits, 2^64 + 4
+    ("j:16,6", "1,2,3,4,5,100000000000000000000"),  # 21 digits
+    ("jq:2,6,3", "1::4"),          # empty token
+    ("jq:2,6,3", "1:2:4:"),        # trailing separator
+    ("jq:2,6,3", "1 2:4:8"),       # space inside the line
+    ("jq:2,6,3", "1:2:4\u00e9"),   # non-ASCII
 ])
 def test_code_file_rejects_malformed_lines(graph, line):
     if graph == "jq:2,6,3":
@@ -58,6 +65,94 @@ def test_code_file_rejects_malformed_lines(graph, line):
     lines[5] = line
     with pytest.raises(ValueError, match=re.escape(f"line 6: {line!r}")):
         files.code_from_text("\n".join(lines) + "\n")
+
+
+def _sample_code(graph: str) -> Code:
+    spec = parse_graph_spec(graph, allow_unbalanced=True)
+    if graph == "jq:2,6,3":
+        return con.hyperplane_code(spec)
+    if graph == "j:16,6":
+        return con.avoid_code(spec, con.extended_hamming_sqs(4))
+    rng = np.random.default_rng(9)
+    size = max(1, spec.vertex_count // 3)
+    return Code(spec, rng.choice(spec.vertex_count, size, replace=False),
+                label="sample")
+
+
+@pytest.mark.parametrize("graph", ["jq:2,6,3", "jq:3,4,2", "jq:4,4,2",
+                                   "j:16,6", "jq:2,4,0", "j:5,0"])
+def test_code_reader_matches_line_oracle(graph):
+    code = _sample_code(graph)
+    empty = Code(code.spec, [])
+    for c in [code] + [empty] * (code.spec.k == 0):
+        text = files.code_to_text(c)
+        got, want = files.code_from_text(text), oracles.code_from_lines(text)
+        assert got.spec == want.spec == c.spec
+        assert got.ids.tolist() == want.ids.tolist() == c.ids.tolist()
+        assert got.label == want.label == c.label
+    # the line reader failed on an empty body of a k > 0 graph
+    assert len(files.code_from_text(files.code_to_text(empty))) == 0
+
+
+def _edge_blanks(text):
+    out = []
+    for ln in text.splitlines(keepends=True):
+        body = ln.rstrip("\r\n")
+        out.append(f" \t{body}\t {ln[len(body):]}")
+    return "".join(out)
+
+
+def _upper_body(text):
+    at = text.index("\n")
+    return text[:at] + text[at:].upper()
+
+
+@pytest.mark.parametrize("graph", ["jq:2,6,3", "jq:3,4,2", "j:16,6"])
+@pytest.mark.parametrize("variant", [
+    lambda t: t.replace("\n", "\r\n"),
+    lambda t: "\n \n" + t.replace("\n", "\n\n\t\n") + " \n",
+    _edge_blanks,
+    lambda t: t[:-1],
+    _upper_body,
+    lambda t: _edge_blanks("\n" + _upper_body(t).replace("\n", "\r\n\r\n")[:-4]),
+], ids=["crlf", "blank-lines", "edge-blanks", "no-final-newline",
+        "uppercase", "all"])
+def test_code_reader_accepts_the_grammar(graph, variant):
+    code = _sample_code(graph)
+    text = variant(files.code_to_text(code))
+    back = files.code_from_text(text)
+    assert back.ids.tolist() == code.ids.tolist()
+    assert back.label == code.label
+
+
+def test_code_reader_names_lines_after_blank_lines_and_crlf():
+    text = files.code_to_text(con.hyperplane_code(S63))
+    lines = ("\n \n" + text).replace("\n", "\r\n").split("\r\n")
+    # line 1 and 2 blank, 3 the header, 4 the first vertex
+    for no, bad, why in [(4, "1:2:x", "outside the grammar"),
+                         (9, "1:2\r:4", "carriage return"),
+                         (20, "3:3:4", "names no vertex"),
+                         (len(lines) - 1, "1:2", "3 tokens")]:
+        broken = lines.copy()
+        broken[no - 1] = bad
+        with pytest.raises(ValueError, match=f"line {no}: .*{why}"):
+            files.code_from_text("\r\n".join(broken))
+
+
+@pytest.mark.parametrize("last,why", [
+    ("18446744073709551615", "names no vertex"),       # 2^64 - 1 is read
+    ("18446744073709551616", "above 2^64 - 1"),
+    ("18446744073709551622", "above 2^64 - 1"),        # would wrap to 6
+    ("99999999999999999999", "above 2^64 - 1"),
+    ("000000000000000000017", "more than 20 digits"),
+    ("", "an empty token"),
+])
+def test_code_reader_never_reads_a_bad_token_as_a_vertex(last, why):
+    # 1,2,3,4,5,6 and 1,2,3,4,5,17 are vertices of J(20,6); an empty token
+    # ends at the newline, whose byte class is 17
+    text = f"code graph=j:20,6 size=1\n1,2,3,4,5,{last}\n"
+    with pytest.raises(ValueError, match=f"line 2: .*{re.escape(why)}"):
+        files.code_from_text(text)
 
 
 @pytest.mark.parametrize("spec", [GraphSpec("grassmann", 2, 4, 0),
