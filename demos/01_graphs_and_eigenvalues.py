@@ -7,8 +7,9 @@ eigenvalue ladder theta_0 > ... > theta_k.
 
 import numpy as np
 
-from crcodes import (adjacency_lists, neighbors, parse_graph_spec,
+from crcodes import (Code, adjacency_lists, neighbors, parse_graph_spec,
                      theta_ladder, vertex_index)
+from crcodes.files import code_to_text
 
 # Build a few graphs from their spec strings.
 for text in ["j:5,2", "jq:2,4,2", "jq:2,6,3", "j:16,6", "jq:2,8,4"]:
@@ -21,8 +22,8 @@ print()
 # Vertices are canonical: ids are stable, and every vertex knows its basis.
 spec = parse_graph_spec("jq:2,6,3")
 idx = vertex_index(spec)
-v0 = idx[0]
-print("vertex 0 of J2(6,3):", v0, "serialized:", v0.serialize())
+print("vertex 0 of J2(6,3):", idx[0], "code-file line:",
+      code_to_text(Code(spec, [0])).splitlines()[1])
 
 # Neighbors are the other members of the vertex's star cliques (the
 # vertices over each of its 2-subspaces); small graphs also have a table.

@@ -12,9 +12,10 @@ from crcodes import (GraphSpec, avoid_code, check_completely_regular,
 
 spec = GraphSpec("johnson", 1, 16, 6)
 
-sqs = extended_hamming_sqs(4)
-print(f"quadruple system: {len(sqs)} blocks of size 4 on 16 points")
-t, lambdas = design_strength(sqs.level_spec(), sqs.block_ids())
+sqs = extended_hamming_sqs(4)   # a code on the 4-subsets: J(16,4)
+print(f"quadruple system: {len(sqs)} blocks of size 4 on 16 points "
+      f"(vertices of {sqs.spec})")
+t, lambdas = design_strength(sqs.spec, sqs.ids)
 print(f"design strength {t}, cover ladder {lambdas}  (every triple in "
       f"exactly {lambdas[-1]} block)")
 

@@ -13,8 +13,7 @@ from .verify import (Code, DistancePartition, IntersectionNumbers,
                      VerificationError, check_completely_regular,
                      code_eigenvalues, design_strength, distance_partition,
                      size_and_integrality_report, verify_report)
-from .constructions import (Design, ValueVector, avoid_code,
-                            blocks_contained_counts, contained_blocks_count,
+from .constructions import (ValueVector, avoid_code, blocks_contained_counts,
                             desarguesian_2spread, desarguesian_spread,
                             extended_hamming_sqs, hyperplane_code,
                             hyperplane_point_code, pushforward,
@@ -26,13 +25,13 @@ from .bip import (BipInstance, build_instance, export_lp, export_opb,
 from .search import SearchOutcome, search_parameter_point
 
 __all__ = [
-    "BipInstance", "Code", "Design", "DistancePartition", "FieldError",
+    "BipInstance", "Code", "DistancePartition", "FieldError",
     "FieldSpec", "GraphSpec", "GroupAction",
     "IntersectionNumbers", "OrbitSystem", "SearchOutcome", "Subset",
     "Subspace", "ValueVector", "VerificationError", "adjacency_lists",
     "avoid_code", "blocks_contained_counts",
     "build_instance", "check_completely_regular", "code_eigenvalues",
-    "contained_blocks_count", "containment_table", "contains",
+    "containment_table", "contains",
     "desarguesian_2spread", "desarguesian_spread", "design_strength",
     "distance_partition", "export_lp", "export_opb", "extended_hamming_sqs",
     "feasible_parameters", "frobenius_action", "gaussian",

@@ -60,16 +60,13 @@ def cmd_eigenvalues(args) -> int:
 # construct
 # ----------------------------------------------------------------------
 
-def _design_from_flag(value: str, spec: GraphSpec | None):
+def _design_from_flag(value: str, spec: GraphSpec):
+    """The design an avoid code avoids: a code on the graph's block level."""
     if value.startswith("@"):
-        return files.read_design(value[1:])
+        return files.read_code(value[1:])
     if value == "spread":
-        if spec is None:
-            raise ValueError("avoid needs --graph to infer the spread ambient")
         return con.desarguesian_2spread(spec.q, spec.n)
     if value == "sqs":
-        if spec is None:
-            raise ValueError("avoid needs --graph to infer the block length")
         m = spec.n.bit_length() - 1
         if 2 ** m != spec.n:
             raise ValueError(f"sqs needs n a power of two, got n={spec.n}")
@@ -80,25 +77,19 @@ def _design_from_flag(value: str, spec: GraphSpec | None):
 def cmd_construct(args) -> int:
     kind = args.kind
     if kind == "spread":
-        design = con.desarguesian_spread(args.q, args.n, args.d)
-        _emit(files.design_to_text(design), args.out)
-        return EXIT_OK
-    if kind == "sqs":
-        design = con.extended_hamming_sqs(args.m)
-        _emit(files.design_to_text(design), args.out)
-        return EXIT_OK
-    spec = parse_graph_spec(args.graph, allow_unbalanced=True)
-    if kind == "avoid":
-        design = _design_from_flag(args.design, spec)
-        code = con.avoid_code(spec, design)
-    elif kind == "symplectic":
-        code = con.symplectic_code(spec.n, spec.q)
-    elif kind == "hyperplane":
-        code = con.hyperplane_code(spec)
-    elif kind == "hyperplane-point":
-        code = con.hyperplane_point_code(spec)
+        code = con.desarguesian_spread(args.q, args.n, args.d)
+    elif kind == "sqs":
+        code = con.extended_hamming_sqs(args.m)
     else:
-        raise ValueError(f"unknown construction kind {kind!r}")
+        spec = parse_graph_spec(args.graph, allow_unbalanced=True)
+        if kind == "avoid":
+            code = con.avoid_code(spec, _design_from_flag(args.design, spec))
+        elif kind == "symplectic":
+            code = con.symplectic_code(spec.n, spec.q)
+        elif kind == "hyperplane":
+            code = con.hyperplane_code(spec)
+        else:
+            code = con.hyperplane_point_code(spec)
     _emit(files.code_to_text(code), args.out)
     return EXIT_OK
 
@@ -390,7 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--d", type=int, default=2, help="spread block dimension")
     pc.add_argument("--m", type=int, help="sqs: block length is 2^m")
     pc.add_argument("--design", default="spread",
-                    help="avoid: spread, sqs, or @designfile")
+                    help="avoid: spread, sqs, or @file, the code file "
+                         "of a design's block level")
     pc.add_argument("--out")
     pc.set_defaults(func=cmd_construct)
 

@@ -1,4 +1,4 @@
-"""Designs and codes: spreads, Steiner quadruple systems, avoid codes.
+"""Spreads, Steiner quadruple systems, avoid codes and the classical codes.
 
 The Desarguesian spread of GF(q)^n comes from the multiplicative cosets of
 the subfield GF(q^d) inside GF(q^n): each coset together with zero is a
@@ -9,83 +9,44 @@ The Steiner quadruple system is the set of zero-sum 4-subsets of GF(2)^m,
 the supports of the weight-4 codewords of the extended Hamming code of
 length 2^m, a 3-(2^m, 4, 1) design.
 
-An avoid code collects the vertices containing no block of a design; the
-push-forward of a value vector from level k to level l sums the values
-over the k-subobjects of each l-object.
+A design is a code on the level of its blocks: a spread is a set of
+d-subspaces, a quadruple system a set of 4-subsets, each held as the vertex
+ids of that level.  An avoid code collects the vertices containing no
+block of a design; the push-forward of a value vector from level k to
+level l sums the values over the k-subobjects of each l-object.
+
+The classical codes of J_q(n, k) are read off packed rows and containment
+tables, with no per-vertex object: a vertex lies in a hyperplane when all
+of its points (its row of the level-1 table) do.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import subspaces as sp
 from .galois import make_field
 from .graphs import GraphSpec, containment_table, vertex_index
-from .subspaces import Subset, Subspace
+from .subspaces import Subspace
 from .verify import Code
-
-
-class Design:
-    """A set of k-subspaces (or k-subsets) of one ambient space, no repeats."""
-
-    def __init__(self, n: int, k: int, q: int, blocks: Sequence):
-        blocks = list(blocks)
-        for b in blocks:
-            if b.k != k:
-                raise ValueError(f"block {b!r} does not have dimension {k}")
-            if (b.n != n) or (isinstance(b, Subspace) and b.q != q) or \
-                    (isinstance(b, Subset) and q != 1):
-                raise ValueError(f"block {b!r} does not live in the ambient space")
-        if q == 1:
-            blocks.sort(key=lambda b: b.members)
-        else:
-            blocks.sort(key=lambda b: b.digit_key())
-        self._index = set(blocks)
-        if len(self._index) != len(blocks):
-            raise ValueError("repeated blocks")
-        self.n = n
-        self.k = k
-        self.q = q
-        self.blocks = blocks
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-    def __contains__(self, block) -> bool:
-        return block in self._index
-
-    def __iter__(self):
-        return iter(self.blocks)
-
-    def level_spec(self) -> GraphSpec:
-        family = "johnson" if self.q == 1 else "grassmann"
-        return GraphSpec(family, self.q, self.n, self.k, allow_unbalanced=True)
-
-    def block_ids(self) -> np.ndarray:
-        idx = vertex_index(self.level_spec())
-        rows = [b.members if self.q == 1 else b.rows for b in self.blocks]
-        return np.sort(idx.ids_of_rows(
-            np.array(rows, dtype=np.uint64).reshape(len(rows), self.k)))
-
-    def __repr__(self) -> str:
-        return f"Design(n={self.n}, k={self.k}, q={self.q}, blocks={len(self)})"
 
 
 # ----------------------------------------------------------------------
 # Spreads
 # ----------------------------------------------------------------------
 
-def desarguesian_spread(q: int, n: int, d: int = 2) -> Design:
+def desarguesian_spread(q: int, n: int, d: int = 2) -> Code:
     """Cosets of the subfield GF(q^d) in GF(q^n) as d-subspaces of GF(q)^n.
 
     Requires d | n.  The blocks partition the nonzero vectors, so the
-    result is a 1-(n, d, 1)_q design (a d-spread).  Only prime q is
-    supported: non-prime q would need an explicit subfield isomorphism to
-    identify GF(q)-coordinates, which this library does not fix.
+    result is a 1-(n, d, 1)_q design (a d-spread), returned as a code on
+    the level of d-subspaces.  Only prime q is supported: non-prime q
+    would need an explicit subfield isomorphism to identify
+    GF(q)-coordinates, which this library does not fix.
     """
     if n % d != 0:
         raise ValueError(f"a {d}-spread of GF({q})^{n} needs {d} | {n}")
@@ -98,16 +59,17 @@ def desarguesian_spread(q: int, n: int, d: int = 2) -> Design:
     count = (q ** n - 1) // (q ** d - 1)
     # basis of GF(q^d) over GF(q): 1, b, ..., b^(d-1) with b = a^count
     b_pows = [field.pow_i(a, j * count) if j else 1 for j in range(d)]
-    blocks = []
+    rows = []
     coset = 1
     for _ in range(count):
-        rows = [field.digits_of_index(field.mul_i(coset, bp)) for bp in b_pows]
-        blocks.append(sp.rref(rows, n, q))
+        basis = [field.digits_of_index(field.mul_i(coset, bp)) for bp in b_pows]
+        rows.append(sp.rref(basis, n, q).rows)
         coset = field.mul_i(coset, a)
-    return Design(n, d, q, blocks)
+    level = GraphSpec("grassmann", q, n, d, allow_unbalanced=True)
+    return Code(level, vertex_index(level).ids_of_rows(rows), label="spread")
 
 
-def desarguesian_2spread(q: int, n: int) -> Design:
+def desarguesian_2spread(q: int, n: int) -> Code:
     """The classical 2-spread; n must be even."""
     if n % 2 != 0:
         raise ValueError(f"a 2-spread of GF({q})^{n} needs even n, got {n}")
@@ -118,13 +80,14 @@ def desarguesian_2spread(q: int, n: int) -> Design:
 # Extended Hamming code and its Steiner quadruple system
 # ----------------------------------------------------------------------
 
-def extended_hamming_sqs(m: int) -> Design:
+def extended_hamming_sqs(m: int) -> Code:
     """The zero-sum 4-subsets {a, b, c, d} of GF(2)^m: a 3-(2^m, 4, 1) design.
 
     They are the supports of the weight-4 words of the extended Hamming
-    code of length 2^m.  The nonzero vector v sits at position v and the
-    zero vector at position 2^m.  Each block is taken once, from its three
-    smallest vectors a < b < c, whose sum d = a ^ b ^ c is then the largest.
+    code of length 2^m, returned as a code on the level of 4-subsets.  The
+    nonzero vector v sits at position v and the zero vector at position
+    2^m.  Each block is taken once, from its three smallest vectors
+    a < b < c, whose sum d = a ^ b ^ c is then the largest.
     """
     if m < 3:
         raise ValueError(f"need m >= 3 for a quadruple system, got {m}")
@@ -134,44 +97,34 @@ def extended_hamming_sqs(m: int) -> Design:
     quads = quads[quads[:, 3] > quads[:, 2]]
     quads[quads == 0] = n
     quads.sort(axis=1)
-    return Design(n, 4, 1, [Subset(n, tuple(row)) for row in quads.tolist()])
+    level = GraphSpec("johnson", 1, n, 4, allow_unbalanced=True)
+    return Code(level, vertex_index(level).ids_of_rows(quads), label="sqs")
 
 
 # ----------------------------------------------------------------------
 # Codes inside J_q(n, k)
 # ----------------------------------------------------------------------
 
-def _symplectic_pairing(u: int, w: int, n: int) -> int:
-    """Standard alternating form over GF(2), coordinates paired (1,2),(3,4),..."""
-    acc = 0
-    for i in range(0, n, 2):
-        acc ^= ((u >> i) & 1) & ((w >> (i + 1)) & 1)
-        acc ^= ((u >> (i + 1)) & 1) & ((w >> i) & 1)
-    return acc
-
-
 def symplectic_code(n: int = 6, q: int = 2) -> Code:
     """Totally isotropic k-subspaces under the standard alternating form.
 
     Fixed to q = 2 and k = n/2's floor at 3 for the desk-scale graph; a
-    subspace qualifies when the form vanishes on every basis pair.
+    subspace qualifies when the form vanishes on every basis pair.  With
+    coordinates paired (1,2),(3,4),..., the form of two packed rows u, w
+    is the bit parity of u & swap(w), where swap exchanges the two bits of
+    every pair; the parity of each n-bit word is looked up in a table.
     """
     if q != 2 or n != 6:
         raise ValueError("symplectic code is implemented for J_2(6,3)")
     spec = GraphSpec("grassmann", 2, 6, 3)
-    ids = []
-    for vid, rows in enumerate(vertex_index(spec).rows.tolist()):
-        good = True
-        for i in range(3):
-            for j in range(i, 3):
-                if _symplectic_pairing(rows[i], rows[j], 6):
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
-            ids.append(vid)
-    return Code(spec, ids, label="symplectic")
+    rows = vertex_index(spec).rows
+    even = np.uint64(sum(1 << i for i in range(0, n, 2)))
+    swapped = ((rows & even) << np.uint64(1)) | ((rows >> np.uint64(1)) & even)
+    odd = np.array([bin(x).count("1") % 2 for x in range(1 << n)], dtype=bool)
+    form = np.zeros(len(rows), dtype=bool)
+    for i, j in itertools.combinations(range(spec.k), 2):
+        form |= odd[rows[:, i] & swapped[:, j]]
+    return Code(spec, np.flatnonzero(~form), label="symplectic")
 
 
 def coordinate_hyperplane(n: int, q: int) -> Subspace:
@@ -180,66 +133,72 @@ def coordinate_hyperplane(n: int, q: int) -> Subspace:
     return sp.rref(rows, n, q)
 
 
-def hyperplane_code(spec: GraphSpec, hyperplane: Optional[Subspace] = None) -> Code:
-    """All k-subspaces contained in the given (n-1)-subspace."""
+def _hyperplane_points(spec: GraphSpec, hyperplane: Optional[Subspace]):
+    """The level-1 ids of the graph's vertices, and a mask of the points
+    that lie in the hyperplane (by default the coordinate one).
+
+    The hyperplane's own points come from its subspaces, not from its row
+    of the level-(n-1) table: that level packs into one word only while
+    q^(n(n-1)) <= 2^64, which J_2(9, k) already exceeds.
+    """
     if spec.family != "grassmann":
         raise ValueError("hyperplane codes live in Grassmann graphs")
     h = hyperplane if hyperplane is not None else coordinate_hyperplane(spec.n, spec.q)
-    if h.k != spec.n - 1:
-        raise ValueError(f"hyperplane must have dimension {spec.n - 1}")
-    idx = vertex_index(spec)
-    ids = [vid for vid in range(len(idx)) if sp.contains(h, idx[vid])]
-    return Code(spec, ids, label="hyperplane")
+    if (h.n, h.q, h.k) != (spec.n, spec.q, spec.n - 1):
+        raise ValueError(f"hyperplane must be a {spec.n - 1}-subspace "
+                         f"of GF({spec.q})^{spec.n}")
+    table = containment_table(spec, 1)
+    inside = np.zeros(len(table.sub_index), dtype=bool)
+    points = [p.rows for p in sp.subspaces_of(h, 1)]
+    inside[table.sub_index.ids_of_rows(points)] = True
+    return table.ids, inside
+
+
+def hyperplane_code(spec: GraphSpec, hyperplane: Optional[Subspace] = None) -> Code:
+    """All k-subspaces contained in the given (n-1)-subspace: the vertices
+    whose points all lie in it."""
+    points, inside = _hyperplane_points(spec, hyperplane)
+    return Code(spec, np.flatnonzero(inside[points].all(axis=1)),
+                label="hyperplane")
 
 
 def hyperplane_point_code(spec: GraphSpec,
                           hyperplane: Optional[Subspace] = None,
                           point: Optional[int] = None) -> Code:
     """k-subspaces in the hyperplane or containing the point (a packed vector)."""
-    if spec.family != "grassmann":
-        raise ValueError("hyperplane codes live in Grassmann graphs")
-    h = hyperplane if hyperplane is not None else coordinate_hyperplane(spec.n, spec.q)
-    v = point if point is not None else sp.pack_row(
-        [0] * (spec.n - 1) + [1], spec.q)
-    if h.contains_vector(v):
+    points, inside = _hyperplane_points(spec, hyperplane)
+    v = point if point is not None else spec.q ** (spec.n - 1)
+    try:  # the point's canonical row; the zero vector spans no point
+        pid = vertex_index(spec.level(1)).ids_of_rows(
+            [sp.rref([v], spec.n, spec.q).rows])[0]
+    except KeyError:
+        raise ValueError(f"point {v} is not a nonzero vector of "
+                         f"GF({spec.q})^{spec.n}") from None
+    if inside[pid]:
         raise ValueError("point must lie outside the hyperplane")
-    idx = vertex_index(spec)
-    ids = [vid for vid in range(len(idx))
-           if sp.contains(h, idx[vid]) or idx[vid].contains_vector(v)]
+    ids = np.flatnonzero(inside[points].all(axis=1) | (points == pid).any(axis=1))
     return Code(spec, ids, label="hyperplane-point")
 
 
 # ----------------------------------------------------------------------
-# Design-in-vertex counting and avoid codes
+# Avoid codes
 # ----------------------------------------------------------------------
 
-def contained_blocks_count(vertex: Union[Subspace, Subset], design: Design) -> int:
-    """How many blocks of the design lie inside the given vertex.
+def blocks_contained_counts(spec: GraphSpec, design: Code) -> np.ndarray:
+    """How many blocks of the design lie inside each vertex of the graph.
 
-    Probes the vertex's own subobjects of the block dimension against the
-    design's membership index, so the cost is [k choose j]_q probes
-    regardless of the design size.
+    The design is a code on a lower level of the same ambient space, its
+    blocks given by their ids at that level.
     """
-    if design.k > vertex.k:
-        raise ValueError("blocks are larger than the vertex")
-    if design.q == 1:
-        subs = sp.subsets_of(vertex, design.k)
-    else:
-        subs = sp.subspaces_of(vertex, design.k)
-    return sum(1 for s in subs if s in design)
-
-
-def blocks_contained_counts(spec: GraphSpec, design: Design) -> np.ndarray:
-    """contained_blocks_count for every vertex id, vectorized."""
-    if (design.n, design.q) != (spec.n, spec.q):
+    if design.spec != spec.level(design.spec.k):
         raise ValueError("design and graph live in different ambient spaces")
-    table = containment_table(spec, design.k)
+    table = containment_table(spec, design.spec.k)
     flags = np.zeros(len(table.sub_index), dtype=np.int64)
-    flags[design.block_ids()] = 1
+    flags[design.ids] = 1
     return flags[table.ids].sum(axis=1)
 
 
-def avoid_code(spec: GraphSpec, design: Design,
+def avoid_code(spec: GraphSpec, design: Code,
                label: Optional[str] = None) -> Code:
     """The vertices containing no block of the design (possibly empty)."""
     counts = blocks_contained_counts(spec, design)

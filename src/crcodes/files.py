@@ -1,9 +1,10 @@
-"""Stable text formats for codes and designs.
+"""The stable text format of codes, and of designs, which are codes.
 
 Code file: a header line `code graph=<spec> size=<count> [label=<label>]`
-followed by one serialized vertex per line, sorted.  Subspace lines join
-the basis rows as lowercase hex of the packed base-q row integers with
-':'; subset lines are comma-separated members.
+followed by one vertex per line.  Subspace lines join the basis rows as
+lowercase hex of the packed base-q row integers with ':'; subset lines
+are comma-separated members.  Files are written in id order and read in
+any order; a vertex on two lines is an error that names both.
 
 A code file is read as one byte array, in one numpy pass, under this
 grammar:
@@ -17,11 +18,11 @@ grammar:
   for subspaces, 0-9 and ',' for subsets.  A line holds k tokens, each of
   at most 16 hex or 20 decimal digits and below 2^64.
 
-A body line that breaks the grammar or names no vertex raises ValueError
-naming its line.
+A header without graph= or size=, or a body line that breaks the grammar,
+names no vertex or repeats another, raises ValueError naming its line.
 
-Design file: header `design n=<n> k=<k> q=<q>`, then one block per line
-in the same vertex syntax.
+A design file is the code file of the design's block level: a spread of
+GF(2)^6 is `code graph=jq:2,6,2 size=21 label=spread`, then its lines.
 """
 
 from __future__ import annotations
@@ -31,23 +32,31 @@ from typing import Union
 
 import numpy as np
 
-from .constructions import Design
-from .graphs import parse_graph_spec, vertex_index
-from .subspaces import Subset, Subspace
+from .graphs import GraphSpec, parse_graph_spec, vertex_index
 from .verify import Code
 
 
-def _parse_header(line: str, expected: str) -> dict:
-    parts = line.strip().split()
-    if not parts or parts[0] != expected:
-        raise ValueError(f"expected a {expected!r} header, got {line.strip()!r}")
-    fields = {}
-    for tok in parts[1:]:
+def _parse_header(line: str, no: int) -> tuple[GraphSpec, int, str | None]:
+    """The graph, size and label of the code header on line no."""
+    kind, *parts = line.split() or [""]
+    if kind != "code":
+        raise ValueError(
+            f"line {no}: expected a 'code' header, got {line.strip()!r}")
+    for tok in parts:
         if "=" not in tok:
-            raise ValueError(f"bad header field {tok!r}")
-        key, val = tok.split("=", 1)
-        fields[key] = val
-    return fields
+            raise ValueError(f"line {no}: bad header field {tok!r}")
+    fields = dict(tok.partition("=")[::2] for tok in parts)
+    for key in ("graph", "size"):
+        if not fields.get(key):
+            raise ValueError(f"line {no}: code header has no {key}=")
+    if not fields["size"].isdigit():
+        raise ValueError(f"line {no}: code header size={fields['size']} "
+                         "is not a count")
+    try:
+        spec = parse_graph_spec(fields["graph"], allow_unbalanced=True)
+    except ValueError as exc:
+        raise ValueError(f"line {no}: {exc}") from None
+    return spec, int(fields["size"]), fields.get("label")
 
 
 def code_to_text(code: Code) -> str:
@@ -77,9 +86,7 @@ def read_code(path: Union[str, Path]) -> Code:
 def _code_from_bytes(raw: bytes) -> Code:
     """Parse a code file held as bytes; ValueError names any bad line."""
     head, first, body = _split_header(raw)
-    fields = _parse_header(head, "code")
-    spec = parse_graph_spec(fields["graph"], allow_unbalanced=True)
-    size = int(fields["size"])
+    spec, size, label = _parse_header(head, first - 1)
     try:
         ids = _body_ids(body, vertex_index(spec), size)
     except _LineFault as fault:
@@ -89,9 +96,10 @@ def _code_from_bytes(raw: bytes) -> Code:
         end = nl[line] if line < len(nl) else len(body)
         text = body[at:end].tobytes().decode("utf-8", "backslashreplace")
         text = text.strip(" \t\r")
-        raise ValueError(f"line {first + line}: {text!r} is not a "
-                         f"vertex of {spec} ({why})") from None
-    return Code(spec, ids, label=fields.get("label"))
+        what = (f"repeats line {first + why}" if isinstance(why, int)
+                else f"is not a vertex of {spec} ({why})")
+        raise ValueError(f"line {first + line}: {text!r} {what}") from None
+    return Code(spec, ids, label=label)
 
 
 def _split_header(raw: bytes) -> tuple[str, int, np.ndarray]:
@@ -113,7 +121,9 @@ def _split_header(raw: bytes) -> tuple[str, int, np.ndarray]:
 
 
 class _LineFault(Exception):
-    """args: (index of a body line among the body lines, why it is no vertex)."""
+    """args: (index of a body line among the body lines, why it is no
+    vertex), or for a repeated vertex (that index, the index of the line
+    the vertex is first on)."""
 
 
 _NEWLINE = ord("\n")
@@ -140,9 +150,14 @@ _GRAMMAR = {10: (_byte_classes(b"0123456789", b","), 20),
 _DEC_TOP = np.uint64((2 ** 64 - 1) // 10)
 
 
+def _line_of(cls: np.ndarray, at: int) -> int:
+    """The index of the body line that holds byte at of cls."""
+    return int(np.count_nonzero(cls[:at] == _NL))
+
+
 def _fault(cls: np.ndarray, at: int, why: str) -> _LineFault:
     """The fault of the line that holds byte at of cls."""
-    return _LineFault(int(np.count_nonzero(cls[:at] == _NL)), why)
+    return _LineFault(_line_of(cls, at), why)
 
 
 def _check(cls: np.ndarray, bad: np.ndarray, why: str, pos=None) -> None:
@@ -221,12 +236,12 @@ def _body_rows(body: np.ndarray, k: int, base: int):
 
 
 def _body_ids(body: np.ndarray, idx, size: int) -> np.ndarray:
-    """The vertex ids named by a code-file body of size vertices."""
+    """The sorted vertex ids named by a code-file body of size vertices."""
     cls, rows, ends = _body_rows(body, idx.spec.k, 10 if idx.spec.q == 1 else 16)
     if len(rows) != size:
         raise ValueError(f"header says {size} vertices, file has {len(rows)}")
     try:
-        return idx.ids_of_rows(rows)
+        ids = idx.ids_of_rows(rows)
     except KeyError:
         lo, hi = 0, len(rows)  # bisect for the first row that is no vertex
         while hi - lo > 1:
@@ -237,28 +252,13 @@ def _body_ids(body: np.ndarray, idx, size: int) -> np.ndarray:
             except KeyError:
                 hi = mid
         raise _fault(cls, int(ends[lo]), "names no vertex") from None
-
-
-def design_to_text(design: Design) -> str:
-    lines = [f"design n={design.n} k={design.k} q={design.q}"]
-    lines.extend(b.serialize() for b in design.blocks)
-    return "\n".join(lines) + "\n"
-
-
-def design_from_text(text: str) -> Design:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty design file")
-    fields = _parse_header(lines[0], "design")
-    n, k, q = int(fields["n"]), int(fields["k"]), int(fields["q"])
-    blocks = []
-    for ln in lines[1:]:
-        if q == 1:
-            blocks.append(Subset.deserialize(ln.strip(), n))
-        else:
-            blocks.append(Subspace.deserialize(ln.strip(), n, q))
-    return Design(n, k, q, blocks)
-
-
-def read_design(path: Union[str, Path]) -> Design:
-    return design_from_text(Path(path).read_text(encoding="utf-8"))
+    # a file written in id order is one sorted run, which the stable sort
+    # passes in linear time; equal ids keep their line order
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    same = np.flatnonzero(ids[1:] == ids[:-1])
+    if len(same):  # the repeat nearest the top, and the line it repeats
+        at = same[np.argmin(order[same + 1])]
+        raise _LineFault(_line_of(cls, int(ends[order[at + 1]])),
+                         _line_of(cls, int(ends[order[at]])))
+    return ids

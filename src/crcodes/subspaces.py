@@ -8,7 +8,7 @@ Subspace values are equal exactly when they are the same subspace.
 enumerate_rows gives a whole level at once as a (count, k) uint64 array:
 packed basis rows for subspaces, sorted members for subsets.  This array
 is the graph layer's vertex representation; Subspace and Subset are the
-per-vertex objects for row reduction, containment tests and file text.
+per-object values for row reduction and containment tests.
 
 The canonical order of subspaces (used for vertex ids) is lexicographic on
 the flattened k-by-n matrix of coefficient digits, row major; subsets are
@@ -109,20 +109,6 @@ class Subspace:
                 vs = new
         return vs
 
-    def contains_vector(self, vec: int) -> bool:
-        return _reduce_vector(vec, self.rows, self.n, self.q) == 0
-
-    def serialize(self) -> str:
-        return ":".join(format(r, "x") for r in self.rows)
-
-    @classmethod
-    def deserialize(cls, text: str, n: int, q: int) -> "Subspace":
-        rows = tuple(int(t, 16) for t in text.split(":")) if text else ()
-        sub = rref([unpack_row(r, n, q) for r in rows], n, q)
-        if sub.rows != rows:
-            raise ValueError(f"rows {text!r} are not a reduced echelon basis")
-        return sub
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
@@ -155,14 +141,6 @@ class Subset:
     @property
     def k(self) -> int:
         return len(self.members)
-
-    def serialize(self) -> str:
-        return ",".join(str(m) for m in self.members)
-
-    @classmethod
-    def deserialize(cls, text: str, n: int) -> "Subset":
-        members = tuple(int(t) for t in text.split(",")) if text else ()
-        return cls(n, members)
 
     def __eq__(self, other) -> bool:
         return (

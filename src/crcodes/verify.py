@@ -276,7 +276,7 @@ def eigenvalue_indices(spec: GraphSpec, values: Sequence[int]) -> list[int]:
 
 
 # ----------------------------------------------------------------------
-# Design strength
+# Strength of a design
 # ----------------------------------------------------------------------
 
 def design_strength(spec: GraphSpec, ids) -> tuple[int, tuple[int, ...]]:

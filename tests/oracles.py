@@ -5,14 +5,13 @@ Each one answers a question the package answers faster some other way
 """
 
 import re
-from itertools import repeat
-from pathlib import Path
+from itertools import combinations, repeat
 
 import numpy as np
 
 from crcodes import files
 from crcodes import subspaces as sp
-from crcodes.graphs import parse_graph_spec, vertex_index
+from crcodes.graphs import vertex_index
 from crcodes.subspaces import Subset, Subspace
 from crcodes.verify import Code
 
@@ -67,8 +66,31 @@ def parse_opb(text: str):
     return rows, rhs
 
 
-def write_design(path, design) -> None:
-    Path(path).write_text(files.design_to_text(design), encoding="utf-8")
+def hyperplane_code_ids(spec, h: Subspace, point=None) -> list:
+    """The vertices inside h, or containing the point: one sp.contains test
+    per vertex object."""
+    idx = vertex_index(spec)
+    line = sp.rref([point], spec.n, spec.q) if point is not None else None
+    return [vid for vid in range(len(idx)) if sp.contains(h, idx[vid])
+            or (line is not None and sp.contains(idx[vid], line))]
+
+
+def symplectic_code_ids(spec) -> list:
+    """The totally isotropic vertices of J_2(n, k): the form that pairs
+    coordinates (1,2),(3,4),... on every pair of basis rows, digit by digit."""
+    def form(u, w):
+        a, b = sp.unpack_row(u, spec.n, 2), sp.unpack_row(w, spec.n, 2)
+        return sum(a[i] * b[i ^ 1] for i in range(spec.n)) % 2
+    return [vid for vid, rows in enumerate(vertex_index(spec).rows.tolist())
+            if not any(form(u, w) for u, w in combinations(rows, 2))]
+
+
+def contained_blocks_count(vertex, design: Code) -> int:
+    """How many blocks of the design (a code on its block level) lie in the
+    vertex: its own subobjects of the block dimension, looked up one by one."""
+    j, idx = design.spec.k, vertex_index(design.spec)
+    subs = sp.subsets_of(vertex, j) if design.spec.q == 1 else sp.subspaces_of(vertex, j)
+    return len({idx.id_of(s) for s in subs} & set(design.ids.tolist()))
 
 
 def code_from_lines(text: str) -> Code:
@@ -82,9 +104,7 @@ def code_from_lines(text: str) -> Code:
              if ln.strip()]
     if not lines:
         raise ValueError("empty code file")
-    fields = files._parse_header(lines[0][1], "code")
-    spec = parse_graph_spec(fields["graph"], allow_unbalanced=True)
-    size = int(fields["size"])
+    spec, size, label = files._parse_header(lines[0][1], lines[0][0])
     body = lines[1:]
     if spec.k == 0:  # its one vertex is written as a blank line
         head = lines[0][0]
@@ -103,7 +123,7 @@ def code_from_lines(text: str) -> Code:
                 raise ValueError(
                     f"line {no}: {ln!r} is not a vertex of {spec}") from None
         raise
-    return Code(spec, ids, label=fields.get("label"))
+    return Code(spec, ids, label=label)
 
 
 def _line_rows(texts: list, spec) -> np.ndarray:

@@ -16,7 +16,7 @@ from crcodes import constructions as con
 from crcodes import orbits as ob
 from crcodes import subspaces as sp
 from crcodes import verify as vf
-from crcodes.graphs import GraphSpec, theta_ladder
+from crcodes.graphs import GraphSpec, theta_ladder, vertex_index
 from crcodes.search import search_parameter_point
 
 S63 = GraphSpec("grassmann", 2, 6, 3)
@@ -42,7 +42,7 @@ def test_criterion_2_sqs_pipeline():
     t0 = time.monotonic()
     q4 = con.extended_hamming_sqs(4)
     assert len(q4) == 140
-    strength, lambdas = vf.design_strength(q4.level_spec(), q4.block_ids())
+    strength, lambdas = vf.design_strength(q4.spec, q4.ids)
     assert strength == 3 and lambdas[2] == 1
     code = con.avoid_code(S166, q4)
     assert len(code) == 448
@@ -63,8 +63,9 @@ def test_criterion_3_desarguesian_pipeline():
     t0 = time.monotonic()
     spread = con.desarguesian_2spread(2, 8)
     assert len(spread) == 85
-    for a, b in itertools.combinations(spread.blocks, 2):
-        assert sp.intersection_dim(a, b) == 0
+    idx = vertex_index(spread.spec)
+    for a, b in itertools.combinations(spread.ids, 2):
+        assert sp.intersection_dim(idx[a], idx[b]) == 0
     code = con.avoid_code(S84, spread)
     res = vf.check_completely_regular(S84, code)
     assert res.ok and res.partition.rho == 2
@@ -221,14 +222,14 @@ def test_criterion_9_property_suite():
         spread = con.desarguesian_2spread(q, n)
         lvl = GraphSpec("grassmann", q, n, 2)
         chi = np.zeros(sp.gaussian(n, 2, q), dtype=np.int64)
-        chi[spread.block_ids()] = 1
+        chi[spread.ids] = 1
         out3 = con.pushforward(con.ValueVector(lvl, chi), 3)
         assert len(set(np.asarray(out3.values).tolist())) == 2
     spread8 = con.desarguesian_2spread(2, 8)
     s82 = GraphSpec("grassmann", 2, 8, 2)
     V82 = sp.gaussian(8, 2, 2)
     chi8 = np.zeros(V82, dtype=np.int64)
-    chi8[spread8.block_ids()] = 1
+    chi8[spread8.ids] = 1
     shifted = V82 * chi8 - len(spread8)
     out4 = con.pushforward(con.ValueVector(s82, shifted), 4)
     assert len(set(np.asarray(out4.values).tolist())) == 3
@@ -236,7 +237,7 @@ def test_criterion_9_property_suite():
     s164 = GraphSpec("johnson", 1, 16, 4)
     V164 = sp.gaussian(16, 4, 1)
     chi_q = np.zeros(V164, dtype=np.int64)
-    chi_q[q4.block_ids()] = 1
+    chi_q[q4.ids] = 1
     shifted_q = V164 * chi_q - len(q4)
     out6 = con.pushforward(con.ValueVector(s164, shifted_q), 6)
     assert len(set(np.asarray(out6.values).tolist())) == 3

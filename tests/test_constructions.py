@@ -3,10 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
+import oracles
 from crcodes import constructions as con
 from crcodes import subspaces as sp
 from crcodes import verify as vf
-from crcodes.graphs import GraphSpec, containment_table, vertex_index
+from crcodes.graphs import (GraphSpec, containment_table, parse_graph_spec,
+                            vertex_index)
 
 
 S63 = GraphSpec("grassmann", 2, 6, 3)
@@ -17,7 +19,8 @@ S166 = GraphSpec("johnson", 1, 16, 6)
 def test_spread_block_counts(q, n, blocks):
     spread = con.desarguesian_2spread(q, n)
     assert len(spread) == blocks == (q ** n - 1) // (q ** 2 - 1)
-    assert all(b.k == 2 for b in spread)
+    assert spread.spec == GraphSpec("grassmann", q, n, 2)
+    assert spread.label == "spread"
 
 
 def test_spread_requires_even_n_and_prime_q():
@@ -30,16 +33,17 @@ def test_spread_requires_even_n_and_prime_q():
 @pytest.mark.parametrize("q,n", [(2, 6), (2, 8), (3, 4)])
 def test_spread_partitions_points(q, n):
     spread = con.desarguesian_2spread(q, n)
-    for a, b in itertools.combinations(spread.blocks, 2):
-        assert sp.intersection_dim(a, b) == 0
-    t, lambdas = vf.design_strength(spread.level_spec(), spread.block_ids())
+    idx = vertex_index(spread.spec)
+    for a, b in itertools.combinations(spread.ids, 2):
+        assert sp.intersection_dim(idx[a], idx[b]) == 0
+    t, lambdas = vf.design_strength(spread.spec, spread.ids)
     assert t == 1 and lambdas == (1,)
 
 
 def test_3spread_inside_gf64():
     spread = con.desarguesian_spread(2, 6, 3)
     assert len(spread) == 9
-    t, lambdas = vf.design_strength(spread.level_spec(), spread.block_ids())
+    t, lambdas = vf.design_strength(spread.spec, spread.ids)
     assert (t, lambdas) == (1, (1,))
 
 
@@ -48,6 +52,7 @@ def test_sqs_block_counts(m, blocks):
     q = con.extended_hamming_sqs(m)
     n = 2 ** m
     assert len(q) == blocks == n * (n - 1) * (n - 2) // 24
+    assert q.spec == GraphSpec("johnson", 1, n, 4) and q.label == "sqs"
 
 
 def test_sqs_from_parity_checks():
@@ -61,13 +66,15 @@ def test_sqs_from_parity_checks():
                    np.ones(16, dtype=np.int64)])
     supports = {quad for quad in itertools.combinations(range(1, 17), 4)
                 if not (H[:, [p - 1 for p in quad]].sum(axis=1) % 2).any()}
-    assert supports == {b.members for b in con.extended_hamming_sqs(4).blocks}
+    sqs = con.extended_hamming_sqs(4)
+    blocks = vertex_index(sqs.spec).rows[sqs.ids].tolist()
+    assert supports == {tuple(b) for b in blocks}
 
 
 @pytest.mark.parametrize("m", [3, 4])
 def test_sqs_strength_three(m):
     q = con.extended_hamming_sqs(m)
-    t, lambdas = vf.design_strength(q.level_spec(), q.block_ids())
+    t, lambdas = vf.design_strength(q.spec, q.ids)
     assert t == 3
     assert lambdas[2] == 1
     if m == 4:
@@ -77,7 +84,7 @@ def test_sqs_strength_three(m):
 @pytest.mark.parametrize("m", [3, 4])
 def test_sqs_symmetric_difference_closure(m):
     q = con.extended_hamming_sqs(m)
-    blocks = [set(b.members) for b in q.blocks]
+    blocks = [set(b) for b in vertex_index(q.spec).rows[q.ids].tolist()]
     index = {frozenset(b) for b in blocks}
     for a, b in itertools.combinations(blocks, 2):
         if len(a & b) == 2:
@@ -86,17 +93,28 @@ def test_sqs_symmetric_difference_closure(m):
 
 def test_contained_blocks_count_sqs():
     q4 = con.extended_hamming_sqs(4)
-    block = q4.blocks[0]
-    rest = [i for i in range(1, 17) if i not in block.members]
+    counts = con.blocks_contained_counts(S166, q4)
+    idx = vertex_index(S166)
+    block = tuple(vertex_index(q4.spec).rows[q4.ids[0]].tolist())
+    rest = [i for i in range(1, 17) if i not in block]
     extension_counts = set()
     for a, b in itertools.combinations(rest, 2):
-        vertex = sp.Subset(16, tuple(sorted(block.members + (a, b))))
-        extension_counts.add(con.contained_blocks_count(vertex, q4))
+        vertex = sp.Subset(16, tuple(sorted(block + (a, b))))
+        count = oracles.contained_blocks_count(vertex, q4)
+        assert counts[idx.id_of(vertex)] == count
+        extension_counts.add(count)
     # a block plus two outside points holds the block, and sometimes two more
     assert extension_counts <= {1, 3}
     assert 1 in extension_counts
-    counts = con.blocks_contained_counts(S166, q4)
     assert set(counts.tolist()) == {0, 1, 3}
+
+
+def test_blocks_contained_counts_match_the_per_vertex_count():
+    spread = con.desarguesian_2spread(2, 6)
+    counts = con.blocks_contained_counts(S63, spread)
+    idx = vertex_index(S63)
+    want = [oracles.contained_blocks_count(idx[v], spread) for v in range(len(idx))]
+    assert counts.tolist() == want
 
 
 def test_contained_blocks_count_spread_closed_subspace():
@@ -117,6 +135,7 @@ def test_avoid_code_sizes():
 
 def test_symplectic_code():
     code = con.symplectic_code()
+    assert code.ids.tolist() == oracles.symplectic_code_ids(S63)
     assert len(code) == 135 == 1395 * 9 // 93
     idx = vertex_index(S63)
     e = [[1 if j == i else 0 for j in range(6)] for i in range(6)]
@@ -144,12 +163,32 @@ def test_hyperplane_point_must_be_outside():
         con.hyperplane_point_code(S63, h, point=1)  # e1 lies inside h
 
 
-def test_design_rejects_duplicates_and_mixed_dimensions():
-    spread = con.desarguesian_2spread(2, 6)
+def test_hyperplane_point_must_be_nonzero():
     with pytest.raises(ValueError):
-        con.Design(6, 2, 2, list(spread.blocks) + [spread.blocks[0]])
-    with pytest.raises(ValueError):
-        con.Design(6, 2, 2, [sp.rref([[1, 0, 0, 0, 0, 0]], 6, 2)])
+        con.hyperplane_point_code(S63, point=0)
+
+
+@pytest.mark.parametrize("graph", ["jq:2,5,2", "jq:2,6,3", "jq:3,4,2",
+                                   "jq:3,5,2"])
+def test_hyperplane_codes_match_the_per_vertex_loop(graph):
+    spec = parse_graph_spec(graph)
+    n, q = spec.n, spec.q
+    e = np.eye(n, dtype=int).tolist()
+    coord = con.coordinate_hyperplane(n, q)
+    last = sp.pack_row(e[-1], q)
+    assert con.hyperplane_code(spec).ids.tolist() == \
+        oracles.hyperplane_code_ids(spec, coord)
+    assert con.hyperplane_point_code(spec).ids.tolist() == \
+        oracles.hyperplane_code_ids(spec, coord, last)
+    # the hyperplane x_2 = -x_1, and a point off it that for q = 3 is
+    # scaled by 2, so that its packed vector is not its canonical row
+    h = sp.rref(e[2:] + [[1, q - 1] + [0] * (n - 2)], n, q)
+    point = sp.pack_row([q - 1] + [0] * (n - 1), q)
+    assert h.k == n - 1 and not sp.contains(h, sp.rref([point], n, q))
+    assert con.hyperplane_code(spec, h).ids.tolist() == \
+        oracles.hyperplane_code_ids(spec, h)
+    assert con.hyperplane_point_code(spec, h, point).ids.tolist() == \
+        oracles.hyperplane_code_ids(spec, h, point)
 
 
 def test_pushforward_of_ones():
@@ -164,7 +203,7 @@ def test_pushforward_spread_indicator_matches_counts():
     spread = con.desarguesian_2spread(2, 6)
     s62 = GraphSpec("grassmann", 2, 6, 2)
     chi = np.zeros(sp.gaussian(6, 2, 2), dtype=np.int64)
-    chi[spread.block_ids()] = 1
+    chi[spread.ids] = 1
     out = con.pushforward(con.ValueVector(s62, chi), 3)
     counts = con.blocks_contained_counts(S63, spread)
     assert np.array_equal(np.asarray(out.values), counts)
@@ -177,7 +216,7 @@ def test_pushforward_eigenvector_three_values_levels():
     s82 = GraphSpec("grassmann", 2, 8, 2)
     V2 = sp.gaussian(8, 2, 2)
     chi = np.zeros(V2, dtype=np.int64)
-    chi[spread.block_ids()] = 1
+    chi[spread.ids] = 1
     vec = V2 * chi - len(spread)
     out = con.pushforward(con.ValueVector(s82, vec), 4)
     vals = np.asarray(out.values)

@@ -54,10 +54,16 @@ def test_code_file_rejects_bad_size(tmp_path):
     ("jq:2,6,3", "1:2:4:"),        # trailing separator
     ("jq:2,6,3", "1 2:4:8"),       # space inside the line
     ("jq:2,6,3", "1:2:4\u00e9"),   # non-ASCII
+    # spread lines the design-file reader of int(token, 16) accepted
+    ("jq:2,6,2", "0x34:38"),
+    ("jq:2,6,2", "+34:38"),
+    ("jq:2,6,2", "34 : 38"),
 ])
 def test_code_file_rejects_malformed_lines(graph, line):
     if graph == "jq:2,6,3":
         code = con.hyperplane_code(S63)
+    elif graph == "jq:2,6,2":
+        code = con.desarguesian_2spread(2, 6)
     else:
         code = con.avoid_code(GraphSpec("johnson", 1, 16, 6),
                               con.extended_hamming_sqs(4))
@@ -107,6 +113,11 @@ def _upper_body(text):
     return text[:at] + text[at:].upper()
 
 
+def _reversed_body(text):
+    head, *lines = text.splitlines()
+    return "\n".join([head] + lines[::-1]) + "\n"
+
+
 @pytest.mark.parametrize("graph", ["jq:2,6,3", "jq:3,4,2", "j:16,6"])
 @pytest.mark.parametrize("variant", [
     lambda t: t.replace("\n", "\r\n"),
@@ -115,8 +126,9 @@ def _upper_body(text):
     lambda t: t[:-1],
     _upper_body,
     lambda t: _edge_blanks("\n" + _upper_body(t).replace("\n", "\r\n\r\n")[:-4]),
+    _reversed_body,
 ], ids=["crlf", "blank-lines", "edge-blanks", "no-final-newline",
-        "uppercase", "all"])
+        "uppercase", "all", "any-order"])
 def test_code_reader_accepts_the_grammar(graph, variant):
     code = _sample_code(graph)
     text = variant(files.code_to_text(code))
@@ -167,12 +179,65 @@ def test_code_file_round_trip_k0(spec):
 
 
 def test_design_file_round_trip(tmp_path):
+    # a design file is the code file of the design's block level
     spread = con.desarguesian_2spread(2, 6)
     path = tmp_path / "spread.design"
-    oracles.write_design(path, spread)
-    assert path.read_text().splitlines()[0] == "design n=6 k=2 q=2"
-    back = files.read_design(path)
-    assert back.blocks == spread.blocks
+    files.write_code(path, spread)
+    assert path.read_text().splitlines()[0] == \
+        "code graph=jq:2,6,2 size=21 label=spread"
+    back = files.read_code(path)
+    assert back.spec == spread.spec
+    assert back.ids.tolist() == spread.ids.tolist()
+    assert back.label == "spread"
+
+
+@pytest.mark.parametrize("body,message", [
+    ("1:2\n1:2\n", "line 3: '1:2' repeats line 2"),
+    ("1:2\n\n1:4\n1:2\n", "line 5: '1:2' repeats line 2"),
+    # the repeat nearest the top is named, with the line it repeats
+    ("1:4\n1:2\n1:2\n1:4\n", "line 4: '1:2' repeats line 3"),
+    ("1:2\n1:4\n1:2\n1:2\n", "line 4: '1:2' repeats line 2"),
+])
+def test_code_reader_names_a_repeated_line(body, message):
+    size = body.count(":")
+    text = f"code graph=jq:2,4,2 size={size}\n" + body
+    with pytest.raises(ValueError, match=re.escape(message)):
+        files.code_from_text(text)
+
+
+def test_cli_avoid_rejects_a_repeated_block(tmp_path, capsys):
+    path = tmp_path / "s.design"
+    assert main(["construct", "--kind", "spread", "--q", "2", "--n", "6",
+                 "--out", str(path)]) == 0
+    head, *lines = path.read_text().splitlines()
+    path.write_text("\n".join([head.replace("size=21", "size=22")]
+                              + lines + lines[:1]) + "\n")
+    rc = main(["construct", "--kind", "avoid", "--graph", "jq:2,6,3",
+               "--design", f"@{path}", "--out", str(tmp_path / "a.code")])
+    assert rc == 64
+    assert f"line 23: {lines[0]!r} repeats line 2" in capsys.readouterr().err
+
+
+def test_cli_avoid_rejects_a_design_of_another_space(tmp_path, capsys):
+    path = tmp_path / "s6.design"
+    assert main(["construct", "--kind", "spread", "--q", "2", "--n", "6",
+                 "--out", str(path)]) == 0
+    rc = main(["construct", "--kind", "avoid", "--graph", "jq:2,8,4",
+               "--design", f"@{path}", "--out", str(tmp_path / "a.code")])
+    assert rc == 64
+    assert "different ambient spaces" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header,message", [
+    ("code graph=jq:2,4,2", "line 1: code header has no size="),
+    ("code size=2", "line 1: code header has no graph="),
+    ("code graph=jq:2,4,2 size=two", "line 1: code header size=two is not a count"),
+])
+def test_cli_verify_names_a_bad_header(tmp_path, capsys, header, message):
+    path = tmp_path / "bad.code"
+    path.write_text(header + "\n1:2\n1:4\n")
+    assert main(["verify", "--graph", "jq:2,4,2", "--code", str(path)]) == 64
+    assert message in capsys.readouterr().err
 
 
 def test_johnson_code_file_round_trip(tmp_path):
@@ -219,7 +284,7 @@ def test_cli_verify_rejects_perturbed_code(tmp_path, capsys):
     outside = next(v for v in range(1395) if v not in set(code.ids.tolist()))
     from crcodes.graphs import vertex_index
     idx = vertex_index(S63)
-    lines[1] = idx[outside].serialize()
+    lines[1] = ":".join(format(r, "x") for r in idx.rows[outside].tolist())
     code_path.write_text("\n".join([lines[0]] + sorted(set(lines[1:]))) + "\n")
     rc = main(["verify", "--graph", "jq:2,6,3", "--code", str(code_path)])
     report = json.loads(capsys.readouterr().out)

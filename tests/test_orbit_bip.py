@@ -91,9 +91,9 @@ def test_singer_21_fixed_vertices_on_lines_are_the_spread():
     action = ob.singer_action(S62, 21)
     osys = ob.orbit_system(action)
     fixed = sorted(int(o[0]) for o in osys.orbits if len(o) == 1)
-    idx = vertex_index(S62)
     spread = con.desarguesian_2spread(2, 6)
-    assert fixed == sorted(idx.id_of(b) for b in spread.blocks)
+    assert spread.spec == S62
+    assert fixed == spread.ids.tolist()
     assert osys.count == 21 + (651 - 21) // 3
 
 

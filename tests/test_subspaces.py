@@ -178,17 +178,6 @@ def test_subsets_of():
     assert all(set(t.members) <= {2, 4, 6, 8} for t in subs)
 
 
-def test_serialization_round_trip():
-    u = sp.rref([[1, 1, 0, 0, 0, 0], [0, 0, 1, 0, 1, 0]], 6, 2)
-    text = u.serialize()
-    assert text == ":".join(format(r, "x") for r in u.rows)
-    assert sp.Subspace.deserialize(text, 6, 2) == u
-    with pytest.raises(ValueError):
-        sp.Subspace.deserialize("3:3", 6, 2)  # not in reduced form
-    s = sp.Subset(16, (1, 12, 16))
-    assert sp.Subset.deserialize(s.serialize(), 16) == s
-
-
 def test_subset_validation():
     with pytest.raises(ValueError):
         sp.Subset(5, (2, 2, 3))

@@ -49,7 +49,7 @@ def test_distance_partition_empty_rejected():
 
 def test_three_spread_has_radius_two():
     spread = con.desarguesian_spread(2, 6, 3)
-    ids = spread.block_ids()
+    ids = spread.ids
     part = vf.distance_partition(S63, ids)
     assert part.rho == 2
     res = vf.check_completely_regular(S63, ids)
@@ -245,10 +245,10 @@ def _strength_cases():
                    rng.sample(range(spec.vertex_count), size))
     for m in (3, 4):
         sqs = con.extended_hamming_sqs(m)
-        yield f"sqs-{m}", sqs.level_spec(), sqs.block_ids()
+        yield f"sqs-{m}", sqs.spec, sqs.ids
     for q, n in ((2, 6), (2, 8), (3, 4)):
         spread = con.desarguesian_2spread(q, n)
-        yield f"spread-{q}-{n}", spread.level_spec(), spread.block_ids()
+        yield f"spread-{q}-{n}", spread.spec, spread.ids
     S363 = GraphSpec("grassmann", 3, 6, 3)
     yield ("j363-spread-avoid", S363,
            con.avoid_code(S363, con.desarguesian_2spread(3, 6)).ids)
