@@ -5,8 +5,7 @@ binary feasibility search.
 """
 
 from .galois import FieldError, FieldSpec, make_field
-from .subspaces import (Subset, Subspace, gaussian, intersection_dim,
-                        contains, rref)
+from .subspaces import Subset, Subspace, gaussian, rref
 from .graphs import (GraphSpec, adjacency_lists, containment_table, neighbors,
                      parse_graph_spec, theta, theta_ladder, vertex_index)
 from .verify import (Code, DistancePartition, IntersectionNumbers,
@@ -31,12 +30,12 @@ __all__ = [
     "Subspace", "ValueVector", "VerificationError", "adjacency_lists",
     "avoid_code", "blocks_contained_counts",
     "build_instance", "check_completely_regular", "code_eigenvalues",
-    "containment_table", "contains",
+    "containment_table",
     "desarguesian_2spread", "desarguesian_spread", "design_strength",
     "distance_partition", "export_lp", "export_opb", "extended_hamming_sqs",
     "feasible_parameters", "frobenius_action", "gaussian",
     "hyperplane_code", "hyperplane_point_code",
-    "intersection_dim", "lift", "make_field", "neighbors", "orbit_system",
+    "lift", "make_field", "neighbors", "orbit_system",
     "parse_graph_spec", "pushforward",
     "quotient_matrix", "rref", "search_parameter_point",
     "size_and_integrality_report", "singer_action", "solve",

@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
+from itertools import repeat
 from math import gcd
 from pathlib import Path
 
@@ -60,6 +62,14 @@ def cmd_eigenvalues(args) -> int:
 # construct
 # ----------------------------------------------------------------------
 
+def _sqs(n: int):
+    """The quadruple system on n = 2^m points, a code on j:n,4."""
+    m = n.bit_length() - 1
+    if 2 ** m != n:
+        raise ValueError(f"sqs needs n a power of two, got n={n}")
+    return con.extended_hamming_sqs(m)
+
+
 def _design_from_flag(value: str, spec: GraphSpec):
     """The design an avoid code avoids: a code on the graph's block level."""
     if value.startswith("@"):
@@ -67,29 +77,31 @@ def _design_from_flag(value: str, spec: GraphSpec):
     if value == "spread":
         return con.desarguesian_2spread(spec.q, spec.n)
     if value == "sqs":
-        m = spec.n.bit_length() - 1
-        if 2 ** m != spec.n:
-            raise ValueError(f"sqs needs n a power of two, got n={spec.n}")
-        return con.extended_hamming_sqs(m)
+        return _sqs(spec.n)
     raise ValueError(f"unknown design {value!r}; use spread, sqs or @file")
 
 
 def cmd_construct(args) -> int:
+    """Every kind is a code on --graph: a design on its block level (a
+    d-spread on jq:q,n,d, an SQS on j:2^m,4), the others on the graph they
+    live in; a kind built on another graph is refused."""
+    spec = parse_graph_spec(args.graph, allow_unbalanced=True)
     kind = args.kind
     if kind == "spread":
-        code = con.desarguesian_spread(args.q, args.n, args.d)
+        code = con.desarguesian_spread(spec.q, spec.n, spec.k)
     elif kind == "sqs":
-        code = con.extended_hamming_sqs(args.m)
+        code = _sqs(spec.n)
+    elif kind == "avoid":
+        code = con.avoid_code(spec, _design_from_flag(args.design, spec))
+    elif kind == "symplectic":
+        code = con.symplectic_code(spec.n, spec.q)
+    elif kind == "hyperplane":
+        code = con.hyperplane_code(spec)
     else:
-        spec = parse_graph_spec(args.graph, allow_unbalanced=True)
-        if kind == "avoid":
-            code = con.avoid_code(spec, _design_from_flag(args.design, spec))
-        elif kind == "symplectic":
-            code = con.symplectic_code(spec.n, spec.q)
-        elif kind == "hyperplane":
-            code = con.hyperplane_code(spec)
-        else:
-            code = con.hyperplane_point_code(spec)
+        code = con.hyperplane_point_code(spec)
+    if code.spec != spec:
+        raise ValueError(
+            f"--kind {kind} builds a code on {code.spec}, not {spec}")
     _emit(files.code_to_text(code), args.out)
     return EXIT_OK
 
@@ -140,34 +152,28 @@ def _gamma_list(spec: GraphSpec, theta_value: int) -> list[int]:
     return [g1 for _, g1 in row["pairs"]]
 
 
-def _point_worker(payload):
-    """Solve one parameter point in a worker process."""
-    (graph, group, beta0, gamma1, mode, max_nodes, max_seconds, seed,
-     probes) = payload
-    spec = parse_graph_spec(graph)
-    action, exponent = _parse_group(spec, group)
-    osys = orbit_system(action)
-    B = quotient_matrix(spec, osys)
-    return search_parameter_point(
-        spec, osys, beta0, gamma1, B=B, mode=mode, max_nodes=max_nodes,
-        max_seconds=max_seconds, seed=seed, probes=probes,
-        singer_exponent=exponent, label=f"search-{group}-g{gamma1}")
+def _search_point(search, point):
+    """One point: search is a partial of search_parameter_point."""
+    beta0, gamma1, label = point
+    return search(beta0, gamma1, label=label)
 
 
 def _run_points(spec, args, points, osys, B, exponent):
+    """The outcome of every point, in order; with --jobs N > 1 the points
+    run in N spawned worker processes, each handed the parent's osys and
+    B."""
+    search = partial(search_parameter_point, spec, osys, B=B,
+                     mode=args.mode, max_nodes=args.max_nodes,
+                     max_seconds=args.max_seconds, seed=args.seed,
+                     singer_exponent=exponent)
+    tasks = [(b0, g1, f"search-{args.group}-g{g1}") for b0, g1 in points]
     if args.jobs > 1 and len(points) > 1:
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        payloads = [(args.graph, args.group, b0, g1, args.mode,
-                     args.max_nodes, args.max_seconds, args.seed,
-                     not args.no_probes) for b0, g1 in points]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            return list(pool.map(_point_worker, payloads))
-    return [search_parameter_point(
-        spec, osys, b0, g1, B=B, mode=args.mode,
-        max_nodes=args.max_nodes, max_seconds=args.max_seconds,
-        seed=args.seed, probes=not args.no_probes,
-        singer_exponent=exponent, label=f"search-{args.group}-g{g1}")
-        for b0, g1 in points]
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(args.jobs, mp_context=spawn) as pool:
+            return list(pool.map(_search_point, repeat(search), tasks))
+    return list(map(_search_point, repeat(search), tasks))
 
 
 def cmd_search(args) -> int:
@@ -375,11 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--kind", required=True,
                     choices=["spread", "sqs", "avoid", "symplectic",
                              "hyperplane", "hyperplane-point"])
-    pc.add_argument("--graph", help="target graph for code constructions")
-    pc.add_argument("--q", type=int, help="spread field size")
-    pc.add_argument("--n", type=int, help="spread ambient dimension")
-    pc.add_argument("--d", type=int, default=2, help="spread block dimension")
-    pc.add_argument("--m", type=int, help="sqs: block length is 2^m")
+    pc.add_argument("--graph", required=True,
+                    help="the graph the code lives on: jq:q,n,d for a "
+                         "d-spread, j:2^m,4 for an sqs")
     pc.add_argument("--design", default="spread",
                     help="avoid: spread, sqs, or @file, the code file "
                          "of a design's block level")
@@ -406,8 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--seed", type=int)
     ps.add_argument("--jobs", type=int, default=1,
                     help="parameter points solved in parallel")
-    ps.add_argument("--no-probes", action="store_true",
-                    help="pure depth-first search only")
     ps.add_argument("--format", choices=["json", "csv", "opb", "lp"],
                     default="json")
     ps.add_argument("--out", help="directory for verdicts and code files")

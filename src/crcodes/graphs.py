@@ -130,11 +130,6 @@ def theta_ladder(spec: GraphSpec) -> list[int]:
     return vals
 
 
-def eigenvalue_multiplicity(spec: GraphSpec, i: int) -> int:
-    n, q = spec.n, spec.q
-    return gaussian(n, i, q) - (gaussian(n, i - 1, q) if i > 0 else 0)
-
-
 # ----------------------------------------------------------------------
 # Vertex indexing
 # ----------------------------------------------------------------------
@@ -187,10 +182,6 @@ class VertexIndex:
         if self.spec.q == 1:
             return Subset(self.spec.n, row)
         return Subspace(self.spec.n, self.spec.q, row)
-
-    def id_of(self, v: Vertex) -> int:
-        row = v.members if self.spec.q == 1 else v.rows
-        return int(self.ids_of_rows([row])[0])
 
     def ids_of_rows(self, rows) -> np.ndarray:
         """Ids of an (m, k) array of rows; KeyError if any row is no vertex.

@@ -3,32 +3,30 @@
 The exact depth-first solver in bip.solve is the only authority for UNSAT
 and for all/count enumeration.  Finding a satisfying assignment of a
 465-variable orbit system by blind DFS alone is unreliable, so mode
-'first' pairs each capped exact solve with HiGHS milp as a witness
-finder, all charged to one deadline; the stage that decided is reported
-by name:
+'first' also runs HiGHS milp as a witness finder.  It works on one
+ordered list of systems: the rungs of a refinement ladder by ascending
+orbit count, then the point's own system.  A rung is the same parameter
+point under a larger group whose orbits are unions of ours (for a Singer
+power a^e, the powers a^d with d | e, optionally with a Frobenius power
+mixed in); any solution of it is invariant under the requested group too,
+so it is carried to the original orbits by reading each orbit's value off
+its representative's rung orbit.  All passes share one deadline.
 
-  refinement:<group>  solve the same parameter point under a larger group
-              whose orbits refine into ours (for a Singer power a^e, the
-              powers a^d with d | e, optionally with a Frobenius power
-              mixed in); any solution is invariant under the requested
-              group too, so it converts to an assignment of the original
-              system.  Each rung runs the exact solver capped at
-              RUNG_MAX_NODES = 300 nodes, then HiGHS milp unless the
-              capped solve decided the rung.  Each node runs an LP and
-              costs 10-15x a propagation-only node at 100-155 orbits, so
-              300 nodes take about the seconds 5000 pure-propagation
-              nodes took, while most small rungs are now proven UNSAT and
-              skip their milp.
-  dfs         the exact solver on the point's own system, first in a
-              slice of SLICE_WORK // r**2 nodes (r orbits), since a
-              node's cost grows about as r**2: 1-2 ms at r = 93-109,
-              50-80 ms at r = 465.  A slice that decides ends the search;
-              small systems are decided here and never reach milp.
-  milp        HiGHS branch-and-cut on the point's own 0/1 system, run only
-              when the slice ran out of nodes, for at most 60 s as on a
-              rung.
-  dfs         otherwise one exhaustive run of the exact solver on the
-              time left.
+  pass 1  the exact solver, capped: RUNG_MAX_NODES = 300 nodes on a rung,
+          SLICE_WORK // r**2 nodes on the point's own system of r orbits
+          (at most max_nodes, with the caller's seed), since a node's LP
+          cost grows about as r**2: 1-2 ms at r = 93-109, 50-80 ms at
+          r = 465.  It stops at the first witness, or when the own system
+          is UNSAT.  Most small rungs are proven UNSAT here, and small own
+          systems are decided here and never reach milp.
+  pass 2  HiGHS branch-and-cut, at most 60 s each, on every system pass 1
+          left open, in the same order.
+  final   one exhaustive run of the exact solver on the own system, on
+          the time left.
+
+The stage that decided is reported by name: refinement:<group> for a
+rung's witness from either pass, dfs for the own system's exact solver
+(pass 1 or final), milp for the own system's pass-2 witness.
 
 Every witness is checked exactly (integer substitution into the orbit
 system), and its lift is verified on the full graph by verify_report
@@ -51,7 +49,8 @@ import numpy as np
 from . import bip
 from .bip import BipInstance, build_instance
 from .graphs import GraphSpec
-from .orbits import GroupAction, OrbitSystem, orbit_system, singer_action
+from .orbits import (GroupAction, OrbitSystem, frobenius_action,
+                     orbit_system, singer_action)
 from .verify import Code, VerificationError, verify_report
 
 
@@ -89,36 +88,40 @@ def _verified_lift(x, osys: OrbitSystem, spec: GraphSpec, gamma1: int,
 
 @functools.lru_cache(maxsize=8)
 def _refinement_ladder(spec: GraphSpec, exponent: int, max_orbits: int = 300):
-    """Supergroups of <a^exponent>: a^d with d | exponent, optionally with a
-    Frobenius power mixed in; sorted by orbit count so small instances go
-    first."""
-    from .orbits import frobenius_action
-    divisors = [d for d in range(1, exponent + 1) if exponent % d == 0]
-    frob_powers = [0] + [j for j in range(1, spec.n) if spec.n % j == 0]
-    ladder = []
-    for d in divisors:
-        for j in frob_powers:
-            if d == exponent and j == 0:
-                continue  # that is the original group
-            try:
-                gens = [singer_action(spec, d).generators[0]]
-                name = f"singer:{d}"
-                if j:
-                    gens.append(frobenius_action(spec, j).generators[0])
-                    name += f"+frobenius:{j}"
-                sup = orbit_system(GroupAction(spec, gens, description=name))
-            except VerificationError:
-                continue
-            if sup.count <= max_orbits:
-                ladder.append((sup.count, name, sup))
-    ladder.sort(key=lambda t: t[0])
-    return tuple(ladder)
+    """Orbit systems of the supergroups of <a^exponent>: a^d with
+    d | exponent, optionally with a Frobenius power mixed in; sorted by
+    orbit count so small instances go first.  Each field action is built,
+    and its generator checked, once; the rungs share them."""
+    try:
+        singers = [singer_action(spec, d) for d in range(1, exponent + 1)
+                   if exponent % d == 0]
+        frobs = [frobenius_action(spec, j) for j in range(1, spec.n)
+                 if spec.n % j == 0]
+    except VerificationError:
+        return ()
+    actions = []
+    for s in singers:
+        if s is not singers[-1]:  # a^exponent alone is the original group
+            actions.append(s)
+        actions += [GroupAction(spec, s.generators + f.generators,
+                                description=f"{s.description}+{f.description}")
+                    for f in frobs]
+    rungs = [sup for sup in map(orbit_system, actions)
+             if sup.count <= max_orbits]
+    return tuple(sorted(rungs, key=lambda sup: sup.count))
+
+
+def _carry(x, sup: OrbitSystem, osys: OrbitSystem) -> np.ndarray:
+    """x on the orbits of sup, read on the orbits of osys, each of which
+    lies inside one orbit of sup: the value of its representative's."""
+    return np.asarray(x, dtype=np.int8)[sup.orbit_of[osys.representatives()]]
 
 
 def _milp_witness(inst: BipInstance, budget: float):
-    """HiGHS branch-and-cut for at most budget seconds; an exact witness or
-    None.  scipy is imported at call time, so a rebound
-    scipy.optimize.milp (a tracer's wrapper) sees every call."""
+    """HiGHS branch-and-cut for at most budget seconds; its point rounded to
+    0/1, which the caller checks exactly, or None.  scipy is imported at
+    call time, so a rebound scipy.optimize.milp (a tracer's wrapper) sees
+    every call."""
     if budget <= 0:
         return None  # HiGHS ignores a negative time_limit
     from scipy.optimize import Bounds, LinearConstraint, milp
@@ -130,9 +133,7 @@ def _milp_witness(inst: BipInstance, budget: float):
                bounds=Bounds(0, 1), integrality=np.ones(r),
                options={"time_limit": budget})
     if out.status == 0 and out.x is not None:
-        x = np.round(out.x).astype(np.int8)
-        if _exact_witness(inst, x):
-            return x
+        return np.round(out.x).astype(np.int8)
     return None
 
 
@@ -146,44 +147,49 @@ def _slice_nodes(r: int) -> int:
     return SLICE_WORK // r ** 2
 
 
-def _capped_exact_or_milp(inst: BipInstance, deadline: float, tally,
-                          max_nodes: int, seed: Optional[int] = None):
-    """Exact solve capped at max_nodes, then milp unless the solve decided.
+def _two_passes(spec: GraphSpec, osys: OrbitSystem, inst: BipInstance,
+                exponent: Optional[int], deadline: float, tally,
+                cap: int, seed: Optional[int]):
+    """Pass 1, then pass 2, over the ladder's rungs and the own system.
 
-    Returns (the capped solve's SolveResult, an exact witness or None).
+    Returns (witness, stage, None) with the witness on the orbits of osys,
+    (None, None, the own system's pass-1 SolveResult) when that decided,
+    or (None, None, None).
     """
-    res = bip.solve(inst, mode="first", max_nodes=max_nodes,
-                    max_seconds=deadline - time.monotonic(), seed=seed)
-    tally(res)
-    if res.status == bip.SAT:
-        return res, res.solutions[0]
-    if res.status == bip.UNSAT:
-        return res, None
-    return res, _milp_witness(inst, min(60.0, deadline - time.monotonic()))
-
-
-def _from_refinement(spec: GraphSpec, osys: OrbitSystem, inst: BipInstance,
-                     exponent: int, deadline: float, tally):
-    """Walk the supergroup ladder; convert any hit to the original orbits."""
-    for count, name, sup in _refinement_ladder(spec, exponent):
-        if time.monotonic() > deadline:
-            return None
+    rungs = _refinement_ladder(spec, exponent) if exponent and exponent > 1 \
+        else ()
+    left_open = []
+    for sup in (*rungs, osys):
+        own = sup is osys
+        if not own and time.monotonic() > deadline:
+            continue
         try:
-            super_inst = build_instance(spec, sup, inst.beta0, inst.gamma1)
+            system = inst if own else build_instance(spec, sup, inst.beta0,
+                                                     inst.gamma1)
         except VerificationError:
             continue
-        _, sol = _capped_exact_or_milp(super_inst, deadline, tally,
-                                       RUNG_MAX_NODES)
-        if sol is None:
-            continue
-        lifted = bip.lift(sol, sup, spec)
-        mask = np.zeros(spec.vertex_count, dtype=bool)
-        mask[lifted.ids] = True
-        x = np.array([1 if mask[o[0]] else 0 for o in osys.orbits],
-                     dtype=np.int8)
-        if _exact_witness(inst, x):
-            return x, f"refinement:{name}"
-    return None
+        res = bip.solve(system, mode="first",
+                        max_nodes=cap if own else RUNG_MAX_NODES,
+                        max_seconds=deadline - time.monotonic(),
+                        seed=seed if own else None)
+        tally(res)
+        if res.status == bip.BUDGET_EXCEEDED:
+            left_open.append((sup, system))
+        elif own:
+            return None, None, res
+        elif res.status == bip.SAT:
+            x = _carry(res.solutions[0], sup, osys)
+            if _exact_witness(inst, x):
+                return x, f"refinement:{sup.description}", None
+    for sup, system in left_open:
+        sol = _milp_witness(system, min(60.0, deadline - time.monotonic()))
+        if sol is not None:
+            x = _carry(sol, sup, osys)
+            if _exact_witness(inst, x):
+                stage = "milp" if sup is osys else \
+                    f"refinement:{sup.description}"
+                return x, stage, None
+    return None, None, None
 
 
 def search_parameter_point(spec: GraphSpec, osys: OrbitSystem,
@@ -193,20 +199,18 @@ def search_parameter_point(spec: GraphSpec, osys: OrbitSystem,
                            max_nodes: Optional[int] = None,
                            max_seconds: Optional[float] = None,
                            seed: Optional[int] = None,
-                           probes: bool = True,
                            singer_exponent: Optional[int] = None,
                            label: Optional[str] = None) -> SearchOutcome:
     """Decide one parameter point; witnesses are exact, UNSAT means exhausted.
 
-    mode 'all'/'count', and 'first' without probes, run the exact solver
-    alone (stage 'dfs').  With probes, mode 'first' walks the refinement
-    ladder of a Singer power a^singer_exponent (stage 'refinement:<group>'),
-    then runs the exact solver on the point's own system for a slice of
-    _slice_nodes(r) nodes (at most max_nodes), which ends the search when
-    it decides (stage 'dfs'); only when the slice runs out does milp run
-    (stage 'milp'), then the exhaustive DFS (stage 'dfs').  All stages
-    share one deadline of max_seconds (an hour when unset).  seed breaks
-    the own-system solves' branching ties.
+    mode 'all'/'count' run the exact solver alone (stage 'dfs').  Mode
+    'first' runs the two passes of the module docstring over the rungs of
+    the refinement ladder of a^singer_exponent and then the point's own
+    system, whose pass-1 slice is _slice_nodes(r) nodes (at most
+    max_nodes); then, unless a witness was found or the own system
+    decided, the exhaustive DFS (stage 'dfs').  All of it shares one
+    deadline of max_seconds (an hour when unset).  seed breaks the
+    own-system solves' branching ties.
     """
     t0 = time.monotonic()
     inst = build_instance(spec, osys, beta0, gamma1, B=B)
@@ -218,24 +222,14 @@ def search_parameter_point(spec: GraphSpec, osys: OrbitSystem,
         certificates += res.certificates
 
     res = None
-    if mode == "first" and probes:
+    if mode == "first":
         deadline = t0 + (max_seconds if max_seconds is not None else 3600.0)
-        hit = None
-        if singer_exponent is not None and singer_exponent > 1:
-            hit = _from_refinement(spec, osys, inst, singer_exponent,
-                                   deadline, tally)
-        if hit is None:
-            cap = _slice_nodes(inst.r)
-            if max_nodes is not None:
-                cap = min(cap, max_nodes)
-            res, x = _capped_exact_or_milp(inst, deadline, tally, cap,
-                                           seed=seed)
-            if res.status == bip.BUDGET_EXCEEDED:
-                res = None
-                if x is not None:
-                    hit = x, "milp"
-        if hit is not None:
-            x, stage = hit
+        cap = _slice_nodes(inst.r)
+        if max_nodes is not None:
+            cap = min(cap, max_nodes)
+        x, stage, res = _two_passes(spec, osys, inst, singer_exponent,
+                                    deadline, tally, cap, seed)
+        if x is not None:
             code = _verified_lift(x, osys, spec, gamma1, label)
             return SearchOutcome(status=bip.SAT, stage=stage, assignment=x,
                                  code=code, elapsed=time.monotonic() - t0,

@@ -8,7 +8,7 @@ Subspace values are equal exactly when they are the same subspace.
 enumerate_rows gives a whole level at once as a (count, k) uint64 array:
 packed basis rows for subspaces, sorted members for subsets.  This array
 is the graph layer's vertex representation; Subspace and Subset are the
-per-object values for row reduction and containment tests.
+per-object values for row reduction.
 
 The canonical order of subspaces (used for vertex ids) is lexicographic on
 the flattened k-by-n matrix of coefficient digits, row major; subsets are
@@ -86,28 +86,6 @@ class Subspace:
     @property
     def k(self) -> int:
         return len(self.rows)
-
-    def digit_key(self) -> tuple[int, ...]:
-        """Flattened digit matrix, row major: the canonical sort key."""
-        out = []
-        for r in self.rows:
-            out.extend(unpack_row(r, self.n, self.q))
-        return tuple(out)
-
-    def vectors(self) -> list[int]:
-        """All q^k packed vectors of the subspace."""
-        sc = scalar_field(self.q) if self.q > 2 else None
-        vs = [0]
-        for row in self.rows:
-            if self.q == 2:
-                vs = vs + [v ^ row for v in vs]
-            else:
-                new = []
-                for c in range(self.q):
-                    scaled = _scale_row(row, c, self.n, self.q, sc)
-                    new.extend(_add_rows(v, scaled, self.n, self.q, sc) for v in vs)
-                vs = new
-        return vs
 
     def __eq__(self, other) -> bool:
         return (
@@ -196,25 +174,6 @@ def _add_rows(a: int, b: int, n: int, q: int, sc: FieldSpec) -> int:
     return pack_row([sc.add_i(x, y) for x, y in zip(da, db)], q)
 
 
-def _reduce_vector(vec: int, rows: Sequence[int], n: int, q: int) -> int:
-    """Reduce vec against RREF rows; zero iff vec lies in their span."""
-    if q == 2:
-        for r in rows:
-            if vec & (r & -r):
-                vec ^= r
-        return vec
-    sc = scalar_field(q)
-    dv = list(unpack_row(vec, n, q))
-    for r in rows:
-        dr = unpack_row(r, n, q)
-        p = next(j for j, d in enumerate(dr) if d)
-        c = dv[p]
-        if c:
-            for j in range(n):
-                dv[j] = sc.sub_i(dv[j], sc.mul_i(c, dr[j]))
-    return pack_row(dv, q)
-
-
 def rref(vectors: Iterable[Sequence[int] | int], n: int, q: int) -> Subspace:
     """Reduced row echelon span of the given vectors.
 
@@ -247,23 +206,6 @@ def rref(vectors: Iterable[Sequence[int] | int], n: int, q: int) -> Subspace:
             break
     out = work[:r]
     return Subspace(n, q, tuple(pack_row(row, q) for row in out))
-
-
-def intersection_dim(u: Subspace, w: Subspace) -> int:
-    """dim(U cap W) = dim U + dim W - rank of the stacked bases."""
-    if u.n != w.n or u.q != w.q:
-        raise ValueError("subspaces live in different ambient spaces")
-    stacked = rref(list(u.rows) + list(w.rows), u.n, u.q)
-    return u.k + w.k - stacked.k
-
-
-def contains(u: Subspace, w: Subspace) -> bool:
-    """True iff W <= U (every basis row of W reduces to zero against U)."""
-    if u.n != w.n or u.q != w.q:
-        raise ValueError("subspaces live in different ambient spaces")
-    if w.k > u.k:
-        return False
-    return all(_reduce_vector(r, u.rows, u.n, u.q) == 0 for r in w.rows)
 
 
 # ----------------------------------------------------------------------
@@ -351,7 +293,3 @@ def subspaces_of(u: Subspace, j: int) -> list[Subspace]:
     if j < 0 or j > u.k:
         return []
     return [apply_pattern(u, p) for p in subobject_patterns(u.k, j, u.q)]
-
-
-def subsets_of(s: Subset, j: int) -> list[Subset]:
-    return [Subset(s.n, c) for c in itertools.combinations(s.members, j)]

@@ -12,8 +12,81 @@ import numpy as np
 from crcodes import files
 from crcodes import subspaces as sp
 from crcodes.graphs import vertex_index
+from crcodes.subspaces import gaussian
 from crcodes.subspaces import Subset, Subspace
 from crcodes.verify import Code
+
+
+def digit_key(s: Subspace) -> tuple:
+    """Flattened digit matrix, row major: the canonical sort key."""
+    return tuple(d for r in s.rows for d in sp.unpack_row(r, s.n, s.q))
+
+
+def vectors(u: Subspace) -> list:
+    """All q^k packed vectors of the subspace."""
+    sc = sp.scalar_field(u.q) if u.q > 2 else None
+    vs = [0]
+    for row in u.rows:
+        if u.q == 2:
+            vs = vs + [v ^ row for v in vs]
+        else:
+            new = []
+            for c in range(u.q):
+                scaled = sp._scale_row(row, c, u.n, u.q, sc)
+                new.extend(sp._add_rows(v, scaled, u.n, u.q, sc) for v in vs)
+            vs = new
+    return vs
+
+
+def id_of(idx, v) -> int:
+    """The id of one Subspace or Subset in a VertexIndex."""
+    row = v.members if idx.spec.q == 1 else v.rows
+    return int(idx.ids_of_rows([row])[0])
+
+
+def subsets_of(s: Subset, j: int) -> list:
+    return [Subset(s.n, c) for c in combinations(s.members, j)]
+
+
+def _reduce_vector(vec: int, rows, n: int, q: int) -> int:
+    """Reduce vec against RREF rows; zero iff vec lies in their span."""
+    if q == 2:
+        for r in rows:
+            if vec & (r & -r):
+                vec ^= r
+        return vec
+    sc = sp.scalar_field(q)
+    dv = list(sp.unpack_row(vec, n, q))
+    for r in rows:
+        dr = sp.unpack_row(r, n, q)
+        p = next(j for j, d in enumerate(dr) if d)
+        c = dv[p]
+        if c:
+            for j in range(n):
+                dv[j] = sc.sub_i(dv[j], sc.mul_i(c, dr[j]))
+    return sp.pack_row(dv, q)
+
+
+def intersection_dim(u: Subspace, w: Subspace) -> int:
+    """dim(U cap W) = dim U + dim W - rank of the stacked bases."""
+    if u.n != w.n or u.q != w.q:
+        raise ValueError("subspaces live in different ambient spaces")
+    stacked = sp.rref(list(u.rows) + list(w.rows), u.n, u.q)
+    return u.k + w.k - stacked.k
+
+
+def contains(u: Subspace, w: Subspace) -> bool:
+    """True iff W <= U (every basis row of W reduces to zero against U)."""
+    if u.n != w.n or u.q != w.q:
+        raise ValueError("subspaces live in different ambient spaces")
+    if w.k > u.k:
+        return False
+    return all(_reduce_vector(r, u.rows, u.n, u.q) == 0 for r in w.rows)
+
+
+def eigenvalue_multiplicity(spec, i: int) -> int:
+    n, q = spec.n, spec.q
+    return gaussian(n, i, q) - (gaussian(n, i - 1, q) if i > 0 else 0)
 
 
 def enumerate_subspaces(n: int, k: int, q: int) -> list:
@@ -33,14 +106,14 @@ def projective_points(u: Subspace) -> list:
     """The 1-subspaces contained in u, each scaled to a leading 1, sorted."""
     sc = sp.scalar_field(u.q)
     seen = set()
-    for v in u.vectors():
+    for v in vectors(u):
         if v == 0:
             continue
         digits = sp.unpack_row(v, u.n, u.q)
         inv = sc.inv_i(next(d for d in digits if d))
         seen.add(sp.pack_row([sc.mul_i(inv, d) for d in digits], u.q))
     pts = sorted((Subspace(u.n, u.q, (v,)) for v in seen),
-                 key=lambda s: s.digit_key())
+                 key=digit_key)
     assert len(pts) == sp.gaussian(u.k, 1, u.q)
     return pts
 
@@ -49,7 +122,7 @@ def adjacency_check(u, w) -> bool:
     """True iff the two k-objects meet in a (k-1)-object."""
     if isinstance(u, Subset):
         return u.k == w.k and len(set(u.members) & set(w.members)) == u.k - 1
-    return u.k == w.k and sp.intersection_dim(u, w) == u.k - 1
+    return u.k == w.k and intersection_dim(u, w) == u.k - 1
 
 
 def parse_opb(text: str):
@@ -71,8 +144,8 @@ def hyperplane_code_ids(spec, h: Subspace, point=None) -> list:
     per vertex object."""
     idx = vertex_index(spec)
     line = sp.rref([point], spec.n, spec.q) if point is not None else None
-    return [vid for vid in range(len(idx)) if sp.contains(h, idx[vid])
-            or (line is not None and sp.contains(idx[vid], line))]
+    return [vid for vid in range(len(idx)) if contains(h, idx[vid])
+            or (line is not None and contains(idx[vid], line))]
 
 
 def symplectic_code_ids(spec) -> list:
@@ -89,8 +162,8 @@ def contained_blocks_count(vertex, design: Code) -> int:
     """How many blocks of the design (a code on its block level) lie in the
     vertex: its own subobjects of the block dimension, looked up one by one."""
     j, idx = design.spec.k, vertex_index(design.spec)
-    subs = sp.subsets_of(vertex, j) if design.spec.q == 1 else sp.subspaces_of(vertex, j)
-    return len({idx.id_of(s) for s in subs} & set(design.ids.tolist()))
+    subs = subsets_of(vertex, j) if design.spec.q == 1 else sp.subspaces_of(vertex, j)
+    return len({id_of(idx, s) for s in subs} & set(design.ids.tolist()))
 
 
 def code_from_lines(text: str) -> Code:

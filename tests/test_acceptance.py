@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+import oracles
 from crcodes import bip
 from crcodes import constructions as con
 from crcodes import orbits as ob
@@ -65,7 +66,7 @@ def test_criterion_3_desarguesian_pipeline():
     assert len(spread) == 85
     idx = vertex_index(spread.spec)
     for a, b in itertools.combinations(spread.ids, 2):
-        assert sp.intersection_dim(idx[a], idx[b]) == 0
+        assert oracles.intersection_dim(idx[a], idx[b]) == 0
     code = con.avoid_code(S84, spread)
     res = vf.check_completely_regular(S84, code)
     assert res.ok and res.partition.rho == 2

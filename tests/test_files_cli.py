@@ -207,7 +207,7 @@ def test_code_reader_names_a_repeated_line(body, message):
 
 def test_cli_avoid_rejects_a_repeated_block(tmp_path, capsys):
     path = tmp_path / "s.design"
-    assert main(["construct", "--kind", "spread", "--q", "2", "--n", "6",
+    assert main(["construct", "--kind", "spread", "--graph", "jq:2,6,2",
                  "--out", str(path)]) == 0
     head, *lines = path.read_text().splitlines()
     path.write_text("\n".join([head.replace("size=21", "size=22")]
@@ -220,7 +220,7 @@ def test_cli_avoid_rejects_a_repeated_block(tmp_path, capsys):
 
 def test_cli_avoid_rejects_a_design_of_another_space(tmp_path, capsys):
     path = tmp_path / "s6.design"
-    assert main(["construct", "--kind", "spread", "--q", "2", "--n", "6",
+    assert main(["construct", "--kind", "spread", "--graph", "jq:2,6,2",
                  "--out", str(path)]) == 0
     rc = main(["construct", "--kind", "avoid", "--graph", "jq:2,8,4",
                "--design", f"@{path}", "--out", str(tmp_path / "a.code")])
@@ -307,7 +307,7 @@ def test_cli_construct_avoid_empty_boundary(tmp_path, capsys):
 
 def test_cli_construct_sqs_and_avoid(tmp_path):
     design_path = tmp_path / "sqs.design"
-    assert main(["construct", "--kind", "sqs", "--m", "4",
+    assert main(["construct", "--kind", "sqs", "--graph", "j:16,4",
                  "--out", str(design_path)]) == 0
     code_path = tmp_path / "avoid.code"
     assert main(["construct", "--kind", "avoid", "--graph", "j:16,6",
@@ -342,8 +342,7 @@ def test_cli_search_failed_lift_is_a_usage_error(tmp_path, capsys,
 
 def test_cli_search_single_point_no_probes(capsys):
     rc = main(["search", "--graph", "jq:2,4,2", "--group", "singer:5",
-               "--beta0", "18", "--gamma1", "3", "--mode", "count",
-               "--no-probes"])
+               "--beta0", "18", "--gamma1", "3", "--mode", "count"])
     out = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert out["verdicts"][0]["count"] == 11
@@ -483,6 +482,44 @@ def test_cli_usage_errors(capsys):
         assert main(["search", "--graph", "jq:2,4,2", "--group", group,
                      "--theta", "-3"]) == 64
     assert main(["frobnicate"]) == 64
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "avoid"],
+    ["--kind", "hyperplane"],
+    ["--kind", "spread"],
+    ["--kind", "sqs"],
+    ["--kind", "spread", "--q", "2", "--n", "6"],
+    ["--kind", "sqs", "--m", "4"],
+    ["--kind", "symplectic", "--graph", "jq:2,6,2"],
+    ["--kind", "symplectic", "--graph", "jq:2,8,4"],
+    ["--kind", "sqs", "--graph", "j:16,6"],
+    ["--kind", "sqs", "--graph", "j:12,4"],
+    ["--kind", "spread", "--graph", "j:16,4"],
+    ["--kind", "spread", "--graph", "jq:2,6,4"],
+])
+def test_cli_construct_usage_errors(tmp_path, capsys, argv):
+    # no --graph, a deleted flag, or a kind that lives on another graph
+    out = tmp_path / "c.code"
+    assert main(["construct", *argv, "--out", str(out)]) == 64
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("graph,kind,args", [
+    ("jq:2,6,2", "spread", (2, 6, 2)),
+    ("jq:2,8,2", "spread", (2, 8, 2)),
+    ("jq:2,8,4", "spread", (2, 8, 4)),
+    ("jq:3,4,2", "spread", (3, 4, 2)),
+    ("j:8,4", "sqs", (3,)),
+    ("j:16,4", "sqs", (4,)),
+])
+def test_cli_construct_design_on_its_block_level(tmp_path, graph, kind, args):
+    build = {"spread": con.desarguesian_spread,
+             "sqs": con.extended_hamming_sqs}[kind]
+    path = tmp_path / "d.code"
+    assert main(["construct", "--kind", kind, "--graph", graph,
+                 "--out", str(path)]) == 0
+    assert path.read_text() == files.code_to_text(build(*args))
 
 
 def test_cli_json_byte_stability(tmp_path):

@@ -69,6 +69,109 @@ def test_sweep_stops_at_exhausted_unsat(singer42, monkeypatch):
     assert len(own_solves) == 1
 
 
+def test_two_passes_run_every_capped_solve_before_any_milp(singer42,
+                                                           monkeypatch):
+    # every capped solve is left open: pass 1 visits the rungs in ladder
+    # order and then the own system, pass 2 runs milp on each in the same
+    # order, and only then does the exhaustive solve run
+    osys, B = singer42
+    events = []
+    solve = bip.solve
+
+    def capped_left_open(inst, **kwargs):
+        events.append(("solve", inst.description))
+        if kwargs["max_nodes"] is not None:
+            return bip.SolveResult(status=bip.BUDGET_EXCEEDED)
+        return solve(inst, **kwargs)
+
+    def no_witness(inst, budget):
+        events.append(("milp", inst.description))
+        return None
+
+    monkeypatch.setattr(bip, "solve", capped_left_open)
+    monkeypatch.setattr(search, "_milp_witness", no_witness)
+    out = search_parameter_point(S42, osys, 18, 3, B=B, max_seconds=60,
+                                 singer_exponent=5)
+    assert (out.status, out.stage) == (bip.SAT, "dfs")
+    rungs = []
+    for sup in search._refinement_ladder(S42, 5):
+        try:
+            bip.build_instance(S42, sup, 18, 3)
+        except vf.VerificationError:
+            continue
+        rungs.append(sup)
+    assert len(rungs) >= 3
+    assert [sup.count for sup in rungs] == sorted(sup.count for sup in rungs)
+    systems = [sup.description for sup in rungs] + [osys.description]
+    n = len(systems)
+    assert events[:n] == [("solve", name) for name in systems]
+    assert events[n:2 * n] == [("milp", name) for name in systems]
+    assert events[2 * n:] == [("solve", osys.description)]
+
+
+def test_ladder_builds_each_field_action_once(monkeypatch):
+    # J_2(6,3), e = 21: a^d for d in 1, 3, 7, 21 and Frobenius powers 1, 2,
+    # 3; 15 rungs share these 7 field actions
+    calls = {"singer_action": 0, "frobenius_action": 0}
+
+    def counted(name):
+        real = getattr(ob, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        wrapper = counted(name)
+        monkeypatch.setattr(ob, name, wrapper)
+        monkeypatch.setattr(search, name, wrapper, raising=False)
+    search._refinement_ladder.cache_clear()
+    try:
+        ladder = search._refinement_ladder(S63, 21)
+    finally:
+        search._refinement_ladder.cache_clear()
+    assert calls == {"singer_action": 4, "frobenius_action": 3}
+    monkeypatch.undo()
+    # the same rungs, in the same order, as one group built per rung
+    oracle = []
+    for d in (1, 3, 7, 21):
+        for j in (0, 1, 2, 3):
+            if (d, j) == (21, 0):
+                continue
+            gens = [ob.singer_action(S63, d).generators[0]]
+            name = f"singer:{d}"
+            if j:
+                gens.append(ob.frobenius_action(S63, j).generators[0])
+                name += f"+frobenius:{j}"
+            sup = ob.orbit_system(ob.GroupAction(S63, gens, description=name))
+            if sup.count <= 300:
+                oracle.append(sup)
+    oracle.sort(key=lambda sup: sup.count)
+    assert [(s.count, s.description) for s in ladder] == \
+        [(s.count, s.description) for s in oracle]
+    for got, want in zip(ladder, oracle):
+        assert np.array_equal(got.orbit_of, want.orbit_of)
+
+
+@pytest.mark.parametrize("spec,exponent", [(S42, 5), (S63, 21)])
+def test_carry_matches_the_lifted_mask(spec, exponent):
+    # a rung's values read off each orbit's representative are those of
+    # the lifted vertex set, orbit by orbit
+    osys = ob.orbit_system(ob.singer_action(spec, exponent))
+    rng = np.random.default_rng(0)
+    ladder = search._refinement_ladder(spec, exponent)
+    assert ladder
+    for sup in ladder:
+        for _ in range(3):
+            x_sup = rng.integers(0, 2, sup.count).astype(np.int8)
+            mask = np.zeros(spec.vertex_count, dtype=bool)
+            mask[bip.lift(x_sup, sup, spec).ids] = True
+            lifted = np.array([1 if mask[o[0]] else 0 for o in osys.orbits],
+                              dtype=np.int8)
+            assert np.array_equal(search._carry(x_sup, sup, osys), lifted)
+
+
 def test_max_seconds_bounds_the_point():
     # 1395 orbits and no ladder: milp and then the DFS at about 5 ms a
     # node must both stop at the one deadline
