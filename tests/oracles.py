@@ -12,7 +12,6 @@ import numpy as np
 from crcodes import files
 from crcodes import subspaces as sp
 from crcodes.graphs import vertex_index
-from crcodes.subspaces import gaussian
 from crcodes.subspaces import Subset, Subspace
 from crcodes.verify import Code
 
@@ -86,7 +85,7 @@ def contains(u: Subspace, w: Subspace) -> bool:
 
 def eigenvalue_multiplicity(spec, i: int) -> int:
     n, q = spec.n, spec.q
-    return gaussian(n, i, q) - (gaussian(n, i - 1, q) if i > 0 else 0)
+    return sp.gaussian(n, i, q) - (sp.gaussian(n, i - 1, q) if i > 0 else 0)
 
 
 def enumerate_subspaces(n: int, k: int, q: int) -> list:
