@@ -16,16 +16,31 @@ propagation leaves open also gets an LP bound: one warm-started HiGHS
 model of 0 <= x <= 1 with the fixed columns' bounds set.  An infeasible
 LP prunes the node only when its dual ray, rounded to integers, passes an
 exact check (farkas_certificate); otherwise the LP point picks the branch.
+In mode 'first' the solver can also branch on orbits of a group H of
+symmetries of the system (orbital branching: Ostrowski, Linderoth, Rossi
+& Smriglio 2011).  H is given by permutations pi of the orbit variables;
+search.py takes them from field maps that normalize G and so permute its
+orbits (orbits.orbit_permutation).  Each pi is accepted only when it fixes
+the system in integers: A[pi][:, pi] == A on the r quotient rows, with
+the orbit sizes and right-hand sides unchanged.  At a node, let K be the
+elements of H that fix the node's partial assignment and O the K-orbit of
+the branching variable j.  The node branches x_j = 1, then x_i = 0 for
+every i in O: a solution with x_i = 1 for some i in O is carried by an
+element of K to one with x_j = 1 that keeps every fixed value, so the
+second branch skips only images of the first.
+
 An UNSAT is an exhausted tree in which every pruned node is a propagation
-conflict or an integer-checked Farkas vector, so floating point never
-decides it.  Hitting a node or time budget proves nothing.
+conflict or an integer-checked Farkas vector, and every skipped branch is
+the image of an explored one under an integer-checked automorphism, so
+floating point never decides it.  Hitting a node or time budget proves
+nothing.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -177,27 +192,77 @@ def _node_lp(A_ext: np.ndarray, rhs: np.ndarray):
     return lp
 
 
+def _symmetry_group(A_ext: np.ndarray, rhs: np.ndarray,
+                    perms) -> np.ndarray:
+    """Every element of the group the permutations generate, one per row.
+
+    Each generator must fix the system in integers: the r quotient rows
+    (A_ext[pi][:, pi] == A_ext[:r]), the orbit sizes of the last row and
+    the right-hand sides; VerificationError otherwise.
+    """
+    r = A_ext.shape[1]
+    A, sizes, b = A_ext[:r], A_ext[r], rhs[:r]
+    gens = []
+    for p in perms:
+        p = np.asarray(p, dtype=np.int64)
+        if p.shape != (r,) or not np.array_equal(np.sort(p), np.arange(r)):
+            raise VerificationError("symmetry is not a permutation of the "
+                                    "orbit variables")
+        if not (np.array_equal(A[p][:, p], A) and
+                np.array_equal(sizes[p], sizes) and np.array_equal(b[p], b)):
+            raise VerificationError("symmetry does not fix the system")
+        gens.append(p)
+    identity = np.arange(r, dtype=np.int64)
+    elements = {identity.tobytes(): identity}
+    frontier = [identity]
+    while frontier:
+        found = []
+        for h in frontier:
+            for p in gens:
+                e = h[p]
+                if e.tobytes() not in elements:
+                    elements[e.tobytes()] = e
+                    found.append(e)
+        frontier = found
+    return np.array(list(elements.values()))
+
+
 def solve(inst: BipInstance, mode: str = "first",
           max_nodes: Optional[int] = None,
           max_seconds: Optional[float] = None,
-          seed: Optional[int] = None) -> SolveResult:
+          seed: Optional[int] = None,
+          symmetry=None) -> SolveResult:
     """Depth-first feasibility search; UNSAT is a proof, budget is not.
 
     mode 'first' stops at one solution, 'all' collects every solution,
     'count' only counts them.  At every open node below the root the node
     LP runs with the time left as its HiGHS time_limit, so max_seconds
-    reaches inside it; a timed-out LP decides nothing.  It prunes the node only on a Farkas vector that passes the
-    integer check, which a subtree holding a solution never passes, so
-    'all' and 'count' stay exact.  Branching takes the most fractional
-    free variable of the LP point; when the LP is integral on the free
-    variables or gives no point, it takes a free variable of maximum
-    absolute coefficient inside a row of minimum slack.  Value 1 goes
-    first; the optional seed shuffles only tie-breaks, deterministically.
+    reaches inside it; a timed-out LP decides nothing.  It prunes the node
+    only on a Farkas vector that passes the integer check, which a subtree
+    holding a solution never passes, so 'all' and 'count' stay exact.
+    Branching takes the most fractional free variable of the LP point;
+    when the LP is integral on the free variables or gives no point, it
+    takes a free variable of maximum absolute coefficient inside a row of
+    minimum slack.  Value 1 goes first; the optional seed shuffles only
+    tie-breaks, deterministically.
+
+    symmetry (mode 'first' only; ValueError otherwise) is a list of
+    permutations pi of the orbit variables, each of which must fix the
+    system (VerificationError otherwise).  They generate H, and the value-0
+    branch of j sets to 0 the whole orbit of j under the elements of H
+    that fix the node's assignment, as the module docstring sets out: it
+    skips only images of solutions the value-1 branch covers, so an UNSAT
+    is still a proof.  Without it, or when H is trivial, the value-0
+    branch sets x_j alone.
     """
     if mode not in ("first", "all", "count"):
         raise ValueError(f"unknown mode {mode!r}")
+    if symmetry is not None and mode != "first":
+        raise ValueError(f"mode {mode!r} enumerates every solution; "
+                         "symmetry is for mode 'first' only")
     A_ext, rhs = inst.rows()
     r = A_ext.shape[1]
+    H = _symmetry_group(A_ext, rhs, symmetry or ())
     cols = np.ascontiguousarray(A_ext.T)          # cols[j] = column j
     poscols = np.maximum(cols, 0)
     negcols = np.minimum(cols, 0)
@@ -320,21 +385,27 @@ def solve(inst: BipInstance, mode: str = "first",
         cand = np.nonzero(coeffs == best)[0]
         return int(cand[np.argmin(tie_rank[cand])])
 
-    # Frames: (trail mark before any value of var j, var j, pending values).
-    stack: list[tuple[int, int, list[int]]] = []
+    def branch_orbit(j: int):
+        """j's orbit under the elements of H that fix the assignment."""
+        if len(H) == 1:
+            return (j,)
+        return np.unique(H[(x[H] == x).all(axis=1), j])
+
+    # Frames: (trail mark before the branch on a variable, the variables
+    # its value-0 branch sets to 0, or None once that branch is taken).
+    stack: list[tuple[int, Optional[Sequence[int]]]] = []
 
     def backtrack() -> bool:
         """Move to the next untried branch; False when the tree is exhausted."""
         while stack:
-            mark, j, values = stack[-1]
-            if values:
-                undo_to(mark)
-                assign(j, values.pop(0))
+            mark, zeros = stack.pop()
+            undo_to(mark)
+            if zeros is not None:
+                stack.append((mark, None))
+                for i in zeros:
+                    assign(int(i), 0)
                 if propagate():
                     return True
-            else:
-                stack.pop()
-                undo_to(mark)
         return False
 
     nodes = 0
@@ -363,7 +434,7 @@ def solve(inst: BipInstance, mode: str = "first",
             continue
         if j is None:
             j = pick_branch()
-        stack.append((len(trail), j, [0]))
+        stack.append((len(trail), branch_orbit(j)))
         assign(j, 1)
         if not propagate():
             alive = backtrack()

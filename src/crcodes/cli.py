@@ -20,8 +20,8 @@ import numpy as np
 
 from . import bip, constructions as con, files, verify as vf
 from .graphs import GraphSpec, parse_graph_spec, theta_ladder
-from .orbits import (GroupAction, frobenius_action, orbit_system,
-                     quotient_matrix, singer_action)
+from .orbits import (GroupAction, frobenius_action, join_actions,
+                     orbit_system, quotient_matrix, singer_action)
 from .search import search_parameter_point
 
 EXIT_OK = 0
@@ -70,11 +70,18 @@ def _sqs(n: int):
     return con.extended_hamming_sqs(m)
 
 
+def _need_grassmann(spec: GraphSpec) -> None:
+    if spec.family != "grassmann":
+        raise ValueError(
+            f"a spread needs a Grassmann graph jq:q,n,d, not {spec}")
+
+
 def _design_from_flag(value: str, spec: GraphSpec):
     """The design an avoid code avoids: a code on the graph's block level."""
     if value.startswith("@"):
         return files.read_code(value[1:])
     if value == "spread":
+        _need_grassmann(spec)
         return con.desarguesian_2spread(spec.q, spec.n)
     if value == "sqs":
         return _sqs(spec.n)
@@ -88,6 +95,7 @@ def cmd_construct(args) -> int:
     spec = parse_graph_spec(args.graph, allow_unbalanced=True)
     kind = args.kind
     if kind == "spread":
+        _need_grassmann(spec)
         code = con.desarguesian_spread(spec.q, spec.n, spec.k)
     elif kind == "sqs":
         code = _sqs(spec.n)
@@ -140,9 +148,7 @@ def _parse_group(spec: GraphSpec, text: str):
     if len(actions) == 1:
         kind, _, value = parts[0]
         return actions[0], (int(value) if kind == "singer" else None)
-    gens = [g for action in actions for g in action.generators]
-    name = "+".join(action.description for action in actions)
-    return GroupAction(spec, gens, description=name), None
+    return join_actions(actions), None
 
 
 def _gamma_list(spec: GraphSpec, theta_value: int) -> list[int]:

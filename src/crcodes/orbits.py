@@ -6,6 +6,9 @@ it is accepted, at every graph size, through the star cliques of the
 (k-1) containment table.  The orbits of an automorphism group induce an
 equitable partition, so the orbit quotient matrix B (B_ij = neighbors of
 an O_i vertex inside O_j) is counted from one representative per orbit.
+join_actions combines built actions into one group without checking their
+generators again.  An action that normalizes a group permutes its orbits
+(orbit_permutation), which is the symmetry bip.solve branches on.
 
 The Singer-type action multiplies vectors of GF(q)^n, read as elements of
 GF(q^n), by a fixed power of a primitive element; the Frobenius action
@@ -52,6 +55,23 @@ class GroupAction:
         self.generators = gens
         for g in gens:
             _check_automorphism(self.spec, g)
+
+
+def join_actions(actions: Sequence[GroupAction]) -> GroupAction:
+    """The group generated by built actions on one graph, named a+b+...
+
+    Each action's generators passed the exhaustive check when it was
+    built, so they are not checked again; a GroupAction made from raw
+    arrays always checks its own.
+    """
+    spec = actions[0].spec
+    if any(a.spec != spec for a in actions):
+        raise VerificationError("actions on different graphs")
+    joined = object.__new__(GroupAction)  # skips __post_init__'s checks
+    joined.spec = spec
+    joined.generators = [g for a in actions for g in a.generators]
+    joined.description = "+".join(a.description for a in actions)
+    return joined
 
 
 def _check_automorphism(spec: GraphSpec, perm: np.ndarray) -> None:
@@ -170,28 +190,53 @@ class OrbitSystem:
 
 
 def orbit_system(action: GroupAction) -> OrbitSystem:
-    """Union of generator-closure classes, scanned in vertex id order."""
+    """Orbits as the classes of their minimum vertex id, in array passes.
+
+    label[v] is always a vertex of v's orbit with label[v] <= v.  For each
+    generator g, label = min(label, label[g]) with g squared each step
+    makes label the minimum over g's cycles; label = label[label] jumps to
+    the smaller labels other generators found.  When a pass over every
+    generator changes nothing, label is constant on each orbit, so it is
+    the orbit's minimum vertex, and ids follow ascending minima.
+    """
     V = action.spec.vertex_count
-    orbit_of = np.full(V, -1, dtype=np.int64)
-    orbits = []
-    for start in range(V):
-        if orbit_of[start] != -1:
-            continue
-        oid = len(orbits)
-        stack = [start]
-        orbit_of[start] = oid
-        members = [start]
-        while stack:
-            v = stack.pop()
-            for g in action.generators:
-                w = int(g[v])
-                if orbit_of[w] == -1:
-                    orbit_of[w] = oid
-                    members.append(w)
-                    stack.append(w)
-        orbits.append(np.array(sorted(members), dtype=np.int64))
-    return OrbitSystem(action.spec, orbit_of, orbits,
+    label = np.arange(V, dtype=np.int64)
+    changed = True
+    while changed:
+        before = label
+        for g in action.generators:
+            step = g
+            while True:
+                new = np.minimum(label, label[step])
+                if np.array_equal(new, label):
+                    break
+                label = new[new]
+                step = step[step]
+        changed = not np.array_equal(label, before)
+    _, orbit_of = np.unique(label, return_inverse=True)
+    orbit_of = orbit_of.astype(np.int64, copy=False)
+    order = np.argsort(orbit_of, kind="stable")
+    bounds = np.cumsum(np.bincount(orbit_of))[:-1]
+    return OrbitSystem(action.spec, orbit_of, np.split(order, bounds),
                        description=action.description)
+
+
+def orbit_permutation(osys: OrbitSystem,
+                      action: GroupAction) -> Optional[np.ndarray]:
+    """The permutation pi of osys's orbits that action's generator induces.
+
+    action is one field action (one generator g), which maps orbit i onto
+    orbit pi[i] exactly when g normalizes the group of osys.  The check is
+    exhaustive: every vertex v must have orbit_of[g[v]] == pi[orbit_of[v]],
+    and None is returned when one does not.  g is a bijection, so a pi that
+    passes is a permutation and keeps orbit sizes.
+    """
+    (g,) = action.generators
+    image = osys.orbit_of[g]
+    pi = image[osys.representatives()]
+    if not np.array_equal(image, pi[osys.orbit_of]):
+        return None
+    return pi
 
 
 def quotient_matrix(spec: GraphSpec, osys: OrbitSystem) -> np.ndarray:

@@ -24,6 +24,15 @@ its representative's rung orbit.  All passes share one deadline.
   final   one exhaustive run of the exact solver on the own system, on
           the time left.
 
+Every exact solve of mode 'first', on a rung or on the own system, gets
+that system's residual symmetry: each field action of the ladder (a^d for
+d | e, the Frobenius powers j | n) that normalizes the system's group
+permutes its orbits (orbits.orbit_permutation), and bip.solve branches on
+orbits of the group H those permutations generate.  The field actions are
+built, and each generator checked, once per graph and exponent
+(_field_actions); the rungs join them without checking again.  Without a
+Singer exponent no symmetry is used, and modes 'all'/'count' never use it.
+
 The stage that decided is reported by name: refinement:<group> for a
 rung's witness from either pass, dfs for the own system's exact solver
 (pass 1 or final), milp for the own system's pass-2 witness.
@@ -34,7 +43,8 @@ before it is returned (SearchOutcome.lift_verified); a lift that fails
 raises VerificationError.  Floating point never decides a reported
 verdict.  A milp run that ends without a witness proves nothing; only the
 exact solver reports UNSAT, from an exhausted tree whose every pruned node
-is a propagation conflict or an integer-checked Farkas vector.
+is a propagation conflict or an integer-checked Farkas vector, and whose
+every skipped branch is an image under an integer-checked automorphism.
 """
 
 from __future__ import annotations
@@ -49,8 +59,8 @@ import numpy as np
 from . import bip
 from .bip import BipInstance, build_instance
 from .graphs import GraphSpec
-from .orbits import (GroupAction, OrbitSystem, frobenius_action,
-                     orbit_system, singer_action)
+from .orbits import (OrbitSystem, frobenius_action, join_actions,
+                     orbit_permutation, orbit_system, singer_action)
 from .verify import Code, VerificationError, verify_report
 
 
@@ -87,28 +97,46 @@ def _verified_lift(x, osys: OrbitSystem, spec: GraphSpec, gamma1: int,
 
 
 @functools.lru_cache(maxsize=8)
+def _field_actions(spec: GraphSpec, exponent: int):
+    """(singers, frobeniuses): a^d for d | exponent, ascending, and the
+    Frobenius powers j | n, j < n.  Each is built, and its generator
+    checked, once; the ladder's rungs and every system's H share them.
+    Both are empty where field actions are not defined."""
+    try:
+        singers = tuple(singer_action(spec, d) for d in range(1, exponent + 1)
+                        if exponent % d == 0)
+        frobs = tuple(frobenius_action(spec, j) for j in range(1, spec.n)
+                      if spec.n % j == 0)
+    except VerificationError:
+        return (), ()
+    return singers, frobs
+
+
+@functools.lru_cache(maxsize=8)
 def _refinement_ladder(spec: GraphSpec, exponent: int, max_orbits: int = 300):
     """Orbit systems of the supergroups of <a^exponent>: a^d with
     d | exponent, optionally with a Frobenius power mixed in; sorted by
-    orbit count so small instances go first.  Each field action is built,
-    and its generator checked, once; the rungs share them."""
-    try:
-        singers = [singer_action(spec, d) for d in range(1, exponent + 1)
-                   if exponent % d == 0]
-        frobs = [frobenius_action(spec, j) for j in range(1, spec.n)
-                 if spec.n % j == 0]
-    except VerificationError:
-        return ()
+    orbit count so small instances go first."""
+    singers, frobs = _field_actions(spec, exponent)
     actions = []
     for s in singers:
         if s is not singers[-1]:  # a^exponent alone is the original group
             actions.append(s)
-        actions += [GroupAction(spec, s.generators + f.generators,
-                                description=f"{s.description}+{f.description}")
-                    for f in frobs]
+        actions += [join_actions([s, f]) for f in frobs]
     rungs = [sup for sup in map(orbit_system, actions)
              if sup.count <= max_orbits]
     return tuple(sorted(rungs, key=lambda sup: sup.count))
+
+
+def _symmetry(spec: GraphSpec, exponent: Optional[int], sup: OrbitSystem):
+    """The permutations of sup's orbits induced by the field actions of
+    exponent that normalize sup's group: the generators of the H that
+    bip.solve branches on.  None without an exponent."""
+    if exponent is None:
+        return None
+    singers, frobs = _field_actions(spec, exponent)
+    perms = (orbit_permutation(sup, a) for a in singers + frobs)
+    return [pi for pi in perms if pi is not None]
 
 
 def _carry(x, sup: OrbitSystem, osys: OrbitSystem) -> np.ndarray:
@@ -171,7 +199,8 @@ def _two_passes(spec: GraphSpec, osys: OrbitSystem, inst: BipInstance,
         res = bip.solve(system, mode="first",
                         max_nodes=cap if own else RUNG_MAX_NODES,
                         max_seconds=deadline - time.monotonic(),
-                        seed=seed if own else None)
+                        seed=seed if own else None,
+                        symmetry=_symmetry(spec, exponent, sup))
         tally(res)
         if res.status == bip.BUDGET_EXCEEDED:
             left_open.append((sup, system))
@@ -238,7 +267,9 @@ def search_parameter_point(spec: GraphSpec, osys: OrbitSystem,
         max_seconds = deadline - time.monotonic()
     if res is None:
         res = bip.solve(inst, mode=mode, max_nodes=max_nodes,
-                        max_seconds=max_seconds, seed=seed)
+                        max_seconds=max_seconds, seed=seed,
+                        symmetry=_symmetry(spec, singer_exponent, osys)
+                        if mode == "first" else None)
         tally(res)
     out = SearchOutcome(status=res.status, stage="dfs", nodes=res.nodes,
                         count=res.count, elapsed=time.monotonic() - t0,

@@ -12,6 +12,7 @@ import numpy as np
 from crcodes import files
 from crcodes import subspaces as sp
 from crcodes.graphs import vertex_index
+from crcodes.orbits import OrbitSystem
 from crcodes.subspaces import Subset, Subspace
 from crcodes.verify import Code
 
@@ -211,3 +212,29 @@ def _line_rows(texts: list, spec) -> np.ndarray:
     part = sep.join(texts).split(sep)
     return np.array(list(map(int, part, repeat(base))),
                     dtype=np.uint64).reshape(-1, k)
+
+
+def orbit_system_loop(action) -> OrbitSystem:
+    """orbits.orbit_system as a Python loop: a stack walk over the
+    generators from each vertex not yet seen, in vertex id order."""
+    V = action.spec.vertex_count
+    orbit_of = np.full(V, -1, dtype=np.int64)
+    orbits = []
+    for start in range(V):
+        if orbit_of[start] != -1:
+            continue
+        oid = len(orbits)
+        stack = [start]
+        orbit_of[start] = oid
+        members = [start]
+        while stack:
+            v = stack.pop()
+            for g in action.generators:
+                w = int(g[v])
+                if orbit_of[w] == -1:
+                    orbit_of[w] = oid
+                    members.append(w)
+                    stack.append(w)
+        orbits.append(np.array(sorted(members), dtype=np.int64))
+    return OrbitSystem(action.spec, orbit_of, orbits,
+                       description=action.description)

@@ -505,6 +505,17 @@ def test_cli_construct_usage_errors(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--kind", "spread", "--graph", "j:16,4"],
+    ["--kind", "avoid", "--graph", "j:16,6", "--design", "spread"],
+])
+def test_cli_spread_needs_a_grassmann_graph(tmp_path, capsys, argv):
+    out = tmp_path / "c.code"
+    assert main(["construct", *argv, "--out", str(out)]) == 64
+    assert "a spread needs a Grassmann graph jq:q,n,d" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("graph,kind,args", [
     ("jq:2,6,2", "spread", (2, 6, 2)),
     ("jq:2,8,2", "spread", (2, 8, 2)),

@@ -6,7 +6,8 @@ from crcodes import bip
 from crcodes import constructions as con
 from crcodes import orbits as ob
 from crcodes import verify as vf
-from crcodes.graphs import GraphSpec, adjacency_lists, vertex_index
+from crcodes.graphs import (GraphSpec, adjacency_lists, parse_graph_spec,
+                            theta_ladder, vertex_index)
 
 S63 = GraphSpec("grassmann", 2, 6, 3)
 S62 = GraphSpec("grassmann", 2, 6, 2)
@@ -360,3 +361,141 @@ def test_export_lp_structure():
     assert text.startswith("\\ j:3,1")
     assert "Minimize" in text and "Binaries" in text and text.rstrip().endswith("End")
     assert " card: " in text
+
+
+# ----------------------------------------------------------------------
+# Orbit systems in array passes, orbit permutations, orbital branching
+# ----------------------------------------------------------------------
+
+def _group(spec, text):
+    builders = {"singer": ob.singer_action, "frobenius": ob.frobenius_action}
+    parts = [p.partition(":") for p in text.split("+")]
+    return ob.join_actions([builders[k](spec, int(v)) for k, _, v in parts])
+
+
+@pytest.mark.parametrize("spec,group", [
+    (S63, "singer:21"), (S63, "singer:7+frobenius:1"), (S73, "singer:1"),
+    (GraphSpec("grassmann", 2, 8, 4), "singer:1+frobenius:1"),
+])
+def test_orbit_system_matches_the_loop(spec, group):
+    action = _group(spec, group)
+    got = ob.orbit_system(action)
+    want = oracles.orbit_system_loop(action)
+    assert np.array_equal(got.orbit_of, want.orbit_of)
+    assert got.orbit_of.dtype == want.orbit_of.dtype
+    assert len(got.orbits) == len(want.orbits)
+    assert all(np.array_equal(a, b) and a.dtype == b.dtype
+               for a, b in zip(got.orbits, want.orbits))
+    assert got.description == want.description == group
+
+
+def test_join_actions_checks_no_generator_again(monkeypatch):
+    a7 = ob.singer_action(S63, 7)
+    f1 = ob.frobenius_action(S63, 1)
+    checks = []
+    real = ob._check_automorphism
+    monkeypatch.setattr(ob, "_check_automorphism",
+                        lambda spec, perm: checks.append(1) or real(spec, perm))
+    joined = ob.join_actions([a7, f1])
+    assert checks == []
+    assert joined.description == "singer:7+frobenius:1"
+    assert all(g is h for g, h in zip(joined.generators,
+                                      a7.generators + f1.generators))
+    # the same generators as raw arrays are checked, each one
+    raw = ob.GroupAction(S63, [g.copy() for g in joined.generators])
+    assert len(checks) == 2
+    assert np.array_equal(ob.orbit_system(raw).orbit_of,
+                          ob.orbit_system(joined).orbit_of)
+    with pytest.raises(vf.VerificationError):
+        ob.join_actions([a7, ob.singer_action(S73, 1)])
+
+
+def test_orbit_permutation_fixes_the_quotient_matrix():
+    osys = ob.orbit_system(_group(S63, "singer:7+frobenius:3"))
+    B = ob.quotient_matrix(S63, osys)
+    for text in ("singer:1", "singer:3", "frobenius:1", "frobenius:2"):
+        pi = ob.orbit_permutation(osys, _group(S63, text))
+        assert pi is not None
+        assert np.array_equal(np.sort(pi), np.arange(osys.count))
+        assert np.array_equal(B[pi][:, pi], B)
+        assert np.array_equal(osys.sizes()[pi], osys.sizes())
+
+
+def test_orbit_permutation_refuses_an_action_that_does_not_normalize():
+    # a^-1 sigma a = a^-2 sigma is not in <a^3, sigma>: a moves some orbit
+    # of that group across two orbits
+    osys = ob.orbit_system(_group(S63, "singer:3+frobenius:1"))
+    assert ob.orbit_permutation(osys, _group(S63, "singer:1")) is None
+    assert ob.orbit_permutation(osys, _group(S63, "singer:3")) is not None
+
+
+def _screened_points(spec):
+    """Every (beta0, gamma1) of the integrality screen, both halves."""
+    m = spec.valency
+    for th in theta_ladder(spec)[1:]:
+        s = m - th
+        for gamma1 in range(1, s):
+            if vf.size_and_integrality_report(spec, s - gamma1,
+                                              gamma1)["feasible"]:
+                yield s - gamma1, gamma1
+
+
+@pytest.mark.parametrize("graph,exponent,order", [
+    ("jq:2,4,2", 5, 20), ("jq:3,4,2", 4, 8), ("jq:2,5,2", 1, 5)])
+def test_orbital_branching_matches_the_oracle(graph, exponent, order):
+    from crcodes.search import _symmetry
+    spec = parse_graph_spec(graph)
+    osys = ob.orbit_system(ob.singer_action(spec, exponent))
+    B = ob.quotient_matrix(spec, osys)
+    symmetry = _symmetry(spec, exponent, osys)
+    points = list(_screened_points(spec))
+    assert points
+    for beta0, gamma1 in points:
+        inst = bip.build_instance(spec, osys, beta0, gamma1, B=B)
+        A_ext, rhs = inst.rows()
+        assert len(bip._symmetry_group(A_ext, rhs, symmetry)) == order
+        res = bip.solve(inst, mode="first", symmetry=symmetry)
+        assert res.status == (bip.SAT if brute_force_assignments(inst)
+                              else bip.UNSAT), (beta0, gamma1)
+        for x in res.solutions:
+            assert ((A_ext @ x.astype(np.int64)) == rhs).all()
+
+
+def test_symmetry_that_breaks_the_system_is_refused(singer42):
+    osys, B = singer42
+    inst = bip.build_instance(S42, osys, 18, 3, B=B)
+    A_ext, rhs = inst.rows()
+    r = inst.r
+    sizes = osys.sizes()
+    def swap(i, j):
+        p = np.arange(r)
+        p[[i, j]] = j, i
+        return p
+
+    # a swap of two orbits of different sizes breaks the sizes row; some
+    # swap of two orbits of size 3 breaks B
+    one, three = np.nonzero(sizes == 1)[0], np.nonzero(sizes == 3)[0]
+    breaks_b = [p for p in (swap(i, j) for i in three for j in three
+                            if i < j)
+                if not np.array_equal(A_ext[p][:, p], A_ext[:r])]
+    assert breaks_b
+    for bad in (swap(one[0], three[0]), breaks_b[0],
+                np.zeros(r, dtype=np.int64)):
+        with pytest.raises(vf.VerificationError):
+            bip.solve(inst, symmetry=[bad])
+    # a swap that keeps A_ext but not rhs: a system whose quotient rows
+    # ask different values of two symmetric variables
+    A = np.array([[1, 0], [0, 1], [1, 1]], dtype=np.int64)
+    b = np.array([1, 0, 1], dtype=np.int64)
+    with pytest.raises(vf.VerificationError):
+        bip._symmetry_group(A, b, [np.array([1, 0])])
+    assert len(bip._symmetry_group(A, np.array([1, 1, 2]),
+                                   [np.array([1, 0])])) == 2
+
+
+@pytest.mark.parametrize("mode", ["all", "count"])
+def test_symmetry_is_refused_outside_mode_first(singer42, mode):
+    osys, B = singer42
+    inst = bip.build_instance(S42, osys, 15, 6, B=B)
+    with pytest.raises(ValueError, match="mode 'first' only"):
+        bip.solve(inst, mode=mode, symmetry=[])

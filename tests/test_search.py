@@ -109,6 +109,28 @@ def test_two_passes_run_every_capped_solve_before_any_milp(singer42,
     assert events[2 * n:] == [("solve", osys.description)]
 
 
+def _cold_ladder(spec, exponent):
+    """The ladder built with every cache it reads emptied first and after."""
+    caches = (search._refinement_ladder, search._field_actions)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        return search._refinement_ladder(spec, exponent)
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+
+
+def test_cold_ladder_checks_each_field_action_once(monkeypatch):
+    # 7 field actions, 15 rungs: the joined rungs check nothing again
+    checks = []
+    real = ob._check_automorphism
+    monkeypatch.setattr(ob, "_check_automorphism",
+                        lambda spec, perm: checks.append(1) or real(spec, perm))
+    assert len(_cold_ladder(S63, 21)) == 15
+    assert len(checks) == 7
+
+
 def test_ladder_builds_each_field_action_once(monkeypatch):
     # J_2(6,3), e = 21: a^d for d in 1, 3, 7, 21 and Frobenius powers 1, 2,
     # 3; 15 rungs share these 7 field actions
@@ -126,11 +148,7 @@ def test_ladder_builds_each_field_action_once(monkeypatch):
         wrapper = counted(name)
         monkeypatch.setattr(ob, name, wrapper)
         monkeypatch.setattr(search, name, wrapper, raising=False)
-    search._refinement_ladder.cache_clear()
-    try:
-        ladder = search._refinement_ladder(S63, 21)
-    finally:
-        search._refinement_ladder.cache_clear()
+    ladder = _cold_ladder(S63, 21)
     assert calls == {"singer_action": 4, "frobenius_action": 3}
     monkeypatch.undo()
     # the same rungs, in the same order, as one group built per rung
@@ -235,6 +253,20 @@ def test_slice_decides_j273_points_without_milp(singer73, monkeypatch,
         assert rep["completely_regular"] and rep["gamma"] == [gamma1]
 
 
+def test_orbital_branching_shrinks_the_j273_proof(singer73):
+    # the Frobenius map permutes the 93 orbits of singer:1 and fixes the
+    # system; without it the same proof takes 346 nodes
+    osys, B = singer73
+    inst = bip.build_instance(S73, osys, 203, 14, B=B)
+    symmetry = search._symmetry(S73, 1, osys)
+    res = bip.solve(inst, symmetry=symmetry)
+    assert res.status == bip.UNSAT and res.nodes < 100
+    assert bip.solve(inst, max_nodes=100).status == bip.BUDGET_EXCEEDED
+    out = search_parameter_point(S73, osys, 203, 14, B=B, max_seconds=30,
+                                 singer_exponent=1)
+    assert (out.status, out.stage, out.nodes) == (bip.UNSAT, "dfs", res.nodes)
+
+
 def test_slice_shrinks_as_orbits_grow():
     sizes = [search._slice_nodes(r) for r in (15, 93, 109, 465, 1395)]
     assert sizes == sorted(sizes, reverse=True)
@@ -243,7 +275,7 @@ def test_slice_shrinks_as_orbits_grow():
 
 
 def test_slice_keeps_to_max_nodes(singer73, monkeypatch):
-    # (203, 14) needs 346 nodes; with max_nodes=10 the slice runs out,
+    # (203, 14) needs 59 nodes; with max_nodes=10 the slice runs out,
     # milp (here finding nothing) runs, and the final solve is capped too
     osys, B = singer73
     caps = []
