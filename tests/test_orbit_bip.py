@@ -6,6 +6,7 @@ from crcodes import bip
 from crcodes import constructions as con
 from crcodes import orbits as ob
 from crcodes import verify as vf
+from crcodes.cli import _parse_group
 from crcodes.graphs import (GraphSpec, adjacency_lists, parse_graph_spec,
                             theta_ladder, vertex_index)
 
@@ -368,17 +369,32 @@ def test_export_lp_structure():
 # ----------------------------------------------------------------------
 
 def _group(spec, text):
-    builders = {"singer": ob.singer_action, "frobenius": ob.frobenius_action}
-    parts = [p.partition(":") for p in text.split("+")]
-    return ob.join_actions([builders[k](spec, int(v)) for k, _, v in parts])
+    return _parse_group(spec, text)[0]
+
+
+def _swap_and_cycle(spec):
+    """J(n, k) under the point swap (1 2) and the cycle (1 2 ... n-1):
+    S_{n-1}, two orbits, which take the array passes more than one round
+    over the generators."""
+    idx = vertex_index(spec)
+    n = spec.n
+    swap = np.arange(n + 1, dtype=np.uint64)
+    swap[[1, 2]] = 2, 1
+    cycle = np.arange(n + 1, dtype=np.uint64)
+    cycle[1:n] = np.roll(np.arange(1, n), 1)
+    gens = [idx.ids_of_rows(np.sort(p[idx.rows], axis=1))
+            for p in (swap, cycle)]
+    return ob.GroupAction(spec, gens, description="swap+cycle")
 
 
 @pytest.mark.parametrize("spec,group", [
     (S63, "singer:21"), (S63, "singer:7+frobenius:1"), (S73, "singer:1"),
     (GraphSpec("grassmann", 2, 8, 4), "singer:1+frobenius:1"),
+    (GraphSpec("johnson", 1, 9, 3), "swap+cycle"),
 ])
 def test_orbit_system_matches_the_loop(spec, group):
-    action = _group(spec, group)
+    action = _swap_and_cycle(spec) if group == "swap+cycle" \
+        else _group(spec, group)
     got = ob.orbit_system(action)
     want = oracles.orbit_system_loop(action)
     assert np.array_equal(got.orbit_of, want.orbit_of)
