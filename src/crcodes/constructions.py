@@ -195,7 +195,10 @@ def blocks_contained_counts(spec: GraphSpec, design: Code) -> np.ndarray:
     table = containment_table(spec, design.spec.k)
     flags = np.zeros(len(table.sub_index), dtype=np.int64)
     flags[design.ids] = 1
-    return flags[table.ids].sum(axis=1)
+    counts = np.zeros(spec.vertex_count, dtype=np.int64)
+    for col in table.ids.T:
+        counts += flags[col]
+    return counts
 
 
 def avoid_code(spec: GraphSpec, design: Code,

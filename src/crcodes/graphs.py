@@ -20,9 +20,12 @@ contains exactly one common (k-1)-object, so the star cliques (the vertices
 over one fixed (k-1)-object, ContainmentTable.members) carry all edge
 information.  Dense neighbor lists (adjacency_lists) are built from them
 only for small graphs, as a reference for tests.  Every table, for every
-q, comes from one vectorized pattern loop over the packed rows; the level-1
-table (a subspace is the set of its points) also carries the field actions
-of orbits.py.
+q, comes from one vectorized pattern loop that packs each subobject slot
+of every vertex straight into lookup keys; a table is stored as one
+contiguous (s, V) int32 array, one subobject slot per row, and read as its
+(V, s) transpose, so a pass over all vertices reads one slot at a time.
+The level-1 table (a subspace is the set of its points) also carries the
+field actions of orbits.py.
 """
 
 from __future__ import annotations
@@ -140,9 +143,11 @@ class VertexIndex:
     The only state is rows, the (V, k) uint64 array of subspaces.enumerate_rows:
     row i is vertex i.  Each row packs into one uint64 key (subspace rows as
     the digits of radix q^n, subsets by colex rank), and every vertex -> id
-    question is answered by ids_of_rows: one searchsorted over the sorted
+    question is answered by ids_of_keys: one searchsorted over the sorted
     subspace keys, or for subsets one lookup by the colex rank itself, which
-    runs over 0..V-1.  idx[vid] builds the one Subspace or Subset asked for.
+    runs over 0..V-1.  ids_of_rows packs rows and looks their keys up;
+    containment tables pack their keys themselves.  idx[vid] builds the one
+    Subspace or Subset asked for.
     """
 
     def __init__(self, spec: GraphSpec):
@@ -162,12 +167,11 @@ class VertexIndex:
         n, k, q = self.spec.n, self.spec.k, self.spec.q
         keys = np.zeros(len(rows), dtype=np.uint64)
         if q == 1:
-            # colex rank sum_c C(m_c - 1, c + 1) < C(n, k); members out of
-            # range are clipped, and their rows fail the equality check
-            col = np.clip(rows, 1, n) - np.uint64(1)
+            # colex rank; members above n are clipped, and their rows fail
+            # the equality check of ids_of_rows
             table = _colex_table(n, k)
             for c in range(k):
-                keys += table[col[:, c], c]
+                keys += table[c][np.minimum(rows[:, c], np.uint64(n))]
             return keys
         radix = np.uint64(q ** n)
         for c in range(k):
@@ -183,6 +187,20 @@ class VertexIndex:
             return Subset(self.spec.n, row)
         return Subspace(self.spec.n, self.spec.q, row)
 
+    def ids_of_keys(self, keys: np.ndarray) -> np.ndarray:
+        """Ids of the vertices with these packed keys; KeyError if a key
+        names no vertex.  The one lookup: the key found must equal the key
+        asked for, and every colex rank below V names a subset."""
+        if self.spec.q == 1:
+            if len(keys) and keys.max() >= len(self._order):
+                raise KeyError(f"a key does not name a vertex of {self.spec}")
+            return self._order[keys]
+        pos = np.searchsorted(self._sorted_keys, keys)
+        np.minimum(pos, len(self._order) - 1, out=pos)
+        if not np.array_equal(self._sorted_keys[pos], keys):
+            raise KeyError(f"a key does not name a vertex of {self.spec}")
+        return self._order[pos]
+
     def ids_of_rows(self, rows) -> np.ndarray:
         """Ids of an (m, k) array of rows; KeyError if any row is no vertex.
 
@@ -193,23 +211,20 @@ class VertexIndex:
         rows = np.asarray(rows, dtype=np.uint64)
         if rows.ndim != 2 or rows.shape[1] != self.spec.k:
             raise KeyError(f"rows of shape {rows.shape} are not {self.spec.k}-rows")
-        keys = self._pack(rows)
-        if self.spec.q == 1:
-            # a clipped colex key is at most sum_c C(n-k+c, c+1) = C(n, k) - 1
-            ids = self._order[keys]
-        else:
-            pos = np.searchsorted(self._sorted_keys, keys)
-            ids = self._order[np.minimum(pos, len(self._order) - 1)]
-        if not np.array_equal(self.rows[ids], rows):
+        ids = self.ids_of_keys(self._pack(rows))
+        if not np.array_equal(np.take(self.rows, ids, axis=0), rows):
             raise KeyError(f"a row does not name a vertex of {self.spec}")
         return ids
 
 
 def _colex_table(n: int, k: int) -> np.ndarray:
-    """T[a, c] = C(a, c + 1) where member a + 1 can stand at place c, else 0."""
-    return np.array([[math.comb(a, c + 1) if c <= a <= n - k + c else 0
-                      for c in range(k)] for a in range(n)],
-                    dtype=np.uint64).reshape(n, k)
+    """T[c, m] = C(m - 1, c + 1) where member m can stand at place c, else 0.
+
+    Row c sums to at most C(n - k + c, c + 1), so every key is below C(n, k).
+    """
+    return np.array([[math.comb(m - 1, c + 1) if c < m <= n - k + c + 1 else 0
+                      for m in range(n + 1)] for c in range(k)],
+                    dtype=np.uint64).reshape(k, n + 1)
 
 
 @lru_cache(maxsize=None)
@@ -226,9 +241,12 @@ class ContainmentTable:
     """For each vertex of the k-level, the ids of its j-subobjects.
 
     ids has shape (vertex_count, s) where s = [k choose j]_q; sub_index is
-    the j-level VertexIndex.  Vertices of the j-level are contained in
-    cliques of constant size: every two k-objects over a common
-    (k-1)-object are adjacent.
+    the j-level VertexIndex.  ids is the transposed view of one C-contiguous
+    (s, vertex_count) int32 array, so each column ids[:, t] (subobject slot
+    t of every vertex) is contiguous, and the passes of verify.py read one
+    column at a time.  Vertices of the j-level are contained in cliques of
+    constant size: every two k-objects over a common (k-1)-object are
+    adjacent.
     """
 
     spec: GraphSpec
@@ -251,7 +269,8 @@ class ContainmentTable:
         """(j-level count, containing_count) ascending ids over each j-object.
 
         For j = k-1 the rows are the star cliques: two vertices are adjacent
-        iff they share a row, and then they share exactly one.
+        iff they share a row, and then they share exactly one.  The stable
+        sort runs over ids in vertex-major order, so each row ascends.
         """
         s = self.per_vertex
         order = np.argsort(self.ids.ravel(), kind="stable")
@@ -265,13 +284,20 @@ def containment_table(spec: GraphSpec, j: int) -> ContainmentTable:
     A j-subobject of every vertex at once is a pattern of j rows over the
     vertex's k rows: the j-subspaces of a subspace are K*B over the RREF
     j-by-k patterns K (subspaces.subobject_patterns), and a j-subset picks
-    j member columns, a pattern of unit rows.  Each pattern row is a GF(q)
-    combination of columns of idx.rows, written into one (V, j) array that
-    is looked up at once.  When every combination is a XOR of columns
-    (q <= 2, or j in {0, k} where the pattern rows are unit rows) the
-    packed columns are XORed in place; otherwise the rows are unpacked once
-    into base-q digits and combined through GF(q) tables, built for
-    q <= FIELD_TABLE_MAX_Q only (ValueError above it).
+    j member columns, a pattern of unit rows.  One loop over the patterns
+    serves every q, and each pattern row goes straight into the packed key
+    of the subobject (the key of VertexIndex._pack): a subset member adds
+    its colex term; a subspace row is the XOR of its columns when q <= 2 or
+    j in {0, k} (unit pattern rows), otherwise it is combined from base-q
+    digits through GF(q) tables, built for q <= FIELD_TABLE_MAX_Q only
+    (ValueError above it), and enters the key times the radix q^n.
+
+    Each slot's keys are looked up at once by VertexIndex.ids_of_keys,
+    which checks that the key found equals the key asked for.  For subspaces
+    that is the whole row check: every combined row is below q^n, and radix
+    packing is injective on such rows.  Subset slots also compare the rows
+    found with the members picked.  Slot t fills row t of one C-contiguous
+    (s, V) int32 array, whose transpose is ContainmentTable.ids.
     """
     if not 0 <= j <= spec.k:
         raise ValueError(f"sublevel {j} out of range 0..{spec.k}")
@@ -287,32 +313,44 @@ def containment_table(spec: GraphSpec, j: int) -> ContainmentTable:
     if q == 1:
         unit = np.eye(k, dtype=int)
         pats = [unit[list(cols)] for cols in itertools.combinations(range(k), j)]
+        members = np.ascontiguousarray(idx.rows.T, dtype=np.min_scalar_type(n))
+        colex = _colex_table(n, j)
     else:
         pats = sp.subobject_patterns(k, j, q)
+        columns = np.ascontiguousarray(idx.rows.T)
+        radix = np.uint64(q ** n)
     if not xor:
         add, mul = _field_tables(q)
         weights = np.uint64(q) ** np.arange(n, dtype=np.uint64)
         # (k, V, n) base-q digits of the packed rows
-        digits = (idx.rows.T[:, :, None] // weights
-                  % np.uint64(q)).astype(np.uint8)
-    ids = np.empty((V, len(pats)), dtype=np.int64)
-    sub_rows = np.empty((V, j), dtype=np.uint64)
+        digits = (columns[:, :, None] // weights % np.uint64(q)).astype(np.uint8)
+    ids = np.empty((len(pats), V), dtype=np.int32)
     for t, pat in enumerate(pats):
+        keys = np.zeros(V, dtype=np.uint64)
+        picked = []
         for r, prow in enumerate(pat):
             # a pattern row is never zero
             (col0, c0), *rest = [(col, c) for col, c in enumerate(prow) if c]
-            if xor:
-                out = sub_rows[:, r]
-                out[:] = idx.rows[:, col0]
-                for col, _ in rest:
-                    out ^= idx.rows[:, col]
+            picked.append(col0)
+            if q == 1:
+                keys += colex[r][members[col0]]
                 continue
-            acc = mul[c0][digits[col0]]
-            for col, c in rest:
-                acc = add[acc, mul[c][digits[col]]]
-            sub_rows[:, r] = acc @ weights
-        ids[:, t] = sub.ids_of_rows(sub_rows)
-    return ContainmentTable(spec, j, sub, ids)
+            if xor:
+                row = columns[col0].copy()
+                for col, _ in rest:
+                    row ^= columns[col]
+            else:
+                acc = mul[c0][digits[col0]]
+                for col, c in rest:
+                    acc = add[acc, mul[c][digits[col]]]
+                row = acc @ weights
+            keys *= radix
+            keys += row
+        ids[t] = sub.ids_of_keys(keys)
+        if q == 1 and not np.array_equal(np.take(sub.rows, ids[t], axis=0),
+                                         idx.rows[:, picked]):
+            raise KeyError(f"a subset of {spec} is no vertex of {sub.spec}")
+    return ContainmentTable(spec, j, sub, ids.T)
 
 
 @lru_cache(maxsize=None)

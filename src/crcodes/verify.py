@@ -123,12 +123,16 @@ def _code_ids(spec: GraphSpec, code) -> np.ndarray:
 
 
 def distance_partition(spec: GraphSpec, code) -> DistancePartition:
-    """Breadth-first distance cells from the code; rho = #layers - 1."""
+    """Breadth-first distance cells from the code; rho = #layers - 1.
+
+    Each layer marks the (k-1)-objects under the frontier and reaches the
+    vertices over a marked one, one table column at a time.
+    """
     ids = _code_ids(spec, code)
     if len(ids) == 0:
         raise VerificationError("code is empty")
     table = containment_table(spec, spec.k - 1)
-    inc = table.ids
+    columns = table.ids.T
     V = spec.vertex_count
     cell = np.full(V, -1, dtype=np.int64)
     cell[ids] = 0
@@ -136,8 +140,12 @@ def distance_partition(spec: GraphSpec, code) -> DistancePartition:
     d = 0
     while (cell == -1).any():
         mark = np.zeros(len(table.sub_index), dtype=bool)
-        mark[inc[frontier].ravel()] = True
-        nxt = np.nonzero(mark[inc].any(axis=1) & (cell == -1))[0]
+        for col in columns:
+            mark[col[frontier]] = True
+        reached = np.zeros(V, dtype=bool)
+        for col in columns:
+            reached |= mark[col]
+        nxt = np.nonzero(reached & (cell == -1))[0]
         if nxt.size == 0:
             raise VerificationError("some vertices are unreachable from the code")
         d += 1
@@ -149,18 +157,27 @@ def distance_partition(spec: GraphSpec, code) -> DistancePartition:
 
 def cell_neighbor_counts(spec: GraphSpec, cell_of: np.ndarray,
                          n_cells: int) -> np.ndarray:
-    """counts[v, c] = number of neighbors of v lying in cell c, for every v."""
+    """counts[v, c] = number of neighbors of v lying in cell c, for every v.
+
+    per_sub[c] counts the members of cell c over each (k-1)-object, and
+    column c of counts sums it over every vertex's (k-1)-objects, one table
+    column at a time.  The result is the (V, n_cells) view of an
+    (n_cells, V) array.
+    """
     table = containment_table(spec, spec.k - 1)
-    inc = table.ids
-    V, s = inc.shape
-    per_sub = np.zeros((len(table.sub_index), n_cells), dtype=np.int64)
-    for c in range(n_cells):
-        np.add.at(per_sub[:, c], inc[cell_of == c].ravel(), 1)
-    counts = np.zeros((V, n_cells), dtype=np.int64)
-    for t in range(s):
-        counts += per_sub[inc[:, t]]
-    counts[np.arange(V), cell_of] -= s  # each vertex sat in s of its own cliques
-    return counts
+    columns = table.ids.T
+    s, V = columns.shape
+    S = len(table.sub_index)
+    per_sub = np.zeros(n_cells * S, dtype=np.int64)
+    base = cell_of * S
+    for col in columns:
+        per_sub += np.bincount(base + col, minlength=n_cells * S)
+    counts = np.zeros((n_cells, V), dtype=np.int64)
+    for row, per_sub_c in zip(counts, per_sub.reshape(n_cells, S)):
+        for col in columns:
+            row += per_sub_c[col]
+    counts[cell_of, np.arange(V)] -= s  # each vertex sat in s of its own cliques
+    return counts.T
 
 
 def check_completely_regular(spec: GraphSpec, code) -> RegularityCheck:
@@ -301,8 +318,9 @@ def design_strength(spec: GraphSpec, ids) -> tuple[int, tuple[int, ...]]:
     covers = []  # cover_{k-1}, ..., cover_1
     if k >= 2:
         table = containment_table(spec, k - 1)
-        cover = np.bincount(table.ids[ids].ravel(),
-                            minlength=len(table.sub_index))
+        cover = np.zeros(len(table.sub_index), dtype=np.int64)
+        for col in table.ids.T:
+            cover += np.bincount(col[ids], minlength=len(cover))
         covers.append(cover)
         for j in range(k - 2, 0, -1):
             up = containment_table(spec.level(j + 1), j)
