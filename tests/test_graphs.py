@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 import oracles
@@ -183,6 +184,54 @@ def test_containment_table_content_spotcheck():
                 v = rng.randrange(len(idx))
                 named = {t.sub_index[int(i)] for i in t.ids[v]}
                 assert named == set(sp.subspaces_of(idx[v], j)), (text, j, v)
+
+
+@pytest.mark.parametrize("spec_text", ["jq:2,6,3", "jq:3,4,2", "jq:4,4,2",
+                                       "j:10,4"])
+def test_containment_table_exhaustive(spec_text):
+    # every vertex at every level: the q <= 2 XOR keys, the GF(q) digit
+    # keys (prime and prime-power q) and the colex keys of subsets, each
+    # against the per-vertex oracle and a dict of the sub-level rows
+    import itertools
+
+    from crcodes import subspaces as sp
+    spec = g.parse_graph_spec(spec_text)
+    idx = g.vertex_index(spec)
+    for j in range(spec.k + 1):
+        t = g.containment_table(spec, j)
+        assert t.ids.dtype == np.int32
+        assert t.ids.shape == (len(idx), gaussian(spec.k, j, spec.q))
+        assert all(t.ids[:, c].flags.c_contiguous for c in range(t.per_vertex))
+        id_of = {row: i for i, row in enumerate(map(tuple, t.sub_index.rows.tolist()))}
+        for v in range(len(idx)):
+            if spec.q == 1:
+                subs = itertools.combinations(idx[v].members, j)
+            else:
+                subs = (u.rows for u in sp.subspaces_of(idx[v], j))
+            assert t.ids[v].tolist() == [id_of[row] for row in subs], (j, v)
+
+
+@pytest.mark.parametrize("spec_text,j", [("jq:2,6,3", 2), ("j:16,6", 5),
+                                         ("jq:3,4,2", 1)])
+def test_members_are_ascending_star_rows(spec_text, j):
+    # members against a sort of the (j-object, vertex) incidence pairs
+    t = g.containment_table(g.parse_graph_spec(spec_text), j)
+    pairs = sorted((x, v) for v, row in enumerate(t.ids.tolist()) for x in row)
+    want = np.array([v for _, v in pairs]).reshape(len(t.sub_index), -1)
+    assert np.array_equal(t.members, want)
+
+
+@pytest.mark.parametrize("spec_text", ["jq:2,6,3", "jq:3,4,2", "j:16,6"])
+def test_ids_of_keys_finds_vertices_and_refuses_other_keys(spec_text):
+    idx = g.vertex_index(g.parse_graph_spec(spec_text))
+    keys = idx._pack(idx.rows)
+    assert idx.ids_of_keys(keys).tolist() == list(range(len(idx)))
+    # a key between two vertex keys, or past the last colex rank
+    absent = len(idx) if idx.spec.q == 1 else np.sort(keys)[0] + 1
+    assert absent not in set(keys.tolist())
+    for bad in ([absent], [keys[3], absent]):
+        with pytest.raises(KeyError):
+            idx.ids_of_keys(np.array(bad, dtype=np.uint64))
 
 
 def test_containment_table_refuses_field_tables_above_256():
