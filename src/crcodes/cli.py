@@ -137,8 +137,8 @@ def _parse_group(spec: GraphSpec, text: str):
     names the refinement ladder prints).  Returns the action and, for a
     pure singer:<e>, the exponent e whose refinement ladder search walks."""
     if text == "identity":
-        perm = np.arange(spec.vertex_count, dtype=np.int64)
-        return GroupAction(spec, [perm], description="identity"), None
+        points = np.arange(spec.level(1).vertex_count)
+        return GroupAction(spec, [points], description="identity"), None
     builders = {"singer": singer_action, "frobenius": frobenius_action}
     parts = [part.partition(":") for part in text.split("+")]
     if any(kind not in builders for kind, _, _ in parts):
@@ -410,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--theta", type=int, help="eigenvalue row to sweep")
     ps.add_argument("--gamma1", type=int)
     ps.add_argument("--beta0", type=int)
-    ps.add_argument("--mode", choices=["first", "all", "count"], default="first")
+    ps.add_argument("--mode", choices=["first", "count"], default="first")
     ps.add_argument("--max-nodes", type=int)
     ps.add_argument("--max-seconds", type=float)
     ps.add_argument("--seed", type=int)

@@ -23,9 +23,9 @@ Default defining polynomials (all primitive, coefficient lists ascending):
 
 For a (p, m) pair without a table entry the smallest primitive polynomial
 (by packed coefficient index) is found by search.  Every modulus, supplied
-or defaulted, is re-verified at construction: irreducibility by trial
-division against all monic polynomials of degree up to m/2, and
-primitivity of x by checking x^((q-1)/r) != 1 for each prime r | q-1.
+or defaulted, is re-verified at construction: x^(q-1) = 1 and
+x^((q-1)/r) != 1 for each prime r | q-1, so x has order q-1 modulo f.
+Then every nonzero residue is a power of x, a unit, so f is irreducible.
 """
 
 from __future__ import annotations
@@ -103,24 +103,6 @@ def _poly_mod(num: Sequence[int], den: Sequence[int], p: int) -> list[int]:
     return _poly_trim(num[:dd])
 
 
-def _poly_is_irreducible(coeffs: Sequence[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree 1..deg/2."""
-    deg = len(coeffs) - 1
-    if deg <= 0:
-        return False
-    for d in range(1, deg // 2 + 1):
-        for idx in range(p ** d):
-            cand = [0] * (d + 1)
-            t = idx
-            for j in range(d):
-                cand[j] = t % p
-                t //= p
-            cand[d] = 1
-            if not _poly_mod(coeffs, cand, p):
-                return False
-    return True
-
-
 class FieldError(ValueError):
     """Invalid field construction or operation."""
 
@@ -166,17 +148,16 @@ class FieldSpec:
     # -- construction-time verification ---------------------------------
 
     def _check_modulus(self) -> None:
-        p, m = self.characteristic, self.degree
-        if m > 1 and not _poly_is_irreducible(self.modulus, p):
-            raise FieldError(f"modulus {self.modulus} is reducible over GF({p})")
+        """x must have order q-1 modulo f (module docstring)."""
         x = self.generator
         qm1 = self.order - 1
+        if self.pow_i(x, qm1) != 1:
+            raise FieldError(
+                f"modulus {self.modulus} is not primitive: x^{qm1} != 1")
         for r in prime_factors(qm1):
             if self.pow_i(x, qm1 // r) == 1:
                 raise FieldError(
                     f"modulus {self.modulus} is not primitive: x^({qm1}//{r}) = 1")
-        if self.pow_i(x, qm1) != 1 and qm1 > 0:
-            raise FieldError("internal: x^(q-1) != 1")
 
     # -- identity, equality ---------------------------------------------
 
@@ -296,8 +277,6 @@ def _default_modulus(p: int, m: int) -> tuple[int, ...]:
         coeffs[m] = 1
         if coeffs[0] == 0:
             continue  # divisible by x
-        if not _poly_is_irreducible(coeffs, p):
-            continue
         try:
             FieldSpec(p, m, coeffs)
         except FieldError:

@@ -116,10 +116,14 @@ def _gq1(m: int, q: int) -> int:
 
 
 def theta(spec: GraphSpec, i: int) -> int:
-    """The i-th eigenvalue of the graph, exact; theta(0) is the valency."""
-    if not 0 <= i <= spec.k:
-        raise ValueError(f"eigenvalue index {i} out of range 0..{spec.k}")
-    n, k, q = spec.n, spec.k, spec.q
+    """The i-th eigenvalue of the graph, exact; theta(0) is the valency.
+
+    J_q(n, k) is J_q(n, n-k), so the formulas run on min(k, n-k).
+    """
+    n, q = spec.n, spec.q
+    k = min(spec.k, n - spec.k)
+    if not 0 <= i <= k:
+        raise ValueError(f"eigenvalue index {i} out of range 0..{k}")
     if q == 1:
         return (k - i) * (n - k - i) - i
     return q ** (i + 1) * _gq1(n - k - i, q) * _gq1(k - i, q) - _gq1(i, q)
@@ -127,7 +131,7 @@ def theta(spec: GraphSpec, i: int) -> int:
 
 def theta_ladder(spec: GraphSpec) -> list[int]:
     """All eigenvalues theta_0 > theta_1 > ... > theta_k."""
-    vals = [theta(spec, i) for i in range(spec.k + 1)]
+    vals = [theta(spec, i) for i in range(min(spec.k, spec.n - spec.k) + 1)]
     assert all(vals[i] > vals[i + 1] for i in range(len(vals) - 1)), \
         f"eigenvalue ladder not strictly decreasing: {vals}"
     return vals

@@ -1,26 +1,34 @@
 """Group actions on graph vertices, orbits, and orbit quotient matrices.
 
-A group is given by explicit generator permutations of the vertex ids.
-Every generator is checked exhaustively to be a graph automorphism before
-it is accepted, at every graph size, through the star cliques of the
-(k-1) containment table.  The orbits of an automorphism group induce an
-equitable partition, so the orbit quotient matrix B (B_ij = neighbors of
-an O_i vertex inside O_j) is counted from one representative per orbit.
-join_actions combines built actions into one group without checking their
-generators again.  An action that normalizes a group permutes its orbits
-(orbit_permutation), which is the symmetry bip.solve branches on.
+A group is given by generator permutations of the points: the [n]_q
+points of a Grassmann graph or the n points of a Johnson graph, by their
+ids in the level-1 vertex index.  A vertex is the set of its points, its
+row of the level-1 containment table, so GroupAction reads each
+generator's vertex permutation off that table: vertex u goes to the
+vertex whose sorted row equals u's moved, sorted row.  That one match is
+the exhaustive automorphism check.  It fails unless the points of every
+vertex go to the points of a vertex, and a point bijection that passes
+keeps the sizes of intersections, so it keeps adjacency (two vertices
+share exactly [k-1]_q points).  Every permutation of the n points of
+J(n, k) passes; a star<->top duality of an n = 2k graph moves no points
+and cannot be given.  join_actions is one GroupAction over the
+concatenated point generators.
+
+The orbits of an automorphism group induce an equitable partition, so
+the orbit quotient matrix B (B_ij = neighbors of an O_i vertex inside O_j)
+is counted from one representative per orbit.  An action that normalizes
+a group permutes its orbits (orbit_permutation), which is the symmetry
+bip.solve branches on.
 
 The Singer-type action multiplies vectors of GF(q)^n, read as elements of
 GF(q^n), by a fixed power of a primitive element; the Frobenius action
-raises them to a power q^j.  A GF(q)-linear map permutes the [n]_q points,
-and a k-subspace is the set of its points, so a field action moves the
-points only and reads the vertex permutation off the level-1 containment
-table, by the same sorted-row match that checks the star cliques.
+raises them to a power q^j.  Both are GF(q)-linear, so they permute the
+[n]_q points, and each is built as that point permutation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -38,103 +46,66 @@ QUOTIENT_MAX_ORBITS = 12_000
 
 @dataclass
 class GroupAction:
-    """Generator permutations (full id -> id arrays) on a graph's vertices."""
+    """Point permutations, and the vertex permutations (full id -> id
+    arrays) they induce, which passed the match of the module docstring."""
 
     spec: GraphSpec
-    generators: list
+    point_generators: list
     description: str = ""
+    generators: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        V = self.spec.vertex_count
+        points = self.spec.level(1).vertex_count
         gens = []
-        for g in self.generators:
-            g = np.asarray(g, dtype=np.int64)
-            if g.shape != (V,) or len(np.unique(g)) != V:
-                raise VerificationError("generator is not a vertex permutation")
-            gens.append(g)
-        self.generators = gens
-        for g in gens:
-            _check_automorphism(self.spec, g)
+        for p in self.point_generators:
+            p = np.asarray(p, dtype=np.int64)
+            if p.shape != (points,) or \
+                    not np.array_equal(np.sort(p), np.arange(points)):
+                raise VerificationError("generator is not a point permutation")
+            gens.append(p)
+        self.point_generators = gens
+        self.generators = [_vertex_perm(self.spec, p) for p in gens]
 
 
 def join_actions(actions: Sequence[GroupAction]) -> GroupAction:
-    """The group generated by built actions on one graph, named a+b+...
-
-    Each action's generators passed the exhaustive check when it was
-    built, so they are not checked again; a GroupAction made from raw
-    arrays always checks its own.
-    """
+    """The group generated by actions on one graph, named a+b+...: one
+    GroupAction over their point generators."""
     spec = actions[0].spec
     if any(a.spec != spec for a in actions):
         raise VerificationError("actions on different graphs")
-    joined = object.__new__(GroupAction)  # skips __post_init__'s checks
-    joined.spec = spec
-    joined.generators = [g for a in actions for g in a.generators]
-    joined.description = "+".join(a.description for a in actions)
-    return joined
-
-
-def _check_automorphism(spec: GraphSpec, perm: np.ndarray) -> None:
-    """Exhaustive: perm must map the set of star cliques onto itself.
-
-    Adjacent vertices share exactly one (k-1)-object, so a permutation that
-    maps every star onto a star is an automorphism.  The converse fails only
-    for a star<->top duality of an n = 2k graph, which is refused; none of
-    the actions built here is one.
-    """
-    stars = _fixed_side(spec, True)
-    _match_rows(stars, np.sort(perm[stars[0]], axis=1),
-                "generator is not a graph automorphism")
+    return GroupAction(spec, [p for a in actions for p in a.point_generators],
+                       "+".join(a.description for a in actions))
 
 
 @lru_cache(maxsize=4)
-def _fixed_side(spec: GraphSpec, stars: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The rows every match on spec compares against, and their lexsort.
-
-    stars: the star cliques, one row of vertex ids per (k-1)-object;
-    otherwise the sorted point ids of each vertex.  Every generator and
-    every field action on one graph matches against the same rows, so
-    their sort order is computed once.
-    """
-    if stars:
-        rows = containment_table(spec, spec.k - 1).members
-    else:
-        rows = np.sort(containment_table(spec, 1).ids, axis=1)
+def _points_of(spec: GraphSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted point ids of each vertex, and their lexsort, computed once
+    for every generator on spec."""
+    rows = np.sort(containment_table(spec, 1).ids, axis=1)
     return rows, np.lexsort(rows.T[::-1])
 
 
-def _match_rows(fixed: tuple[np.ndarray, np.ndarray], image: np.ndarray,
-                error: str) -> np.ndarray:
-    """The permutation p with image[i] == rows[p[i]], (rows, order) = fixed.
-
-    fixed comes from _fixed_side; VerificationError(error) unless image
-    holds exactly the rows of rows.
-    """
-    rows, at = fixed
+def _vertex_perm(spec: GraphSpec, point_perm: np.ndarray) -> np.ndarray:
+    """The vertex permutation p with points(p[u]) = point_perm(points(u));
+    VerificationError unless every moved row is the row of a vertex."""
+    rows, at = _points_of(spec)
+    image = np.sort(point_perm[rows], axis=1)
     im = np.lexsort(image.T[::-1])
     if not np.array_equal(rows[at], image[im]):
-        raise VerificationError(error)
+        raise VerificationError("generator is not a graph automorphism")
     p = np.empty(len(rows), dtype=np.int64)
     p[im] = at
     return p
 
 
-def _field_induced_perm(spec: GraphSpec, move) -> np.ndarray:
-    """Vertex id -> id of the image of a GF(q)-linear map, read off its points.
-
-    move maps a packed vector to a packed vector.  Only the [n]_q points are
-    moved and re-normalized; a k-subspace is the set of its points, so its
-    image is the vertex whose sorted row of the level-1 table equals the
-    moved, sorted row.
-    """
+def _field_point_perm(spec: GraphSpec, move) -> np.ndarray:
+    """Point id -> id of a GF(q)-linear map; move maps a packed vector to a
+    packed vector, and each moved point is re-normalized and looked up."""
     points = vertex_index(spec.level(1))
     moved = [sp.rref([move(r)], spec.n, spec.q).rows
              for r in points.rows[:, 0].tolist()]
-    point_perm = points.ids_of_rows(
+    return points.ids_of_rows(
         np.array(moved, dtype=np.uint64).reshape(len(points), 1))
-    points_of = _fixed_side(spec, False)
-    return _match_rows(points_of, np.sort(point_perm[points_of[0]], axis=1),
-                       "field map does not permute the vertices")
 
 
 def _field_for(spec: GraphSpec, modulus):
@@ -154,18 +125,18 @@ def singer_action(spec: GraphSpec, exponent: int,
     index of the corresponding field element, so each point moves by one
     field multiplication.
     """
-    field = _field_for(spec, modulus)
-    factor = field.pow_i(field.generator, exponent)
-    perm = _field_induced_perm(spec, lambda r: field.mul_i(r, factor))
+    gf = _field_for(spec, modulus)
+    factor = gf.pow_i(gf.generator, exponent)
+    perm = _field_point_perm(spec, lambda r: gf.mul_i(r, factor))
     return GroupAction(spec, [perm], description=f"singer:{exponent}")
 
 
 def frobenius_action(spec: GraphSpec, power: int = 1,
                      modulus: Optional[Sequence[int]] = None) -> GroupAction:
     """The field power map v -> v^(q^power) on GF(q^n), GF(q)-linear."""
-    field = _field_for(spec, modulus)
+    gf = _field_for(spec, modulus)
     e = spec.q ** (power % spec.n)
-    perm = _field_induced_perm(spec, lambda r: field.pow_i(r, e))
+    perm = _field_point_perm(spec, lambda r: gf.pow_i(r, e))
     return GroupAction(spec, [perm], description=f"frobenius:{power}")
 
 

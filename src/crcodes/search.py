@@ -1,7 +1,7 @@
 """Search for one (beta0, gamma1) parameter point under a group.
 
 The exact depth-first solver in bip.solve is the only authority for UNSAT
-and for all/count enumeration.  Finding a satisfying assignment of a
+and for counting.  Finding a satisfying assignment of a
 465-variable orbit system by blind DFS alone is unreliable, so mode
 'first' also runs HiGHS milp as a witness finder.  It works on one
 ordered list of systems: the rungs of a refinement ladder by ascending
@@ -24,14 +24,20 @@ its representative's rung orbit.  All passes share one deadline.
   final   one exhaustive run of the exact solver on the own system, on
           the time left.
 
-Every exact solve of mode 'first', on a rung or on the own system, gets
-that system's residual symmetry: each field action of the ladder (a^d for
-d | e, the Frobenius powers j | n) that normalizes the system's group
-permutes its orbits (orbits.orbit_permutation), and bip.solve branches on
-orbits of the group H those permutations generate.  The field actions are
-built, and each generator checked, once per graph and exponent
-(_field_actions); the rungs join them without checking again.  Without a
-Singer exponent no symmetry is used, and modes 'all'/'count' never use it.
+Every exact solve of mode 'first', on a rung or on the own system, under
+any group, gets that system's residual symmetry: of singer:1 and
+frobenius:1, which generate every field action, each one that normalizes
+the system's group permutes its orbits (orbits.orbit_permutation), and
+bip.solve branches on orbits of the group H those permutations generate.
+For the own system of singer:e both normalize, and H is the group that
+all the ladder's field actions a^d (d | e) and Frobenius powers j | n
+induce.  A rung that singer:1 does not normalize gets what frobenius:1
+induces, which can be less than the normalizing field actions give (on
+J_2(6,3), order 2 on singer:21+frobenius:2, against 6 with a^7 added).
+The field actions are built once per graph and exponent
+(_field_actions); a rung joins two of them into one group action.
+Johnson graphs have no field actions and get no symmetry; mode 'count'
+never uses it.
 
 The stage that decided is reported by name: refinement:<group> for a
 rung's witness from either pass, dfs for the own system's exact solver
@@ -97,18 +103,30 @@ def _verified_lift(x, osys: OrbitSystem, spec: GraphSpec, gamma1: int,
 
 
 @functools.lru_cache(maxsize=8)
+def _field_generators(spec: GraphSpec):
+    """(singer:1, frobenius:1), which generate every field action; their
+    orbit permutations generate every system's H.  () where field actions
+    are not defined."""
+    try:
+        return singer_action(spec, 1), frobenius_action(spec, 1)
+    except VerificationError:
+        return ()
+
+
+@functools.lru_cache(maxsize=8)
 def _field_actions(spec: GraphSpec, exponent: int):
     """(singers, frobeniuses): a^d for d | exponent, ascending, and the
-    Frobenius powers j | n, j < n.  Each is built, and its generator
-    checked, once; the ladder's rungs and every system's H share them.
-    Both are empty where field actions are not defined."""
-    try:
-        singers = tuple(singer_action(spec, d) for d in range(1, exponent + 1)
-                        if exponent % d == 0)
-        frobs = tuple(frobenius_action(spec, j) for j in range(1, spec.n)
-                      if spec.n % j == 0)
-    except VerificationError:
+    Frobenius powers j | n, j < n, each built once; the first of each is
+    _field_generators'.  Both are empty where field actions are not
+    defined."""
+    first = _field_generators(spec)
+    if not first:
         return (), ()
+    singers = first[:1] + tuple(singer_action(spec, d)
+                                for d in range(2, exponent + 1)
+                                if exponent % d == 0)
+    frobs = first[1:] + tuple(frobenius_action(spec, j)
+                              for j in range(2, spec.n) if spec.n % j == 0)
     return singers, frobs
 
 
@@ -128,14 +146,11 @@ def _refinement_ladder(spec: GraphSpec, exponent: int, max_orbits: int = 300):
     return tuple(sorted(rungs, key=lambda sup: sup.count))
 
 
-def _symmetry(spec: GraphSpec, exponent: Optional[int], sup: OrbitSystem):
-    """The permutations of sup's orbits induced by the field actions of
-    exponent that normalize sup's group: the generators of the H that
-    bip.solve branches on.  None without an exponent."""
-    if exponent is None:
-        return None
-    singers, frobs = _field_actions(spec, exponent)
-    perms = (orbit_permutation(sup, a) for a in singers + frobs)
+def _symmetry(spec: GraphSpec, sup: OrbitSystem):
+    """The permutations of sup's orbits induced by those of singer:1 and
+    frobenius:1 that normalize sup's group: the generators of the H that
+    bip.solve branches on.  Empty where field actions are not defined."""
+    perms = (orbit_permutation(sup, a) for a in _field_generators(spec))
     return [pi for pi in perms if pi is not None]
 
 
@@ -200,7 +215,7 @@ def _two_passes(spec: GraphSpec, osys: OrbitSystem, inst: BipInstance,
                         max_nodes=cap if own else RUNG_MAX_NODES,
                         max_seconds=deadline - time.monotonic(),
                         seed=seed if own else None,
-                        symmetry=_symmetry(spec, exponent, sup))
+                        symmetry=_symmetry(spec, sup))
         tally(res)
         if res.status == bip.BUDGET_EXCEEDED:
             left_open.append((sup, system))
@@ -232,7 +247,7 @@ def search_parameter_point(spec: GraphSpec, osys: OrbitSystem,
                            label: Optional[str] = None) -> SearchOutcome:
     """Decide one parameter point; witnesses are exact, UNSAT means exhausted.
 
-    mode 'all'/'count' run the exact solver alone (stage 'dfs').  Mode
+    mode 'count' runs the exact solver alone (stage 'dfs').  Mode
     'first' runs the two passes of the module docstring over the rungs of
     the refinement ladder of a^singer_exponent and then the point's own
     system, whose pass-1 slice is _slice_nodes(r) nodes (at most
@@ -241,6 +256,8 @@ def search_parameter_point(spec: GraphSpec, osys: OrbitSystem,
     deadline of max_seconds (an hour when unset).  seed breaks the
     own-system solves' branching ties.
     """
+    if mode not in ("first", "count"):
+        raise ValueError(f"unknown search mode {mode!r}")
     t0 = time.monotonic()
     inst = build_instance(spec, osys, beta0, gamma1, B=B)
     lp_calls = certificates = 0
@@ -268,7 +285,7 @@ def search_parameter_point(spec: GraphSpec, osys: OrbitSystem,
     if res is None:
         res = bip.solve(inst, mode=mode, max_nodes=max_nodes,
                         max_seconds=max_seconds, seed=seed,
-                        symmetry=_symmetry(spec, singer_exponent, osys)
+                        symmetry=_symmetry(spec, osys)
                         if mode == "first" else None)
         tally(res)
     out = SearchOutcome(status=res.status, stage="dfs", nodes=res.nodes,

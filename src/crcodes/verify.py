@@ -345,7 +345,7 @@ def design_strength(spec: GraphSpec, ids) -> tuple[int, tuple[int, ...]]:
 def strength_from_eigenvalues(spec: GraphSpec, values: Sequence[int]) -> int:
     """min{i >= 1 : theta_i is a code eigenvalue} - 1."""
     ladder = theta_ladder(spec)
-    present = [i for i in range(1, spec.k + 1) if ladder[i] in values]
+    present = [i for i in range(1, len(ladder)) if ladder[i] in values]
     if not present:
         raise VerificationError("code has no eigenvalue below the valency")
     return min(present) - 1

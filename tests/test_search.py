@@ -31,15 +31,16 @@ def test_first_mode_finds_and_lift_verifies(singer42):
     assert rep["beta"] == [18] and rep["gamma"] == [3]
 
 
-def test_all_mode_bypasses_probes(singer42):
+def test_count_mode_bypasses_probes(singer42):
     osys, B = singer42
-    out = search_parameter_point(S42, osys, 15, 6, B=B, mode="all")
+    out = search_parameter_point(S42, osys, 15, 6, B=B, mode="count")
     assert out.stage == "dfs"
     assert out.status == bip.SAT and out.count == 45
+    with pytest.raises(ValueError, match="unknown search mode"):
+        search_parameter_point(S42, osys, 15, 6, B=B, mode="all")
 
 
-@pytest.mark.parametrize("beta0,gamma1,mode", [(18, 3, "first"),
-                                               (15, 6, "all")])
+@pytest.mark.parametrize("beta0,gamma1,mode", [(18, 3, "first")])
 def test_failed_lift_raises(singer42, monkeypatch, beta0, gamma1, mode):
     osys, B = singer42
     monkeypatch.setattr(search, "verify_report",
@@ -111,7 +112,8 @@ def test_two_passes_run_every_capped_solve_before_any_milp(singer42,
 
 def _cold_ladder(spec, exponent):
     """The ladder built with every cache it reads emptied first and after."""
-    caches = (search._refinement_ladder, search._field_actions)
+    caches = (search._refinement_ladder, search._field_actions,
+              search._field_generators)
     for cache in caches:
         cache.cache_clear()
     try:
@@ -119,16 +121,6 @@ def _cold_ladder(spec, exponent):
     finally:
         for cache in caches:
             cache.cache_clear()
-
-
-def test_cold_ladder_checks_each_field_action_once(monkeypatch):
-    # 7 field actions, 15 rungs: the joined rungs check nothing again
-    checks = []
-    real = ob._check_automorphism
-    monkeypatch.setattr(ob, "_check_automorphism",
-                        lambda spec, perm: checks.append(1) or real(spec, perm))
-    assert len(_cold_ladder(S63, 21)) == 15
-    assert len(checks) == 7
 
 
 def test_ladder_builds_each_field_action_once(monkeypatch):
@@ -157,10 +149,10 @@ def test_ladder_builds_each_field_action_once(monkeypatch):
         for j in (0, 1, 2, 3):
             if (d, j) == (21, 0):
                 continue
-            gens = [ob.singer_action(S63, d).generators[0]]
+            gens = list(ob.singer_action(S63, d).point_generators)
             name = f"singer:{d}"
             if j:
-                gens.append(ob.frobenius_action(S63, j).generators[0])
+                gens += ob.frobenius_action(S63, j).point_generators
                 name += f"+frobenius:{j}"
             sup = ob.orbit_system(ob.GroupAction(S63, gens, description=name))
             if sup.count <= 300:
@@ -193,8 +185,7 @@ def test_carry_matches_the_lifted_mask(spec, exponent):
 def test_max_seconds_bounds_the_point():
     # 1395 orbits and no ladder: milp and then the DFS at about 5 ms a
     # node must both stop at the one deadline
-    ident = ob.GroupAction(S63, [np.arange(S63.vertex_count)],
-                           description="identity")
+    ident = ob.GroupAction(S63, [np.arange(63)], description="identity")
     osys = ob.orbit_system(ident)
     B = ob.quotient_matrix(S63, osys)
     t0 = time.monotonic()
@@ -206,8 +197,7 @@ def test_max_seconds_bounds_the_point():
 def test_node_lp_stops_at_the_deadline():
     # 1395 orbits: each node LP is slow, and HiGHS gets the time left as
     # its time_limit, so no LP runs past max_seconds
-    ident = ob.GroupAction(S63, [np.arange(S63.vertex_count)],
-                           description="identity")
+    ident = ob.GroupAction(S63, [np.arange(63)], description="identity")
     osys = ob.orbit_system(ident)
     inst = bip.build_instance(S63, osys, 56, 7,
                               B=ob.quotient_matrix(S63, osys))
@@ -258,7 +248,7 @@ def test_orbital_branching_shrinks_the_j273_proof(singer73):
     # system; without it the same proof takes 346 nodes
     osys, B = singer73
     inst = bip.build_instance(S73, osys, 203, 14, B=B)
-    symmetry = search._symmetry(S73, 1, osys)
+    symmetry = search._symmetry(S73, osys)
     res = bip.solve(inst, symmetry=symmetry)
     assert res.status == bip.UNSAT and res.nodes < 100
     assert bip.solve(inst, max_nodes=100).status == bip.BUDGET_EXCEEDED
@@ -324,3 +314,45 @@ def test_frobenius_fixed_subspaces_are_subfield_spans():
     assert fixed  # at least the field-polynomial-stable subspaces
     perm = act.generators[0]
     assert all(perm[v] == v for v in fixed)
+
+
+def test_joined_group_gets_residual_symmetry():
+    # singer:1 and frobenius:1 both normalize <a^7, sigma^3>, and induce a
+    # group of order 21 on its 99 orbits, as on the ladder rung of the
+    # same name
+    osys = ob.orbit_system(ob.join_actions([ob.singer_action(S63, 7),
+                                            ob.frobenius_action(S63, 3)]))
+    inst = bip.build_instance(S63, osys, 81, 12,
+                              B=ob.quotient_matrix(S63, osys))
+    A_ext, rhs = inst.rows()
+    symmetry = search._symmetry(S63, osys)
+    assert osys.count == 99 and len(symmetry) == 2
+    assert len(bip._symmetry_group(A_ext, rhs, symmetry)) == 21
+
+
+def _psl2_11():
+    """PSL(2,11) on the 12 points of J(12,6), read as GF(11) and infinity
+    (point 11): x -> x + 1 and x -> -1/x."""
+    shift = np.array([(x + 1) % 11 for x in range(11)] + [11])
+    invert = np.array([11] + [(-pow(x, -1, 11)) % 11 for x in range(1, 11)]
+                      + [0])
+    return ob.GroupAction(GraphSpec("johnson", 1, 12, 6), [shift, invert],
+                          description="psl2_11")
+
+
+@pytest.mark.parametrize("beta0,gamma1,blocks,lambdas", [
+    (36, 6, 132, [66, 30, 12, 4, 1]), (30, 12, 264, [132, 60, 24, 8, 2])])
+def test_psl2_11_invariant_steiner_systems(beta0, gamma1, blocks, lambdas):
+    # theta = -6 points of J(12,6) are 5-designs: (36, 6) is S(5,6,12)
+    action = _psl2_11()
+    spec = action.spec
+    osys = ob.orbit_system(action)
+    assert osys.count == 6
+    B = ob.quotient_matrix(spec, osys)
+    out = search_parameter_point(spec, osys, beta0, gamma1, B=B,
+                                 max_seconds=60)
+    assert out.status == bip.SAT and out.lift_verified
+    rep = vf.verify_report(spec, out.code)
+    assert rep["completely_regular"] and rep["code_size"] == blocks
+    assert (rep["beta"], rep["gamma"]) == ([beta0], [gamma1])
+    assert rep["strength"] == 5 and rep["lambdas"] == lambdas

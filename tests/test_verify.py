@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -317,3 +318,23 @@ def test_code_rejects_duplicate_and_out_of_range_ids(bad):
     if min(bad) >= 0:
         with pytest.raises(vf.VerificationError):
             vf.Code(S63, np.array(bad, dtype=np.uint64))
+
+
+@pytest.mark.parametrize("graph,beta,gamma,eigenvalues", [
+    ("jq:2,6,4", [90, 56], [1, 9], [90, 27, -3]),
+    ("j:6,4", [8, 3], [1, 4], [8, 2, -2])])
+def test_verify_one_vertex_of_an_unbalanced_graph(tmp_path, capsys, graph,
+                                                  beta, gamma, eigenvalues):
+    # J_q(n,k) is J_q(n,n-k): the ladder has min(k, n-k) + 1 entries
+    from crcodes import files
+    from crcodes.cli import main
+    from crcodes.graphs import theta_ladder
+    spec = parse_graph_spec(graph, allow_unbalanced=True)
+    assert theta_ladder(spec) == eigenvalues
+    path = tmp_path / "one.code"
+    files.write_code(path, vf.Code(spec, [0]))
+    assert main(["verify", "--graph", graph, "--code", str(path)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["beta"], rep["gamma"]) == (beta, gamma)
+    assert rep["eigenvalues"] == eigenvalues and rep["strength"] == 0
+    assert rep["completely_regular"]
