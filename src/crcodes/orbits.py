@@ -12,7 +12,8 @@ keeps the sizes of intersections, so it keeps adjacency (two vertices
 share exactly [k-1]_q points).  Every permutation of the n points of
 J(n, k) passes; a star<->top duality of an n = 2k graph moves no points
 and cannot be given.  join_actions is one GroupAction over the
-concatenated point generators.
+concatenated point generators; the match is memoized on the point
+permutation, so a join checks no generator again.
 
 The orbits of an automorphism group induce an equitable partition, so
 the orbit quotient matrix B (B_ij = neighbors of an O_i vertex inside O_j)
@@ -64,7 +65,7 @@ class GroupAction:
                 raise VerificationError("generator is not a point permutation")
             gens.append(p)
         self.point_generators = gens
-        self.generators = [_vertex_perm(self.spec, p) for p in gens]
+        self.generators = [_vertex_perm(self.spec, p.tobytes()) for p in gens]
 
 
 def join_actions(actions: Sequence[GroupAction]) -> GroupAction:
@@ -85,9 +86,13 @@ def _points_of(spec: GraphSpec) -> tuple[np.ndarray, np.ndarray]:
     return rows, np.lexsort(rows.T[::-1])
 
 
-def _vertex_perm(spec: GraphSpec, point_perm: np.ndarray) -> np.ndarray:
-    """The vertex permutation p with points(p[u]) = point_perm(points(u));
-    VerificationError unless every moved row is the row of a vertex."""
+@lru_cache(maxsize=16)
+def _vertex_perm(spec: GraphSpec, key: bytes) -> np.ndarray:
+    """The vertex permutation p with points(p[u]) = point_perm(points(u)),
+    point_perm the int64 array of bytes key; VerificationError unless every
+    moved row is the row of a vertex.  Made once per point permutation: a
+    join or a ladder rung reuses the read-only result of each part's."""
+    point_perm = np.frombuffer(key, dtype=np.int64)
     rows, at = _points_of(spec)
     image = np.sort(point_perm[rows], axis=1)
     im = np.lexsort(image.T[::-1])
@@ -95,6 +100,7 @@ def _vertex_perm(spec: GraphSpec, point_perm: np.ndarray) -> np.ndarray:
         raise VerificationError("generator is not a graph automorphism")
     p = np.empty(len(rows), dtype=np.int64)
     p[im] = at
+    p.flags.writeable = False
     return p
 
 

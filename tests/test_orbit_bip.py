@@ -420,6 +420,26 @@ def test_join_is_one_action_over_the_point_generators():
         ob.join_actions([a7, ob.singer_action(S73, 1)])
 
 
+def test_join_actions_checks_no_generator_again():
+    a7 = ob.singer_action(S63, 7)
+    f1 = ob.frobenius_action(S63, 1)
+    checks = ob._vertex_perm.cache_info().misses
+    joined = ob.join_actions([a7, f1])
+    assert ob._vertex_perm.cache_info().misses == checks
+    assert joined.description == "singer:7+frobenius:1"
+    assert all(g is h for g, h in zip(joined.generators,
+                                      a7.generators + f1.generators))
+    # the same point generators as fresh arrays are not matched again
+    raw = ob.GroupAction(S63, [p.copy() for p in joined.point_generators])
+    assert ob._vertex_perm.cache_info().misses == checks
+    assert np.array_equal(ob.orbit_system(raw).orbit_of,
+                          ob.orbit_system(joined).orbit_of)
+    # the shared vertex permutations cannot be changed through one action
+    assert not any(g.flags.writeable for g in joined.generators)
+    with pytest.raises(vf.VerificationError):
+        ob.join_actions([a7, ob.singer_action(S73, 1)])
+
+
 def test_orbit_permutation_fixes_the_quotient_matrix():
     osys = ob.orbit_system(_group(S63, "singer:7+frobenius:3"))
     B = ob.quotient_matrix(S63, osys)

@@ -123,6 +123,13 @@ def _cold_ladder(spec, exponent):
             cache.cache_clear()
 
 
+def test_cold_ladder_checks_each_field_action_once():
+    # 7 field actions, 15 rungs: the joined rungs check nothing again
+    ob._vertex_perm.cache_clear()
+    assert len(_cold_ladder(S63, 21)) == 15
+    assert ob._vertex_perm.cache_info().misses == 7
+
+
 def test_ladder_builds_each_field_action_once(monkeypatch):
     # J_2(6,3), e = 21: a^d for d in 1, 3, 7, 21 and Frobenius powers 1, 2,
     # 3; 15 rungs share these 7 field actions
