@@ -119,9 +119,7 @@ def feasible_parameters(spec: GraphSpec) -> list[dict]:
     """
     m = spec.valency
     out = []
-    ladder = theta_ladder(spec)
-    for i in range(1, spec.k + 1):
-        th = ladder[i]
+    for i, th in enumerate(theta_ladder(spec)[1:], start=1):
         s = m - th
         pairs = []
         for gamma1 in range(1, s // 2 + 1):

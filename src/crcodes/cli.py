@@ -46,7 +46,7 @@ def _json(obj) -> str:
 # ----------------------------------------------------------------------
 
 def cmd_eigenvalues(args) -> int:
-    spec = parse_graph_spec(args.graph)
+    spec = parse_graph_spec(args.graph, allow_unbalanced=True)
     ladder = theta_ladder(spec)
     if args.format == "csv":
         lines = ["i,theta"] + [f"{i},{t}" for i, t in enumerate(ladder)]

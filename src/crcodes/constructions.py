@@ -239,13 +239,11 @@ def pushforward(values: ValueVector, l: int) -> ValueVector:
     upper = GraphSpec(spec.family, spec.q, spec.n, l, allow_unbalanced=True)
     table = containment_table(upper, spec.k)
     vals = values.values
-    if isinstance(vals, np.ndarray) and np.issubdtype(vals.dtype, np.integer):
-        out = vals[table.ids].sum(axis=1)
+    vals = vals.tolist() if isinstance(vals, np.ndarray) else list(vals)
+    if all(isinstance(v, int) for v in vals) and \
+            max(map(abs, vals)) * table.per_vertex < 2 ** 63:
+        # int64 sums of per_vertex values are exact under this bound
+        out = np.array(vals, dtype=np.int64)[table.ids].sum(axis=1)
     else:
-        arr = list(vals)
-        try:
-            arr_np = np.asarray(arr, dtype=np.int64)
-            out = arr_np[table.ids].sum(axis=1)
-        except (TypeError, OverflowError, ValueError):
-            out = [sum(arr[j] for j in row) for row in table.ids]
+        out = [sum(vals[j] for j in row) for row in table.ids.tolist()]
     return ValueVector(upper, out)

@@ -22,9 +22,10 @@ a group permutes its orbits (orbit_permutation), which is the symmetry
 bip.solve branches on.
 
 The Singer-type action multiplies vectors of GF(q)^n, read as elements of
-GF(q^n), by a fixed power of a primitive element; the Frobenius action
+GF(q^n), by a fixed power of a primitive element a; the Frobenius action
 raises them to a power q^j.  Both are GF(q)-linear, so they permute the
-[n]_q points, and each is built as that point permutation.
+[n]_q points.  singer:e and frobenius:j are the powers a^e and sigma^j of
+two point maps built once per graph (_field_maps), sigma: v -> v^q.
 """
 
 from __future__ import annotations
@@ -104,45 +105,55 @@ def _vertex_perm(spec: GraphSpec, key: bytes) -> np.ndarray:
     return p
 
 
-def _field_point_perm(spec: GraphSpec, move) -> np.ndarray:
-    """Point id -> id of a GF(q)-linear map; move maps a packed vector to a
-    packed vector, and each moved point is re-normalized and looked up."""
-    points = vertex_index(spec.level(1))
-    moved = [sp.rref([move(r)], spec.n, spec.q).rows
-             for r in points.rows[:, 0].tolist()]
-    return points.ids_of_rows(
-        np.array(moved, dtype=np.uint64).reshape(len(points), 1))
-
-
-def _field_for(spec: GraphSpec, modulus):
+@lru_cache(maxsize=8)
+def _field_maps(spec: GraphSpec, modulus) -> tuple[np.ndarray, ...]:
+    """The point maps of a (v -> a*v, a primitive in GF(q^n) mod modulus, a
+    tuple or None) and sigma (v -> v^q): each moved point is re-normalized
+    and looked up.  Prime q only: then a packed vector of GF(q)^n is
+    already the index of its field element."""
     if spec.family != "grassmann":
         raise VerificationError("field actions are defined on Grassmann graphs")
     if not is_prime(spec.q):
         raise VerificationError(
             f"field actions implemented for prime q only, got q={spec.q}")
-    return make_field(spec.q, spec.n, modulus)
+    gf = make_field(spec.q, spec.n, modulus)
+    points = vertex_index(spec.level(1))
+    vectors = points.rows[:, 0].tolist()
+    maps = []
+    for move in (lambda r: gf.mul_i(r, gf.generator),
+                 lambda r: gf.pow_i(r, spec.q)):
+        moved = [sp.rref([move(r)], spec.n, spec.q).rows for r in vectors]
+        maps.append(points.ids_of_rows(
+            np.array(moved, dtype=np.uint64).reshape(len(points), 1)))
+    return tuple(maps)
+
+
+def _power(perm: np.ndarray, e: int) -> np.ndarray:
+    """perm applied e >= 0 times, by repeated squaring (a new array)."""
+    out, base = np.arange(len(perm)), perm
+    while e:
+        if e & 1:
+            out = base[out]
+        base = base[base]
+        e >>= 1
+    return out
 
 
 def singer_action(spec: GraphSpec, exponent: int,
                   modulus: Optional[Sequence[int]] = None) -> GroupAction:
-    """Multiplication of GF(q)^n by a^exponent, a primitive in GF(q^n).
-
-    Prime q only: for prime q a packed vector of GF(q)^n is already the
-    index of the corresponding field element, so each point moves by one
-    field multiplication.
-    """
-    gf = _field_for(spec, modulus)
-    factor = gf.pow_i(gf.generator, exponent)
-    perm = _field_point_perm(spec, lambda r: gf.mul_i(r, factor))
+    """Multiplication of GF(q)^n by a^exponent, a primitive in GF(q^n):
+    the exponent-th power of a's point map (a^(q^n-1) = 1)."""
+    a, _ = _field_maps(spec, None if modulus is None else tuple(modulus))
+    perm = _power(a, exponent % (spec.q ** spec.n - 1))
     return GroupAction(spec, [perm], description=f"singer:{exponent}")
 
 
 def frobenius_action(spec: GraphSpec, power: int = 1,
                      modulus: Optional[Sequence[int]] = None) -> GroupAction:
-    """The field power map v -> v^(q^power) on GF(q^n), GF(q)-linear."""
-    gf = _field_for(spec, modulus)
-    e = spec.q ** (power % spec.n)
-    perm = _field_point_perm(spec, lambda r: gf.pow_i(r, e))
+    """The field power map v -> v^(q^power) on GF(q^n), GF(q)-linear: the
+    power-th power of sigma's point map (sigma^n = 1)."""
+    _, sigma = _field_maps(spec, None if modulus is None else tuple(modulus))
+    perm = _power(sigma, power % spec.n)
     return GroupAction(spec, [perm], description=f"frobenius:{power}")
 
 

@@ -12,32 +12,28 @@ mixed in); any solution of it is invariant under the requested group too,
 so it is carried to the original orbits by reading each orbit's value off
 its representative's rung orbit.  All passes share one deadline.
 
-  pass 1  the exact solver, capped: RUNG_MAX_NODES = 300 nodes on a rung,
-          SLICE_WORK // r**2 nodes on the point's own system of r orbits
-          (at most max_nodes, with the caller's seed), since a node's LP
-          cost grows about as r**2: 1-2 ms at r = 93-109, 50-80 ms at
-          r = 465.  It stops at the first witness, or when the own system
-          is UNSAT.  Most small rungs are proven UNSAT here, and small own
-          systems are decided here and never reach milp.
+  pass 1  the exact solver, capped at SLICE_WORK // r**2 nodes on every
+          system of r orbits (on the own system at most max_nodes too,
+          with the caller's seed), since a node's LP cost grows about as
+          r**2: 1-2 ms at r = 93-109, 50-80 ms at r = 465.  It stops at the
+          first witness, or when the own system is UNSAT.  Most small rungs
+          are proven UNSAT here, and small own systems are decided here and
+          never reach milp.
   pass 2  HiGHS branch-and-cut, at most 60 s each, on every system pass 1
           left open, in the same order.
   final   one exhaustive run of the exact solver on the own system, on
           the time left.
 
 Every exact solve of mode 'first', on a rung or on the own system, under
-any group, gets that system's residual symmetry: of singer:1 and
-frobenius:1, which generate every field action, each one that normalizes
-the system's group permutes its orbits (orbits.orbit_permutation), and
-bip.solve branches on orbits of the group H those permutations generate.
-For the own system of singer:e both normalize, and H is the group that
-all the ladder's field actions a^d (d | e) and Frobenius powers j | n
-induce.  A rung that singer:1 does not normalize gets what frobenius:1
-induces, which can be less than the normalizing field actions give (on
-J_2(6,3), order 2 on singer:21+frobenius:2, against 6 with a^7 added).
-The field actions are built once per graph and exponent
-(_field_actions); a rung joins two of them into one group action.
-Johnson graphs have no field actions and get no symmetry; mode 'count'
-never uses it.
+any group, gets that system's residual symmetry: of the field actions
+a^d, d | e (a alone for a group with no Singer exponent e), and sigma,
+each one that normalizes the system's group permutes its orbits
+(orbits.orbit_permutation), and bip.solve branches on orbits of the group
+H those permutations generate.  They are the maps the ladder's groups are
+made of (on J_2(6,3), e = 21, a^7 gives singer:21+frobenius:2 order 6).
+The ladder and its rungs' permutations are built once per graph and
+exponent, the own system's once per point.  Johnson graphs have no field
+actions and get no symmetry; mode 'count' never uses it.
 
 The stage that decided is reported by name: refinement:<group> for a
 rung's witness from either pass, dfs for the own system's exact solver
@@ -102,56 +98,50 @@ def _verified_lift(x, osys: OrbitSystem, spec: GraphSpec, gamma1: int,
     return code
 
 
-@functools.lru_cache(maxsize=8)
-def _field_generators(spec: GraphSpec):
-    """(singer:1, frobenius:1), which generate every field action; their
-    orbit permutations generate every system's H.  () where field actions
-    are not defined."""
+LADDER_MAX_ORBITS = 300
+
+
+def _normalizers(spec: GraphSpec, exponent: Optional[int]):
+    """a^d for every d | exponent (a alone when exponent is None), and
+    sigma: the field actions whose orbit permutations generate a system's
+    H.  Empty where field actions are not defined."""
+    e = exponent or 1
     try:
-        return singer_action(spec, 1), frobenius_action(spec, 1)
+        return [*(singer_action(spec, d) for d in range(1, e + 1)
+                  if e % d == 0), frobenius_action(spec, 1)]
     except VerificationError:
+        return []
+
+
+def _symmetry(sup: OrbitSystem, normalizers):
+    """The permutations of sup's orbits induced by those of normalizers
+    that normalize sup's group: the generators of the H that bip.solve
+    branches on."""
+    perms = (orbit_permutation(sup, a) for a in normalizers)
+    return [pi for pi in perms if pi is not None]
+
+
+@functools.lru_cache(maxsize=8)
+def _refinement_ladder(spec: GraphSpec, exponent: int):
+    """(rung, its symmetry) for the orbit systems of the supergroups of
+    <a^exponent> with at most LADDER_MAX_ORBITS orbits: a^d with
+    d | exponent, optionally joined with a Frobenius power sigma^j, j | n;
+    sorted by orbit count so small instances go first."""
+    normalizers = _normalizers(spec, exponent)
+    if not normalizers:
         return ()
-
-
-@functools.lru_cache(maxsize=8)
-def _field_actions(spec: GraphSpec, exponent: int):
-    """(singers, frobeniuses): a^d for d | exponent, ascending, and the
-    Frobenius powers j | n, j < n, each built once; the first of each is
-    _field_generators'.  Both are empty where field actions are not
-    defined."""
-    first = _field_generators(spec)
-    if not first:
-        return (), ()
-    singers = first[:1] + tuple(singer_action(spec, d)
-                                for d in range(2, exponent + 1)
-                                if exponent % d == 0)
-    frobs = first[1:] + tuple(frobenius_action(spec, j)
-                              for j in range(2, spec.n) if spec.n % j == 0)
-    return singers, frobs
-
-
-@functools.lru_cache(maxsize=8)
-def _refinement_ladder(spec: GraphSpec, exponent: int, max_orbits: int = 300):
-    """Orbit systems of the supergroups of <a^exponent>: a^d with
-    d | exponent, optionally with a Frobenius power mixed in; sorted by
-    orbit count so small instances go first."""
-    singers, frobs = _field_actions(spec, exponent)
+    *singers, sigma = normalizers
+    frobs = [sigma, *(frobenius_action(spec, j) for j in range(2, spec.n)
+                      if spec.n % j == 0)]
     actions = []
     for s in singers:
         if s is not singers[-1]:  # a^exponent alone is the original group
             actions.append(s)
         actions += [join_actions([s, f]) for f in frobs]
-    rungs = [sup for sup in map(orbit_system, actions)
-             if sup.count <= max_orbits]
-    return tuple(sorted(rungs, key=lambda sup: sup.count))
-
-
-def _symmetry(spec: GraphSpec, sup: OrbitSystem):
-    """The permutations of sup's orbits induced by those of singer:1 and
-    frobenius:1 that normalize sup's group: the generators of the H that
-    bip.solve branches on.  Empty where field actions are not defined."""
-    perms = (orbit_permutation(sup, a) for a in _field_generators(spec))
-    return [pi for pi in perms if pi is not None]
+    rungs = sorted((sup for sup in map(orbit_system, actions)
+                    if sup.count <= LADDER_MAX_ORBITS),
+                   key=lambda sup: sup.count)
+    return tuple((sup, _symmetry(sup, normalizers)) for sup in rungs)
 
 
 def _carry(x, sup: OrbitSystem, osys: OrbitSystem) -> np.ndarray:
@@ -180,8 +170,7 @@ def _milp_witness(inst: BipInstance, budget: float):
     return None
 
 
-RUNG_MAX_NODES = 300
-# the own-system slice gets SLICE_WORK // r**2 nodes: 462 at r = 93, 18 at
+# every pass-1 solve gets SLICE_WORK // r**2 nodes: 462 at r = 93, 18 at
 # r = 465 and 2 at r = 1395, so a large system reaches milp within seconds
 SLICE_WORK = 4_000_000
 
@@ -191,18 +180,17 @@ def _slice_nodes(r: int) -> int:
 
 
 def _two_passes(spec: GraphSpec, osys: OrbitSystem, inst: BipInstance,
-                exponent: Optional[int], deadline: float, tally,
-                cap: int, seed: Optional[int]):
-    """Pass 1, then pass 2, over the ladder's rungs and the own system.
+                systems, deadline: float, tally,
+                max_nodes: Optional[int], seed: Optional[int]):
+    """Pass 1, then pass 2, over systems: the ladder's (rung, symmetry)
+    pairs, then the own system's (osys, symmetry).
 
     Returns (witness, stage, None) with the witness on the orbits of osys,
     (None, None, the own system's pass-1 SolveResult) when that decided,
     or (None, None, None).
     """
-    rungs = _refinement_ladder(spec, exponent) if exponent and exponent > 1 \
-        else ()
     left_open = []
-    for sup in (*rungs, osys):
+    for sup, symmetry in systems:
         own = sup is osys
         if not own and time.monotonic() > deadline:
             continue
@@ -211,11 +199,12 @@ def _two_passes(spec: GraphSpec, osys: OrbitSystem, inst: BipInstance,
                                                      inst.gamma1)
         except VerificationError:
             continue
-        res = bip.solve(system, mode="first",
-                        max_nodes=cap if own else RUNG_MAX_NODES,
+        cap = _slice_nodes(system.r)
+        if own and max_nodes is not None:
+            cap = min(cap, max_nodes)
+        res = bip.solve(system, mode="first", max_nodes=cap,
                         max_seconds=deadline - time.monotonic(),
-                        seed=seed if own else None,
-                        symmetry=_symmetry(spec, sup))
+                        seed=seed if own else None, symmetry=symmetry)
         tally(res)
         if res.status == bip.BUDGET_EXCEEDED:
             left_open.append((sup, system))
@@ -267,14 +256,15 @@ def search_parameter_point(spec: GraphSpec, osys: OrbitSystem,
         lp_calls += res.lp_calls
         certificates += res.certificates
 
-    res = None
+    res = symmetry = None
     if mode == "first":
         deadline = t0 + (max_seconds if max_seconds is not None else 3600.0)
-        cap = _slice_nodes(inst.r)
-        if max_nodes is not None:
-            cap = min(cap, max_nodes)
-        x, stage, res = _two_passes(spec, osys, inst, singer_exponent,
-                                    deadline, tally, cap, seed)
+        symmetry = _symmetry(osys, _normalizers(spec, singer_exponent))
+        rungs = _refinement_ladder(spec, singer_exponent) \
+            if singer_exponent and singer_exponent > 1 else ()
+        x, stage, res = _two_passes(spec, osys, inst,
+                                    (*rungs, (osys, symmetry)), deadline,
+                                    tally, max_nodes, seed)
         if x is not None:
             code = _verified_lift(x, osys, spec, gamma1, label)
             return SearchOutcome(status=bip.SAT, stage=stage, assignment=x,
@@ -284,9 +274,7 @@ def search_parameter_point(spec: GraphSpec, osys: OrbitSystem,
         max_seconds = deadline - time.monotonic()
     if res is None:
         res = bip.solve(inst, mode=mode, max_nodes=max_nodes,
-                        max_seconds=max_seconds, seed=seed,
-                        symmetry=_symmetry(spec, osys)
-                        if mode == "first" else None)
+                        max_seconds=max_seconds, seed=seed, symmetry=symmetry)
         tally(res)
     out = SearchOutcome(status=res.status, stage="dfs", nodes=res.nodes,
                         count=res.count, elapsed=time.monotonic() - t0,

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -239,6 +240,23 @@ def test_pushforward_linearity_random():
     pv = np.asarray(con.pushforward(con.ValueVector(s62, v), 3).values)
     puv = np.asarray(con.pushforward(con.ValueVector(s62, 3 * u + v), 3).values)
     assert np.array_equal(puv, 3 * pu + pv)
+
+
+@pytest.mark.parametrize("as_array", [True, False])
+def test_pushforward_sums_past_int64_exactly(as_array):
+    # 7 * 2**62 does not fit an int64; the sums wrapped to -2**62
+    s62 = GraphSpec("grassmann", 2, 6, 2)
+    values = [2 ** 62] * s62.vertex_count
+    if as_array:
+        values = np.array(values, dtype=np.int64)
+    out = con.pushforward(con.ValueVector(s62, values), 3)
+    assert [int(v) for v in out.values] == [7 * 2 ** 62] * S63.vertex_count
+
+
+def test_pushforward_keeps_fractions():
+    s62 = GraphSpec("grassmann", 2, 6, 2)
+    half = con.ValueVector(s62, [Fraction(1, 2)] * s62.vertex_count)
+    assert set(con.pushforward(half, 3).values) == {Fraction(7, 2)}
 
 
 def test_pushforward_rejects_lower_level():

@@ -256,6 +256,11 @@ def test_cli_eigenvalues_json(capsys):
     assert data["valency"] == 98
 
 
+def test_cli_eigenvalues_of_an_unbalanced_graph(capsys):
+    assert main(["eigenvalues", "--graph", "jq:2,6,4"]) == 0
+    assert json.loads(capsys.readouterr().out)["eigenvalues"] == [90, 27, -3]
+
+
 def test_cli_eigenvalues_csv(capsys):
     assert main(["eigenvalues", "--graph", "jq:2,4,2", "--format", "csv"]) == 0
     out = capsys.readouterr().out.splitlines()

@@ -154,6 +154,17 @@ def test_feasible_parameters_table_rows():
     assert [g1 for _, g1 in by_theta[-7]["pairs"]] == [21, 42]
 
 
+def test_feasible_parameters_on_an_unbalanced_graph():
+    # jq:2,6,4 has min(k, n - k) + 1 = 3 eigenvalues, so two rows
+    spec = GraphSpec("grassmann", 2, 6, 4, allow_unbalanced=True)
+    rows = bip.feasible_parameters(spec)
+    assert [row["eigenvalue"] for row in rows] == [27, -3]
+    for row in rows:
+        for beta0, gamma1 in row["pairs"]:
+            assert vf.size_and_integrality_report(spec, beta0,
+                                                  gamma1)["feasible"]
+
+
 def test_instance_invariants_and_targets(gamma21):
     osys, B = gamma21
     inst = bip.build_instance(S63, osys, 81, 12, B=B)
@@ -473,11 +484,11 @@ def _screened_points(spec):
 @pytest.mark.parametrize("graph,exponent,order", [
     ("jq:2,4,2", 5, 20), ("jq:3,4,2", 4, 8), ("jq:2,5,2", 1, 5)])
 def test_orbital_branching_matches_the_oracle(graph, exponent, order):
-    from crcodes.search import _symmetry
+    from crcodes.search import _normalizers, _symmetry
     spec = parse_graph_spec(graph)
     osys = ob.orbit_system(ob.singer_action(spec, exponent))
     B = ob.quotient_matrix(spec, osys)
-    symmetry = _symmetry(spec, osys)
+    symmetry = _symmetry(osys, _normalizers(spec, exponent))
     points = list(_screened_points(spec))
     assert points
     for beta0, gamma1 in points:

@@ -95,7 +95,7 @@ def test_two_passes_run_every_capped_solve_before_any_milp(singer42,
                                  singer_exponent=5)
     assert (out.status, out.stage) == (bip.SAT, "dfs")
     rungs = []
-    for sup in search._refinement_ladder(S42, 5):
+    for sup, _ in search._refinement_ladder(S42, 5):
         try:
             bip.build_instance(S42, sup, 18, 3)
         except vf.VerificationError:
@@ -111,45 +111,32 @@ def test_two_passes_run_every_capped_solve_before_any_milp(singer42,
 
 
 def _cold_ladder(spec, exponent):
-    """The ladder built with every cache it reads emptied first and after."""
-    caches = (search._refinement_ladder, search._field_actions,
-              search._field_generators)
+    """The ladder built with every cache it reads emptied first and after:
+    (the ladder, field-map builds, level-1 matches)."""
+    caches = (search._refinement_ladder, ob._field_maps, ob._vertex_perm)
     for cache in caches:
         cache.cache_clear()
     try:
-        return search._refinement_ladder(spec, exponent)
+        ladder = search._refinement_ladder(spec, exponent)
+        return (ladder, ob._field_maps.cache_info().misses,
+                ob._vertex_perm.cache_info().misses)
     finally:
         for cache in caches:
             cache.cache_clear()
 
 
 def test_cold_ladder_checks_each_field_action_once():
-    # 7 field actions, 15 rungs: the joined rungs check nothing again
-    ob._vertex_perm.cache_clear()
-    assert len(_cold_ladder(S63, 21)) == 15
-    assert ob._vertex_perm.cache_info().misses == 7
+    # 7 field actions, 15 rungs: the joined rungs, and the rungs' symmetry,
+    # check nothing again
+    ladder, _, matches = _cold_ladder(S63, 21)
+    assert len(ladder) == 15 and matches == 7
 
 
-def test_ladder_builds_each_field_action_once(monkeypatch):
+def test_ladder_builds_each_field_action_once():
     # J_2(6,3), e = 21: a^d for d in 1, 3, 7, 21 and Frobenius powers 1, 2,
-    # 3; 15 rungs share these 7 field actions
-    calls = {"singer_action": 0, "frobenius_action": 0}
-
-    def counted(name):
-        real = getattr(ob, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-        return wrapper
-
-    for name in calls:
-        wrapper = counted(name)
-        monkeypatch.setattr(ob, name, wrapper)
-        monkeypatch.setattr(search, name, wrapper, raising=False)
-    ladder = _cold_ladder(S63, 21)
-    assert calls == {"singer_action": 4, "frobenius_action": 3}
-    monkeypatch.undo()
+    # 3 are powers of the two field maps, built once for all 15 rungs
+    ladder, builds, matches = _cold_ladder(S63, 21)
+    assert (builds, matches) == (1, 7)
     # the same rungs, in the same order, as one group built per rung
     oracle = []
     for d in (1, 3, 7, 21):
@@ -165,9 +152,9 @@ def test_ladder_builds_each_field_action_once(monkeypatch):
             if sup.count <= 300:
                 oracle.append(sup)
     oracle.sort(key=lambda sup: sup.count)
-    assert [(s.count, s.description) for s in ladder] == \
+    assert [(s.count, s.description) for s, _ in ladder] == \
         [(s.count, s.description) for s in oracle]
-    for got, want in zip(ladder, oracle):
+    for (got, _), want in zip(ladder, oracle):
         assert np.array_equal(got.orbit_of, want.orbit_of)
 
 
@@ -179,7 +166,7 @@ def test_carry_matches_the_lifted_mask(spec, exponent):
     rng = np.random.default_rng(0)
     ladder = search._refinement_ladder(spec, exponent)
     assert ladder
-    for sup in ladder:
+    for sup, _ in ladder:
         for _ in range(3):
             x_sup = rng.integers(0, 2, sup.count).astype(np.int8)
             mask = np.zeros(spec.vertex_count, dtype=bool)
@@ -255,7 +242,7 @@ def test_orbital_branching_shrinks_the_j273_proof(singer73):
     # system; without it the same proof takes 346 nodes
     osys, B = singer73
     inst = bip.build_instance(S73, osys, 203, 14, B=B)
-    symmetry = search._symmetry(S73, osys)
+    symmetry = search._symmetry(osys, search._normalizers(S73, 1))
     res = bip.solve(inst, symmetry=symmetry)
     assert res.status == bip.UNSAT and res.nodes < 100
     assert bip.solve(inst, max_nodes=100).status == bip.BUDGET_EXCEEDED
@@ -332,9 +319,22 @@ def test_joined_group_gets_residual_symmetry():
     inst = bip.build_instance(S63, osys, 81, 12,
                               B=ob.quotient_matrix(S63, osys))
     A_ext, rhs = inst.rows()
-    symmetry = search._symmetry(S63, osys)
+    symmetry = search._symmetry(osys, search._normalizers(S63, None))
     assert osys.count == 99 and len(symmetry) == 2
     assert len(bip._symmetry_group(A_ext, rhs, symmetry)) == 21
+
+
+def test_every_ladder_rung_gets_its_normalizing_field_actions():
+    # J_2(6,3), e = 21: |H| on each rung, by orbit count; a^7 normalizes
+    # singer:21+frobenius:2 and a^3 singer:21+frobenius:3, which a alone
+    # does not
+    orders = {7: 1, 11: 2, 15: 3, 18: 1, 23: 6, 33: 6, 35: 1, 38: 3, 55: 2,
+              69: 18, 90: 1, 99: 21, 155: 42, 165: 6, 254: 21}
+    got = {}
+    for sup, symmetry in search._refinement_ladder(S63, 21):
+        A_ext, rhs = bip.build_instance(S63, sup, 81, 12).rows()
+        got[sup.count] = len(bip._symmetry_group(A_ext, rhs, symmetry))
+    assert got == orders
 
 
 def _psl2_11():
