@@ -4,7 +4,6 @@ Exact (integer-only) constructions, verification, and symmetry-reduced
 binary feasibility search.
 """
 
-from .galois import FieldError, FieldSpec, make_field
 from .subspaces import Subset, Subspace, gaussian, rref
 from .graphs import (GraphSpec, adjacency_lists, containment_table, neighbors,
                      parse_graph_spec, theta, theta_ladder, vertex_index)
@@ -24,8 +23,7 @@ from .bip import (BipInstance, build_instance, export_lp, export_opb,
 from .search import SearchOutcome, search_parameter_point
 
 __all__ = [
-    "BipInstance", "Code", "DistancePartition", "FieldError",
-    "FieldSpec", "GraphSpec", "GroupAction",
+    "BipInstance", "Code", "DistancePartition", "GraphSpec", "GroupAction",
     "IntersectionNumbers", "OrbitSystem", "SearchOutcome", "Subset",
     "Subspace", "ValueVector", "VerificationError", "adjacency_lists",
     "avoid_code", "blocks_contained_counts",
@@ -35,7 +33,7 @@ __all__ = [
     "distance_partition", "export_lp", "export_opb", "extended_hamming_sqs",
     "feasible_parameters", "frobenius_action", "gaussian",
     "hyperplane_code", "hyperplane_point_code",
-    "lift", "make_field", "neighbors", "orbit_system",
+    "lift", "neighbors", "orbit_system",
     "parse_graph_spec", "pushforward",
     "quotient_matrix", "rref", "search_parameter_point",
     "size_and_integrality_report", "singer_action", "solve",

@@ -1,9 +1,9 @@
 """Spreads, Steiner quadruple systems, avoid codes and the classical codes.
 
-The Desarguesian spread of GF(q)^n comes from the multiplicative cosets of
-the subfield GF(q^d) inside GF(q^n): each coset together with zero is a
-d-subspace, the cosets partition the nonzero vectors, and walking powers
-a^j of a primitive element enumerates coset representatives.
+The Desarguesian d-spread of GF(q)^n is the set of point orbits of the
+Singer power a^((q^n-1)/(q^d-1)), which generates the multiplicative group
+of the subfield GF(q^d) inside GF(q^n): the orbit of a point <v> is the
+set of points of the d-subspace v*GF(q^d), and these partition the points.
 
 The Steiner quadruple system is the set of zero-sum 4-subsets of GF(2)^m,
 the supports of the weight-4 codewords of the extended Hamming code of
@@ -29,8 +29,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import subspaces as sp
-from .galois import make_field
+from .galois import prime_factors
 from .graphs import GraphSpec, containment_table, vertex_index
+from .orbits import orbit_system, singer_action
 from .subspaces import Subspace
 from .verify import Code
 
@@ -40,33 +41,26 @@ from .verify import Code
 # ----------------------------------------------------------------------
 
 def desarguesian_spread(q: int, n: int, d: int = 2) -> Code:
-    """Cosets of the subfield GF(q^d) in GF(q^n) as d-subspaces of GF(q)^n.
+    """The point orbits of a^((q^n-1)/(q^d-1)) as d-subspaces of GF(q)^n.
 
-    Requires d | n.  The blocks partition the nonzero vectors, so the
-    result is a 1-(n, d, 1)_q design (a d-spread), returned as a code on
-    the level of d-subspaces.  Only prime q is supported: non-prime q
-    would need an explicit subfield isomorphism to identify
-    GF(q)-coordinates, which this library does not fix.
+    Requires d | n.  An orbit has the [d]_q points of one block, so a
+    d-subspace is a block when all its points lie in one orbit.  The blocks
+    partition the points, so the result is a 1-(n, d, 1)_q design (a
+    d-spread), returned as a code on the level of d-subspaces.  Only prime
+    q is supported, as for the field actions: non-prime q would need an
+    explicit subfield isomorphism to identify GF(q)-coordinates, which this
+    library does not fix.
     """
     if n % d != 0:
         raise ValueError(f"a {d}-spread of GF({q})^{n} needs {d} | {n}")
-    from .galois import is_prime
-    if not is_prime(q):
+    if prime_factors(q) != [q]:
         raise ValueError(
             f"spread construction implemented for prime q only, got q={q}")
-    field = make_field(q, n)
-    a = field.generator
-    count = (q ** n - 1) // (q ** d - 1)
-    # basis of GF(q^d) over GF(q): 1, b, ..., b^(d-1) with b = a^count
-    b_pows = [field.pow_i(a, j * count) if j else 1 for j in range(d)]
-    rows = []
-    coset = 1
-    for _ in range(count):
-        basis = [field.digits_of_index(field.mul_i(coset, bp)) for bp in b_pows]
-        rows.append(sp.rref(basis, n, q).rows)
-        coset = field.mul_i(coset, a)
     level = GraphSpec("grassmann", q, n, d, allow_unbalanced=True)
-    return Code(level, vertex_index(level).ids_of_rows(rows), label="spread")
+    subfield = singer_action(level.level(1), (q ** n - 1) // (q ** d - 1))
+    orbit = orbit_system(subfield).orbit_of[containment_table(level, 1).ids]
+    return Code(level, np.flatnonzero((orbit == orbit[:, :1]).all(axis=1)),
+                label="spread")
 
 
 def desarguesian_2spread(q: int, n: int) -> Code:

@@ -1,12 +1,13 @@
-"""Exact arithmetic in small finite fields GF(p^m).
+"""GF(p^m) through the companion matrix of its defining polynomial.
 
-An element of GF(p^m) is stored as its *index*: the integer whose base-p
-digits (least significant digit first) are the coefficients of the residue
-polynomial modulo the field's defining polynomial.  Index 0 is the zero
-element, index 1 the unit, and index p is the residue class of x, which is
-a multiplicative generator for every modulus accepted here.  Elements
-are plain ints throughout: FieldSpec's *_i methods are the whole
-arithmetic API.
+An element of GF(p^m) = GF(p)[x]/f is the vector of coefficients of its
+residue polynomial, constant term first, and its *index* is the integer
+with those base-p digits (least significant first).  The one field
+primitive is the companion matrix C_f of the monic modulus f: C_f times
+the vector of g is the vector of x*g mod f, so C_f^i e_0 is x^i mod f and
+multiplication by a = sum a_i x^i is the matrix sum a_i C_f^i.  The
+Singer and Frobenius actions of orbits.py are such matrices over a prime
+q, and field_tables builds the tables of a prime power q from them.
 
 Default defining polynomials (all primitive, coefficient lists ascending):
 
@@ -21,16 +22,20 @@ Default defining polynomials (all primitive, coefficient lists ascending):
     GF(512):  x^9 + x^4 + 1
     GF(1024): x^10 + x^3 + 1
 
-For a (p, m) pair without a table entry the smallest primitive polynomial
-(by packed coefficient index) is found by search.  Every modulus, supplied
-or defaulted, is re-verified at construction: x^(q-1) = 1 and
-x^((q-1)/r) != 1 for each prime r | q-1, so x has order q-1 modulo f.
-Then every nonzero residue is a power of x, a unit, so f is irreducible.
+For a (p, m) pair without a table entry the primitive polynomial of
+smallest packed coefficient index (constant term the lowest digit) is found
+by search.  f is primitive when C_f has order p^m - 1:
+C_f^(p^m-1) = I and C_f^((p^m-1)/r) != I for each prime r | p^m-1.  Then
+x has that order modulo f, so every nonzero residue is a power of x, a
+unit, and f is irreducible.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from functools import lru_cache
+from typing import Sequence
+
+import numpy as np
 
 # Ascending coefficient lists, constant term first, all monic and primitive.
 _DEFAULT_MODULI = {
@@ -46,20 +51,8 @@ _DEFAULT_MODULI = {
     (2, 10): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1),
 }
 
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+# Largest q whose (q, q) tables field_tables builds: 2 MB each at q = 1024
+TABLE_MAX_Q = 1024
 
 
 def prime_factors(n: int) -> list[int]:
@@ -77,224 +70,94 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-# ----------------------------------------------------------------------
-# Polynomial helpers over GF(p); a polynomial is a list of digits in
-# [0, p), constant term first, no implied normalization.
-# ----------------------------------------------------------------------
-
-def _poly_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
+def companion(p: int, modulus: Sequence[int]) -> np.ndarray:
+    """The (m, m) int64 companion matrix C_f of a monic modulus f of degree
+    m >= 1 over GF(p), coefficients ascending: column j is x^(j+1) mod f.
+    ValueError unless p is prime and f monic."""
+    if prime_factors(p) != [p]:
+        raise ValueError(f"characteristic {p} is not prime")
+    f = [int(c) % p for c in modulus]
+    m = len(f) - 1
+    if m < 1 or f[-1] != 1:
+        raise ValueError(f"modulus {tuple(modulus)} is not monic of degree "
+                         f">= 1 over GF({p})")
+    c = np.zeros((m, m), dtype=np.int64)
+    c[np.arange(1, m), np.arange(m - 1)] = 1
+    c[:, -1] = [-a % p for a in f[:-1]]
     return c
 
 
-def _poly_mod(num: Sequence[int], den: Sequence[int], p: int) -> list[int]:
-    """Remainder of num by monic-leading den, coefficients mod p."""
-    num = list(num)
-    dd = len(den) - 1
-    lead_inv = pow(den[-1], p - 2, p)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i] % p
-        if c == 0:
-            continue
-        f = (c * lead_inv) % p
-        for j in range(dd + 1):
-            num[i - dd + j] = (num[i - dd + j] - f * den[j]) % p
-    return _poly_trim(num[:dd])
+def matrix_power(c: np.ndarray, e: int, p: int) -> np.ndarray:
+    """c^e mod p for e >= 0, by repeated squaring."""
+    out = np.eye(len(c), dtype=np.int64)
+    while e:
+        if e & 1:
+            out = out @ c % p
+        c = c @ c % p
+        e >>= 1
+    return out
 
 
-class FieldError(ValueError):
-    """Invalid field construction or operation."""
+def is_primitive(p: int, modulus: Sequence[int]) -> bool:
+    """Whether C_f has order p^m - 1 (module docstring)."""
+    c = companion(p, modulus)
+    eye = np.eye(len(c), dtype=np.int64)
+    order = p ** len(c) - 1
+    return np.array_equal(matrix_power(c, order, p), eye) and not any(
+        np.array_equal(matrix_power(c, order // r, p), eye)
+        for r in prime_factors(order))
 
 
-class FieldSpec:
-    """The field GF(p^m) with a fixed primitive defining polynomial.
-
-    Parameters
-    ----------
-    characteristic : prime p
-    degree : extension degree m >= 1
-    modulus : optional ascending coefficient list of a monic degree-m
-        polynomial over GF(p); defaults come from a built-in table or,
-        failing that, a deterministic search.  The polynomial must be
-        irreducible and x must generate the multiplicative group.
-    """
-
-    __slots__ = ("characteristic", "degree", "order", "modulus", "_xpow")
-
-    def __init__(self, characteristic: int, degree: int,
-                 modulus: Optional[Sequence[int]] = None):
-        p, m = characteristic, degree
-        if not is_prime(p):
-            raise FieldError(f"characteristic {p} is not prime")
-        if m < 1:
-            raise FieldError(f"degree must be >= 1, got {m}")
-        if modulus is None:
-            modulus = _default_modulus(p, m)
-        modulus = tuple(int(c) % p for c in modulus)
-        if len(modulus) != m + 1 or modulus[-1] != 1:
-            raise FieldError(f"modulus must be monic of degree {m}")
-        self.characteristic = p
-        self.degree = m
-        self.order = p ** m
-        self.modulus = modulus
-        # digits of x^t mod f for t = m .. 2m-2, used to fold products
-        self._xpow: list[tuple[int, ...]] = []
-        for t in range(m, 2 * m - 1):
-            xs = [0] * t + [1]
-            self._xpow.append(tuple(_poly_mod(xs, modulus, p) + [0] * m)[:m])
-        self._check_modulus()
-
-    # -- construction-time verification ---------------------------------
-
-    def _check_modulus(self) -> None:
-        """x must have order q-1 modulo f (module docstring)."""
-        x = self.generator
-        qm1 = self.order - 1
-        if self.pow_i(x, qm1) != 1:
-            raise FieldError(
-                f"modulus {self.modulus} is not primitive: x^{qm1} != 1")
-        for r in prime_factors(qm1):
-            if self.pow_i(x, qm1 // r) == 1:
-                raise FieldError(
-                    f"modulus {self.modulus} is not primitive: x^({qm1}//{r}) = 1")
-
-    # -- identity, equality ---------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldSpec)
-            and other.characteristic == self.characteristic
-            and other.degree == self.degree
-            and other.modulus == self.modulus
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.characteristic, self.degree, self.modulus))
-
-    def __repr__(self) -> str:
-        return f"FieldSpec(GF({self.order}), modulus={list(self.modulus)})"
-
-    # -- element plumbing -------------------------------------------------
-
-    @property
-    def generator(self) -> int:
-        """Index of the class of x (a scalar for degree 1), always primitive."""
-        if self.degree == 1:
-            return (-self.modulus[0]) % self.characteristic
-        return self.characteristic
-
-    def digits_of_index(self, index: int) -> tuple[int, ...]:
-        p = self.characteristic
-        out = []
-        for _ in range(self.degree):
-            out.append(index % p)
-            index //= p
-        return tuple(out)
-
-    def index_of_digits(self, digits: Sequence[int]) -> int:
-        p = self.characteristic
-        idx = 0
-        for d in reversed(list(digits)):
-            idx = idx * p + (d % p)
-        return idx
-
-    # -- index arithmetic -------------------------------------------------
-
-    def add_i(self, a: int, b: int) -> int:
-        p = self.characteristic
-        out, mult = 0, 1
-        for _ in range(self.degree):
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
-
-    def neg_i(self, a: int) -> int:
-        p = self.characteristic
-        out, mult = 0, 1
-        for _ in range(self.degree):
-            out += ((-a) % p) * mult
-            a //= p
-            mult *= p
-        return out
-
-    def sub_i(self, a: int, b: int) -> int:
-        return self.add_i(a, self.neg_i(b))
-
-    def mul_i(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        p, m = self.characteristic, self.degree
-        da = self.digits_of_index(a)
-        db = self.digits_of_index(b)
-        conv = [0] * (2 * m - 1)
-        for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    conv[i + j] += ai * bj
-        out = [c % p for c in conv[:m]]
-        for t in range(m, 2 * m - 1):
-            c = conv[t] % p
-            if c:
-                red = self._xpow[t - m]
-                for j in range(m):
-                    out[j] = (out[j] + c * red[j]) % p
-        return self.index_of_digits(out)
-
-    def pow_i(self, a: int, e: int) -> int:
-        if e < 0:
-            a, e = self.inv_i(a), -e
-        result, base = 1, a
-        while e:
-            if e & 1:
-                result = self.mul_i(result, base)
-            base = self.mul_i(base, base)
-            e >>= 1
-        return result
-
-    def inv_i(self, a: int) -> int:
-        if a == 0:
-            raise FieldError("zero has no multiplicative inverse")
-        return self.pow_i(a, self.order - 2)
-
-
-def _default_modulus(p: int, m: int) -> tuple[int, ...]:
+@lru_cache(maxsize=None)
+def default_modulus(p: int, m: int) -> tuple[int, ...]:
+    """The table's modulus for GF(p^m), else the search's (module docstring)."""
     got = _DEFAULT_MODULI.get((p, m))
     if got is not None:
         return got
-    if m == 1:
-        g = _smallest_primitive_root(p)
-        return ((-g) % p, 1)
-    # deterministic search: smallest packed coefficient index that works
-    for idx in range(p ** m):
-        coeffs = [0] * (m + 1)
-        t = idx
-        for j in range(m):
-            coeffs[j] = t % p
-            t //= p
-        coeffs[m] = 1
-        if coeffs[0] == 0:
-            continue  # divisible by x
-        try:
-            FieldSpec(p, m, coeffs)
-        except FieldError:
-            continue
-        return tuple(coeffs)
-    raise FieldError(f"no primitive polynomial found for GF({p}^{m})")
+    if prime_factors(p) != [p] or m < 1:
+        raise ValueError(f"no field GF({p}^{m}): need a prime p and m >= 1")
+    # a primitive polynomial exists for every such (p, m)
+    for idx in range(1, p ** m):
+        f = tuple(idx // p ** j % p for j in range(m)) + (1,)
+        if f[0] and is_primitive(p, f):
+            return f
 
 
-def _smallest_primitive_root(p: int) -> int:
-    if p == 2:
-        return 1
-    factors = prime_factors(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // r, p) != 1 for r in factors):
-            return g
-    raise FieldError(f"no primitive root mod {p}")
+@lru_cache(maxsize=None)
+def field_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(q, q) addition and multiplication tables of GF(q) on indices, in
+    the smallest unsigned dtype that holds q - 1.
 
-
-def make_field(p: int, m: int, modulus: Optional[Sequence[int]] = None) -> FieldSpec:
-    """Construct GF(p^m), validating primality of p and the modulus invariants."""
-    return FieldSpec(p, m, modulus)
+    With q = p^m and f = default_modulus(p, m) primitive, the vectors
+    C_f^j e_0 (the powers x^j) for j < q - 1 run over every nonzero
+    element, so a*b = x^(log a + log b).  Addition is digitwise mod p,
+    built one digit at a time.  For prime q this is mod-q arithmetic.
+    ValueError unless q is a prime power up to TABLE_MAX_Q.
+    """
+    factors = prime_factors(q)
+    if len(factors) != 1:
+        raise ValueError(f"q = {q} is not a prime power")
+    if q > TABLE_MAX_Q:
+        raise ValueError(f"GF({q}) tables are built for q <= {TABLE_MAX_Q} only")
+    (p,) = factors
+    m = round(np.log(q) / np.log(p))
+    c = companion(p, default_modulus(p, m))
+    weights = p ** np.arange(m)
+    column = np.eye(m, dtype=np.int64)[:, 0]
+    antilog = np.empty(q - 1, dtype=np.int64)
+    for j in range(q - 1):
+        antilog[j] = column @ weights
+        column = c @ column % p
+    log = np.zeros(q, dtype=np.int64)
+    log[antilog] = np.arange(q - 1)
+    mul = antilog[(log[:, None] + log) % (q - 1)]
+    mul[0] = mul[:, 0] = 0
+    # add over the low i digits, then digit i on top: index x * p^i + a
+    digit = (np.arange(p)[:, None] + np.arange(p)) % p
+    add = np.zeros((1, 1), dtype=np.int64)
+    for i in range(m):
+        low = p ** i
+        add = (digit[:, None, :, None] * low + add[None, :, None, :]).reshape(
+            p * low, p * low)
+    dtype = np.min_scalar_type(q - 1)
+    return add.astype(dtype), mul.astype(dtype)

@@ -24,8 +24,9 @@ q, comes from one vectorized pattern loop that packs each subobject slot
 of every vertex straight into lookup keys; a table is stored as one
 contiguous (s, V) int32 array, one subobject slot per row, and read as its
 (V, s) transpose, so a pass over all vertices reads one slot at a time.
-The level-1 table (a subspace is the set of its points) also carries the
-field actions of orbits.py.
+The level-1 table (a subspace is the set of its points) is also where
+orbits.py checks group actions and constructions.py finds spread blocks.
+GF(q) arithmetic comes from galois.field_tables.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import subspaces as sp
-from .galois import prime_factors
+from .galois import field_tables, prime_factors
 from .subspaces import Subset, Subspace, gaussian
 
 Vertex = Union[Subspace, Subset]
@@ -293,8 +294,9 @@ def containment_table(spec: GraphSpec, j: int) -> ContainmentTable:
     of the subobject (the key of VertexIndex._pack): a subset member adds
     its colex term; a subspace row is the XOR of its columns when q <= 2 or
     j in {0, k} (unit pattern rows), otherwise it is combined from base-q
-    digits through GF(q) tables, built for q <= FIELD_TABLE_MAX_Q only
-    (ValueError above it), and enters the key times the radix q^n.
+    digits through the uint8 tables of galois.field_tables, used for
+    q <= FIELD_TABLE_MAX_Q only (ValueError above it), and enters the key
+    times the radix q^n.
 
     Each slot's keys are looked up at once by VertexIndex.ids_of_keys,
     which checks that the key found equals the key asked for.  For subspaces
@@ -324,7 +326,7 @@ def containment_table(spec: GraphSpec, j: int) -> ContainmentTable:
         columns = np.ascontiguousarray(idx.rows.T)
         radix = np.uint64(q ** n)
     if not xor:
-        add, mul = _field_tables(q)
+        add, mul = field_tables(q)
         weights = np.uint64(q) ** np.arange(n, dtype=np.uint64)
         # (k, V, n) base-q digits of the packed rows
         digits = (columns[:, :, None] // weights % np.uint64(q)).astype(np.uint8)
@@ -355,15 +357,6 @@ def containment_table(spec: GraphSpec, j: int) -> ContainmentTable:
                                          idx.rows[:, picked]):
             raise KeyError(f"a subset of {spec} is no vertex of {sub.spec}")
     return ContainmentTable(spec, j, sub, ids.T)
-
-
-@lru_cache(maxsize=None)
-def _field_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """(q, q) uint8 addition and multiplication tables of GF(q)."""
-    f = sp.scalar_field(q)
-    add = [[f.add_i(a, b) for b in range(q)] for a in range(q)]
-    mul = [[f.mul_i(a, b) for b in range(q)] for a in range(q)]
-    return np.array(add, dtype=np.uint8), np.array(mul, dtype=np.uint8)
 
 
 # ----------------------------------------------------------------------

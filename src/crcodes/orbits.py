@@ -23,9 +23,12 @@ bip.solve branches on.
 
 The Singer-type action multiplies vectors of GF(q)^n, read as elements of
 GF(q^n), by a fixed power of a primitive element a; the Frobenius action
-raises them to a power q^j.  Both are GF(q)-linear, so they permute the
-[n]_q points.  singer:e and frobenius:j are the powers a^e and sigma^j of
-two point maps built once per graph (_field_maps), sigma: v -> v^q.
+raises them to a power q^j.  Both are GF(q)-linear, so each is a matrix
+that permutes the [n]_q points: a is the companion matrix of the default
+modulus (galois.py), and sigma: v -> v^q the matrix of x^i -> x^(iq).
+_field_maps turns the two matrices into point maps once per graph, by one
+matrix point map, and singer:e and frobenius:j are their powers a^e and
+sigma^j.
 """
 
 from __future__ import annotations
@@ -36,8 +39,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import subspaces as sp
-from .galois import is_prime, make_field
+from .galois import companion, default_modulus, matrix_power, prime_factors
 from .graphs import GraphSpec, containment_table, vertex_index
 from .verify import VerificationError
 
@@ -106,26 +108,38 @@ def _vertex_perm(spec: GraphSpec, key: bytes) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _field_maps(spec: GraphSpec, modulus) -> tuple[np.ndarray, ...]:
-    """The point maps of a (v -> a*v, a primitive in GF(q^n) mod modulus, a
-    tuple or None) and sigma (v -> v^q): each moved point is re-normalized
-    and looked up.  Prime q only: then a packed vector of GF(q)^n is
-    already the index of its field element."""
+def _field_maps(spec: GraphSpec) -> tuple[np.ndarray, ...]:
+    """The point maps of a (v -> a*v, a the class of x modulo
+    galois.default_modulus(q, n)) and sigma (v -> v^q): the matrices C_f
+    and the one whose column i is C_f^(iq) e_0, the vector of x^(iq) =
+    (x^i)^q.  Prime q only: then GF(q)^n is GF(q^n) in the basis
+    1, x, ..., x^(n-1)."""
     if spec.family != "grassmann":
         raise VerificationError("field actions are defined on Grassmann graphs")
-    if not is_prime(spec.q):
+    q, n = spec.q, spec.n
+    if prime_factors(q) != [q]:
         raise VerificationError(
-            f"field actions implemented for prime q only, got q={spec.q}")
-    gf = make_field(spec.q, spec.n, modulus)
+            f"field actions implemented for prime q only, got q={q}")
+    a = companion(q, default_modulus(q, n))
+    aq = matrix_power(a, q, q)
+    sigma = np.column_stack([matrix_power(aq, i, q)[:, 0] for i in range(n)])
+    return _matrix_point_map(spec, a), _matrix_point_map(spec, sigma)
+
+
+def _matrix_point_map(spec: GraphSpec, matrix: np.ndarray) -> np.ndarray:
+    """The point map <v> -> <M v> of an invertible (n, n) matrix over a
+    prime q: the level-1 rows are unpacked to digits and moved, each image
+    is scaled by the inverse of its leading (first nonzero) digit, as RREF
+    does, then packed and looked up."""
+    q, n = spec.q, spec.n
     points = vertex_index(spec.level(1))
-    vectors = points.rows[:, 0].tolist()
-    maps = []
-    for move in (lambda r: gf.mul_i(r, gf.generator),
-                 lambda r: gf.pow_i(r, spec.q)):
-        moved = [sp.rref([move(r)], spec.n, spec.q).rows for r in vectors]
-        maps.append(points.ids_of_rows(
-            np.array(moved, dtype=np.uint64).reshape(len(points), 1)))
-    return tuple(maps)
+    weights = np.uint64(q) ** np.arange(n, dtype=np.uint64)
+    digits = (points.rows // weights % np.uint64(q)).astype(np.int64)
+    image = digits @ matrix.T % q
+    lead = image[np.arange(len(image)), (image != 0).argmax(axis=1)]
+    inverse = np.array([0] + [pow(c, -1, q) for c in range(1, q)])
+    image = (image * inverse[lead, None] % q).astype(np.uint64)
+    return points.ids_of_rows((image * weights).sum(axis=1)[:, None])
 
 
 def _power(perm: np.ndarray, e: int) -> np.ndarray:
@@ -139,20 +153,18 @@ def _power(perm: np.ndarray, e: int) -> np.ndarray:
     return out
 
 
-def singer_action(spec: GraphSpec, exponent: int,
-                  modulus: Optional[Sequence[int]] = None) -> GroupAction:
+def singer_action(spec: GraphSpec, exponent: int) -> GroupAction:
     """Multiplication of GF(q)^n by a^exponent, a primitive in GF(q^n):
     the exponent-th power of a's point map (a^(q^n-1) = 1)."""
-    a, _ = _field_maps(spec, None if modulus is None else tuple(modulus))
+    a, _ = _field_maps(spec)
     perm = _power(a, exponent % (spec.q ** spec.n - 1))
     return GroupAction(spec, [perm], description=f"singer:{exponent}")
 
 
-def frobenius_action(spec: GraphSpec, power: int = 1,
-                     modulus: Optional[Sequence[int]] = None) -> GroupAction:
+def frobenius_action(spec: GraphSpec, power: int = 1) -> GroupAction:
     """The field power map v -> v^(q^power) on GF(q^n), GF(q)-linear: the
     power-th power of sigma's point map (sigma^n = 1)."""
-    _, sigma = _field_maps(spec, None if modulus is None else tuple(modulus))
+    _, sigma = _field_maps(spec)
     perm = _power(sigma, power % spec.n)
     return GroupAction(spec, [perm], description=f"frobenius:{power}")
 

@@ -8,7 +8,8 @@ Subspace values are equal exactly when they are the same subspace.
 enumerate_rows gives a whole level at once as a (count, k) uint64 array:
 packed basis rows for subspaces, sorted members for subsets.  This array
 is the graph layer's vertex representation; Subspace and Subset are the
-per-object values for row reduction.
+per-object values for row reduction, whose GF(q) scalars are mod-q
+integers for prime q and galois.field_tables lookups otherwise.
 
 The canonical order of subspaces (used for vertex ids) is lexicographic on
 the flattened k-by-n matrix of coefficient digits, row major; subsets are
@@ -23,22 +24,22 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .galois import FieldSpec, make_field, prime_factors
+from .galois import field_tables, prime_factors
 
 
 @lru_cache(maxsize=None)
-def scalar_field(q: int) -> FieldSpec:
-    """GF(q) arithmetic for matrix entries; q any prime power."""
-    fac = prime_factors(q)
-    if len(fac) != 1:
-        raise ValueError(f"q = {q} is not a prime power")
-    p = fac[0]
-    m = 0
-    t = q
-    while t > 1:
-        t //= p
-        m += 1
-    return make_field(p, m)
+def _scalars(q: int):
+    """GF(q) as (axpy, neg, inv): axpy(c, x, y) = c*x + y on lists of
+    digits, neg and inv of one scalar.  Mod-q integers for prime q, else
+    lookups in galois.field_tables (ValueError above its TABLE_MAX_Q)."""
+    if prime_factors(q) == [q]:
+        return (lambda c, x, y: [(c * a + b) % q for a, b in zip(x, y)],
+                lambda c: -c % q, lambda c: pow(c, -1, q))
+    add, mul = field_tables(q)
+    neg = (add == 0).argmax(axis=1).tolist()
+    inv = (mul == 1).argmax(axis=1).tolist()
+    return (lambda c, x, y: add[mul[c, x], y].tolist(), neg.__getitem__,
+            inv.__getitem__)
 
 
 def gaussian(n: int, k: int, q: int) -> int:
@@ -158,22 +159,6 @@ def _rref_bits(vectors: Iterable[int]) -> list[int]:
     return rows
 
 
-def _scale_row(row: int, c: int, n: int, q: int, sc: FieldSpec) -> int:
-    if c == 0:
-        return 0
-    if c == 1:
-        return row
-    digits = unpack_row(row, n, q)
-    return pack_row([sc.mul_i(c, d) for d in digits], q)
-
-
-def _add_rows(a: int, b: int, n: int, q: int, sc: FieldSpec) -> int:
-    if q == 2:
-        return a ^ b
-    da, db = unpack_row(a, n, q), unpack_row(b, n, q)
-    return pack_row([sc.add_i(x, y) for x, y in zip(da, db)], q)
-
-
 def rref(vectors: Iterable[Sequence[int] | int], n: int, q: int) -> Subspace:
     """Reduced row echelon span of the given vectors.
 
@@ -184,28 +169,22 @@ def rref(vectors: Iterable[Sequence[int] | int], n: int, q: int) -> Subspace:
               for v in vectors]
     if q == 2:
         return Subspace(n, 2, tuple(_rref_bits(packed)))
-    sc = scalar_field(q)
+    axpy, neg, inv = _scalars(q)
     work = [list(unpack_row(v, n, q)) for v in packed]
-    out: list[list[int]] = []
     r = 0
     for col in range(n):
         piv = next((i for i in range(r, len(work)) if work[i][col]), None)
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
-        inv = sc.inv_i(work[r][col])
-        if inv != 1:
-            work[r] = [sc.mul_i(inv, v) for v in work[r]]
+        work[r] = axpy(inv(work[r][col]), work[r], [0] * n)
         for i in range(len(work)):
             if i != r and work[i][col]:
-                c = work[i][col]
-                work[i] = [sc.sub_i(work[i][j], sc.mul_i(c, work[r][j]))
-                           for j in range(n)]
+                work[i] = axpy(neg(work[i][col]), work[r], work[i])
         r += 1
         if r == len(work):
             break
-    out = work[:r]
-    return Subspace(n, q, tuple(pack_row(row, q) for row in out))
+    return Subspace(n, q, tuple(pack_row(row, q) for row in work[:r]))
 
 
 # ----------------------------------------------------------------------
@@ -278,13 +257,14 @@ def apply_pattern(u: Subspace, pattern) -> Subspace:
                     acc ^= u.rows[t]
             rows.append(acc)
     else:
-        sc = scalar_field(q)
+        axpy = _scalars(q)[0]
+        digits = [list(unpack_row(row, n, q)) for row in u.rows]
         for prow in pattern:
-            acc = 0
+            acc = [0] * n
             for t, c in enumerate(prow):
                 if c:
-                    acc = _add_rows(acc, _scale_row(u.rows[t], c, n, q, sc), n, q, sc)
-            rows.append(acc)
+                    acc = axpy(c, digits[t], acc)
+            rows.append(pack_row(acc, q))
     return Subspace(n, q, tuple(rows))
 
 

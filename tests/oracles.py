@@ -4,13 +4,16 @@ Each one answers a question the package answers faster some other way
 (through packed rows or containment tables), so the tests compare the two.
 """
 
+import math
 import re
+from functools import lru_cache
 from itertools import combinations, repeat
 
 import numpy as np
 
 from crcodes import files
 from crcodes import subspaces as sp
+from crcodes.galois import default_modulus, prime_factors
 from crcodes.graphs import vertex_index
 from crcodes.orbits import OrbitSystem
 from crcodes.subspaces import Subset, Subspace
@@ -22,19 +25,68 @@ def digit_key(s: Subspace) -> tuple:
     return tuple(d for r in s.rows for d in sp.unpack_row(r, s.n, s.q))
 
 
+@lru_cache(maxsize=None)
+def _char(q: int) -> tuple:
+    """(p, m) with q = p^m."""
+    (p,) = prime_factors(q)
+    return p, round(math.log(q, p))
+
+
+def gf_mul(a: int, b: int, q: int) -> int:
+    """a*b in GF(q) on indices (base-p digits of the residue polynomial,
+    constant term first): the schoolbook product of the two polynomials,
+    reduced by long division mod galois.default_modulus(p, m)."""
+    p, m = _char(q)
+    if m == 1:
+        return a * b % q
+    f = default_modulus(p, m)
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(sp.unpack_row(a, m, p)):
+        for j, y in enumerate(sp.unpack_row(b, m, p)):
+            prod[i + j] += x * y
+    for t in range(2 * m - 2, m - 1, -1):  # subtract c x^(t-m) f
+        c = prod[t] % p
+        for j in range(m + 1):
+            prod[t - m + j] -= c * f[j]
+    return sp.pack_row([c % p for c in prod[:m]], p)
+
+
+def gf_add(a: int, b: int, q: int) -> int:
+    p, m = _char(q)
+    return sp.pack_row([(x + y) % p for x, y in zip(sp.unpack_row(a, m, p),
+                                                    sp.unpack_row(b, m, p))], p)
+
+
+def gf_pow(a: int, e: int, q: int) -> int:
+    """a^e for e >= 0, by repeated squaring."""
+    out = 1
+    while e:
+        if e & 1:
+            out = gf_mul(out, a, q)
+        a = gf_mul(a, a, q)
+        e >>= 1
+    return out
+
+
+def gf_neg(a: int, q: int) -> int:
+    return gf_mul(prime_factors(q)[0] - 1, a, q)  # index p - 1 is -1
+
+
+def gf_inv(a: int, q: int) -> int:
+    return gf_pow(a, q - 2, q)
+
+
+def _axpy(c: int, x: int, y: int, n: int, q: int) -> int:
+    """c*x + y for packed vectors of GF(q)^n, one digit at a time."""
+    return sp.pack_row([gf_add(gf_mul(c, a, q), b, q) for a, b in zip(
+        sp.unpack_row(x, n, q), sp.unpack_row(y, n, q))], q)
+
+
 def vectors(u: Subspace) -> list:
     """All q^k packed vectors of the subspace."""
-    sc = sp.scalar_field(u.q) if u.q > 2 else None
     vs = [0]
     for row in u.rows:
-        if u.q == 2:
-            vs = vs + [v ^ row for v in vs]
-        else:
-            new = []
-            for c in range(u.q):
-                scaled = sp._scale_row(row, c, u.n, u.q, sc)
-                new.extend(sp._add_rows(v, scaled, u.n, u.q, sc) for v in vs)
-            vs = new
+        vs = [_axpy(c, row, v, u.n, u.q) for c in range(u.q) for v in vs]
     return vs
 
 
@@ -55,16 +107,12 @@ def _reduce_vector(vec: int, rows, n: int, q: int) -> int:
             if vec & (r & -r):
                 vec ^= r
         return vec
-    sc = sp.scalar_field(q)
-    dv = list(sp.unpack_row(vec, n, q))
     for r in rows:
         dr = sp.unpack_row(r, n, q)
-        p = next(j for j, d in enumerate(dr) if d)
-        c = dv[p]
+        c = sp.unpack_row(vec, n, q)[next(j for j, d in enumerate(dr) if d)]
         if c:
-            for j in range(n):
-                dv[j] = sc.sub_i(dv[j], sc.mul_i(c, dr[j]))
-    return sp.pack_row(dv, q)
+            vec = _axpy(gf_neg(c, q), r, vec, n, q)
+    return vec
 
 
 def intersection_dim(u: Subspace, w: Subspace) -> int:
@@ -104,14 +152,13 @@ def enumerate_subsets(n: int, k: int) -> list:
 
 def projective_points(u: Subspace) -> list:
     """The 1-subspaces contained in u, each scaled to a leading 1, sorted."""
-    sc = sp.scalar_field(u.q)
     seen = set()
     for v in vectors(u):
         if v == 0:
             continue
         digits = sp.unpack_row(v, u.n, u.q)
-        inv = sc.inv_i(next(d for d in digits if d))
-        seen.add(sp.pack_row([sc.mul_i(inv, d) for d in digits], u.q))
+        inv = gf_inv(next(d for d in digits if d), u.q)
+        seen.add(sp.pack_row([gf_mul(inv, d, u.q) for d in digits], u.q))
     pts = sorted((Subspace(u.n, u.q, (v,)) for v in seen),
                  key=digit_key)
     assert len(pts) == sp.gaussian(u.k, 1, u.q)

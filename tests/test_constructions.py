@@ -156,6 +156,13 @@ def test_hyperplane_codes():
     s43 = GraphSpec("grassmann", 2, 4, 3, allow_unbalanced=True)
     single = con.hyperplane_code(s43)
     assert len(single) == 1
+    # fields above the containment tables' FIELD_TABLE_MAX_Q: prime q by
+    # mod-q integers, q = 512 by uint16 tables
+    for graph, sizes in [("jq:65537,2,1", (1, 2)), ("jq:257,3,1", (258, 259)),
+                         ("jq:512,2,1", (1, 2))]:
+        spec = parse_graph_spec(graph)
+        assert (len(con.hyperplane_code(spec)),
+                len(con.hyperplane_point_code(spec))) == sizes
 
 
 def test_hyperplane_point_must_be_outside():
@@ -170,7 +177,7 @@ def test_hyperplane_point_must_be_nonzero():
 
 
 @pytest.mark.parametrize("graph", ["jq:2,5,2", "jq:2,6,3", "jq:3,4,2",
-                                   "jq:3,5,2"])
+                                   "jq:3,5,2", "jq:512,2,1"])
 def test_hyperplane_codes_match_the_per_vertex_loop(graph):
     spec = parse_graph_spec(graph)
     n, q = spec.n, spec.q
