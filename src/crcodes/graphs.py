@@ -6,6 +6,10 @@ meet in a (k-1)-subspace.  A graph's vertices are held as one (V, k)
 uint64 array of packed rows (subspaces.enumerate_rows): vertex id i is
 row i, so ids follow the canonical order and are stable across runs.
 Subspace and Subset objects are built one at a time, only when asked for.
+A vertex is found from its packed uint64 key: a subset key is its colex
+rank, and a subspace key goes through a multiplicative-hash bucket index
+of 16 to 20 bytes per vertex (VertexIndex), where a binary search over
+sorted keys of 16 bytes per vertex used to be.
 
 The eigenvalues come as the ladder
 
@@ -145,14 +149,18 @@ def theta_ladder(spec: GraphSpec) -> list[int]:
 class VertexIndex:
     """Bijection between [0, vertex_count) and canonical vertices.
 
-    The only state is rows, the (V, k) uint64 array of subspaces.enumerate_rows:
-    row i is vertex i.  Each row packs into one uint64 key (subspace rows as
-    the digits of radix q^n, subsets by colex rank), and every vertex -> id
-    question is answered by ids_of_keys: one searchsorted over the sorted
-    subspace keys, or for subsets one lookup by the colex rank itself, which
-    runs over 0..V-1.  ids_of_rows packs rows and looks their keys up;
-    containment tables pack their keys themselves.  idx[vid] builds the one
-    Subspace or Subset asked for.
+    rows is the (V, k) uint64 array of subspaces.enumerate_rows: row i is
+    vertex i.  Each row packs into one uint64 key (subspace rows as the
+    digits of radix q^n, subsets by colex rank), and every vertex -> id
+    question is answered by ids_of_keys.  A colex rank below V is itself
+    the lookup position.  Subspace keys go through a hash index built once:
+    the bucket of a key is its top b bits after a multiply by 2^64 / phi,
+    with 2^b between V and 2V, and the keys and ids are held in bucket
+    order behind int32 bucket starts: 8 + 4 bytes per vertex plus 4 per
+    bucket (16 to 20 bytes per vertex), against 16 for the sorted keys and
+    argsort order it replaces.  ids_of_rows packs rows and looks their keys
+    up; containment tables pack their keys themselves.  idx[vid] builds the
+    one Subspace or Subset asked for.
     """
 
     def __init__(self, spec: GraphSpec):
@@ -163,9 +171,33 @@ class VertexIndex:
             self._order = np.empty(len(keys), dtype=np.intp)
             self._order[keys] = np.arange(len(keys))
         else:
-            self._order = np.argsort(keys)
-            self._sorted_keys = keys[self._order]
+            V = len(keys)
+            bits = max(V - 1, 1).bit_length()  # 2^bits buckets, V to 2V
+            self._shift = np.uint64(64 - bits)
+            pairs = self._buckets(keys)
+            # bucket h starts where bucket h - 1 ends; a start past the last
+            # key is clipped to V - 1, so every probe position is an index
+            ends = np.bincount(pairs, minlength=1 << bits)
+            self._width = int(ends.max())
+            np.cumsum(ends, out=ends)
+            np.minimum(ends, V - 1, out=ends)
+            self._starts = np.zeros(1 << bits, dtype=np.int32)
+            self._starts[1:] = ends[:-1]
+            # ids in bucket order: one sort of the (bucket, id) pairs, each
+            # packed in a uint64, is cheaper than an argsort
+            pairs <<= np.uint64(32)
+            pairs |= np.arange(V, dtype=np.uint64)
+            pairs.sort()
+            pairs &= np.uint64(0xFFFFFFFF)
+            self._order = pairs.astype(np.int32)
+            self._keys = keys[self._order]
         self._adjacency: Optional[np.ndarray] = None
+
+    def _buckets(self, keys: np.ndarray) -> np.ndarray:
+        """The top bits of key * 2^64 / phi: a Fibonacci hash."""
+        h = keys * np.uint64(0x9E3779B97F4A7C15)
+        h >>= self._shift
+        return h
 
     def _pack(self, rows: np.ndarray) -> np.ndarray:
         """One key per row; injective on the rows of vertices only."""
@@ -192,19 +224,37 @@ class VertexIndex:
             return Subset(self.spec.n, row)
         return Subspace(self.spec.n, self.spec.q, row)
 
-    def ids_of_keys(self, keys: np.ndarray) -> np.ndarray:
+    def ids_of_keys(self, keys) -> np.ndarray:
         """Ids of the vertices with these packed keys; KeyError if a key
-        names no vertex.  The one lookup: the key found must equal the key
-        asked for, and every colex rank below V names a subset."""
+        names no vertex.  Any integer array or list is taken as uint64.
+
+        A subspace key is compared with the stored keys at probes 0, 1, ...
+        from its bucket start, each probe on the keys still unmatched, for
+        at most the widest bucket; a stored key equal to the key asked for
+        is that vertex wherever it stands, so the comparison is the whole
+        check.  Every colex rank below V names a subset.
+        """
+        # an int64 array times a uint64 scalar would be float64
+        keys = np.asarray(keys).astype(np.uint64, copy=False)
         if self.spec.q == 1:
             if len(keys) and keys.max() >= len(self._order):
                 raise KeyError(f"a key does not name a vertex of {self.spec}")
             return self._order[keys]
-        pos = np.searchsorted(self._sorted_keys, keys)
-        np.minimum(pos, len(self._order) - 1, out=pos)
-        if not np.array_equal(self._sorted_keys[pos], keys):
+        last = len(self._keys) - 1
+        pos = self._starts[self._buckets(keys)]
+        miss = np.flatnonzero(self._keys[pos] != keys)
+        at, want = pos[miss], keys[miss]
+        for _ in range(1, self._width):
+            if not len(miss):
+                break
+            at += 1
+            np.minimum(at, last, out=at)
+            hit = self._keys[at] == want
+            pos[miss[hit]] = at[hit]
+            miss, at, want = miss[~hit], at[~hit], want[~hit]
+        if len(miss):
             raise KeyError(f"a key does not name a vertex of {self.spec}")
-        return self._order[pos]
+        return self._order[pos].astype(np.intp)
 
     def ids_of_rows(self, rows) -> np.ndarray:
         """Ids of an (m, k) array of rows; KeyError if any row is no vertex.
@@ -298,12 +348,13 @@ def containment_table(spec: GraphSpec, j: int) -> ContainmentTable:
     q <= FIELD_TABLE_MAX_Q only (ValueError above it), and enters the key
     times the radix q^n.
 
-    Each slot's keys are looked up at once by VertexIndex.ids_of_keys,
-    which checks that the key found equals the key asked for.  For subspaces
-    that is the whole row check: every combined row is below q^n, and radix
-    packing is injective on such rows.  Subset slots also compare the rows
-    found with the members picked.  Slot t fills row t of one C-contiguous
-    (s, V) int32 array, whose transpose is ContainmentTable.ids.
+    Each slot's keys are looked up at once by VertexIndex.ids_of_keys; in
+    the hash index of subspaces a key is found only where it equals a
+    stored key.  For subspaces that is the whole row check: every combined
+    row is below q^n, and radix packing is injective on such rows.  Subset
+    slots also compare the rows found with the members picked.  Slot t
+    fills row t of one C-contiguous (s, V) int32 array, whose transpose is
+    ContainmentTable.ids.
     """
     if not 0 <= j <= spec.k:
         raise ValueError(f"sublevel {j} out of range 0..{spec.k}")

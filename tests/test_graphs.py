@@ -1,4 +1,6 @@
+import hashlib
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -229,9 +231,88 @@ def test_ids_of_keys_finds_vertices_and_refuses_other_keys(spec_text):
     # a key between two vertex keys, or past the last colex rank
     absent = len(idx) if idx.spec.q == 1 else np.sort(keys)[0] + 1
     assert absent not in set(keys.tolist())
-    for bad in ([absent], [keys[3], absent]):
+    for bad in ([absent], [keys[3], absent], [2 ** 64 - 1]):
         with pytest.raises(KeyError):
             idx.ids_of_keys(np.array(bad, dtype=np.uint64))
+
+
+FIB = 0x9E3779B97F4A7C15
+
+
+def _bucket(key: int, bits: int) -> int:
+    """The hash of VertexIndex in Python integers: top bits of key * FIB."""
+    return (key * FIB % 2 ** 64) >> (64 - bits)
+
+
+def _key_in_bucket(bucket: int, bits: int, low: int) -> int:
+    """A key whose hash is bucket: FIB is odd, so it inverts mod 2^64."""
+    return ((bucket << (64 - bits)) | low) * pow(FIB, -1, 2 ** 64) % 2 ** 64
+
+
+@pytest.mark.parametrize("spec_text", [
+    "jq:2,6,3", "jq:3,4,2", "jq:4,4,2", "jq:5,4,2", "jq:8,4,2", "jq:9,4,2",
+    "jq:2,5,1", "jq:2,4,0", "jq:2,8,3"])
+def test_ids_of_keys_agrees_with_a_dict_oracle(spec_text):
+    idx = g.vertex_index(g.parse_graph_spec(spec_text))
+    V = len(idx)
+    keys = idx._pack(idx.rows).tolist()
+    oracle = {key: vid for vid, key in enumerate(keys)}
+    assert len(oracle) == V
+    rng = random.Random(5)
+    asked = rng.sample(keys, len(keys)) + rng.choices(keys, k=50)
+    got = idx.ids_of_keys(np.array(asked, dtype=np.uint64))
+    assert got.tolist() == [oracle[key] for key in asked]
+    # non-vertex keys that hash into the widest bucket, the bucket of the
+    # last stored key, and the last bucket of all; 2^64 - 1; each alone
+    # and among vertex keys
+    bits = max(V - 1, 1).bit_length()
+    load = Counter(_bucket(key, bits) for key in keys)
+    widest = max(load, key=load.get)
+    absent = [_key_in_bucket(b, bits, low) for b in (widest, max(load),
+                                                    2 ** bits - 1)
+              for low in (1, 12345, 2 ** 40 + 7)] + [2 ** 64 - 1]
+    assert _bucket(absent[0], bits) == widest
+    for key in absent:
+        assert key not in oracle
+        for query in ([key], [keys[0], key], asked[:7] + [key] + asked[7:9]):
+            with pytest.raises(KeyError):
+                idx.ids_of_keys(np.array(query, dtype=np.uint64))
+    empty = idx.ids_of_keys(np.array([], dtype=np.uint64))
+    assert empty.shape == (0,) and empty.dtype.kind == "i"
+
+
+@pytest.mark.parametrize("spec_text", ["jq:2,6,3", "jq:4,4,2", "j:10,4"])
+def test_ids_of_keys_takes_any_integer_keys(spec_text):
+    idx = g.vertex_index(g.parse_graph_spec(spec_text))
+    keys = idx._pack(idx.rows)[::-3]
+    want = idx.ids_of_keys(keys).tolist()
+    assert want == list(range(len(idx)))[::-3]
+    for asked in (keys.astype(np.int64), keys.tolist()):
+        assert idx.ids_of_keys(asked).tolist() == want
+    # a negative int64 is the uint64 2^64 - 1, which names no vertex
+    for bad in (np.array([-1], dtype=np.int64), [int(keys[0]), -1],
+                [2 ** 64 - 1]):
+        with pytest.raises(KeyError):
+            idx.ids_of_keys(bad)
+    for empty in ([], np.array([], dtype=np.int64)):
+        assert idx.ids_of_keys(empty).shape == (0,)
+
+
+# sha256 of containment_table(spec, j).ids as little-endian int32, taken
+# before the lookup behind the tables was replaced: ids never move
+TABLE_DIGESTS = {
+    ("jq:2,8,4", 3): "2aeaf95409a7b2f19de36f759370dcf34b61a63732c368850d0ebe781c1ab016",
+    ("jq:3,6,3", 2): "b3a9424dea9da8d4449ac8f2bdd49851d937c4f88f63a1c8f65a49a5ffb3cbd2",
+    ("jq:4,4,2", 1): "a343e0fce45fbc920ab6af3255f6b48249420d99295b2ee51ff3c78b51d99f4b",
+    ("jq:9,4,2", 1): "8ad6a749484f6be0e4fbc9094af590824e7b841ad24cf36665283a26c472eaf3",
+}
+
+
+def test_containment_tables_reproduce_the_pinned_bytes():
+    for (text, j), want in TABLE_DIGESTS.items():
+        ids = g.containment_table(g.parse_graph_spec(text), j).ids
+        got = hashlib.sha256(np.ascontiguousarray(ids.astype("<i4")).tobytes())
+        assert got.hexdigest() == want, (text, j)
 
 
 def test_containment_table_refuses_field_tables_above_256():
