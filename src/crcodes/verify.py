@@ -15,8 +15,14 @@ Johnson or Grassmann graph two distinct k-objects over a common
 (k-1)-object are always adjacent and adjacent vertices share exactly one
 (k-1)-object, so counting, for every (k-1)-object, the members of each
 cell containing it gives every vertex's per-cell neighbor counts by a sum
-over its own (k-1)-subobjects.  That turns the 10^8-edge check of the
-largest graph here into a handful of array passes.
+over its own (k-1)-subobjects.  The breadth-first search that finds the
+cells takes those counts layer by layer (DistancePartition.over) and
+keeps them.  The sums are taken for all cells at once in packed uint64
+words: each cell is a field of w = (s * containing_count).bit_length()
+bits, for s (k-1)-objects per vertex, and a field's sum is at most
+s * containing_count < 2^w, so one gather per table column adds every
+cell's count without a carry between fields.  That turns the 10^8-edge
+check of the largest graph here into a handful of array passes.
 
 The design strength reads the same (k-1) table and no other full-size
 one: the code's cover of the (k-1)-objects is counted down, level by
@@ -67,9 +73,17 @@ class Code:
 
 @dataclass
 class DistancePartition:
+    """Distance cells of a code, with the layer counts of their search.
+
+    over[d][T] is the number of cell-d vertices over the (k-1)-object T,
+    at most containing_count, so int32; over[d] > 0 marks the objects the
+    search stepped through from layer d.
+    """
+
     rho: int
     cells: list  # list of rho+1 sorted id arrays
     cell_of: np.ndarray  # (V,) cell index per vertex
+    over: np.ndarray  # (rho+1, S) int32 layer counts
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.cells)
@@ -122,70 +136,131 @@ def _code_ids(spec: GraphSpec, code) -> np.ndarray:
     return _sorted_ids(code)
 
 
+def _star_counts(columns: np.ndarray, vertices: np.ndarray,
+                 S: int) -> np.ndarray:
+    """How many of the given vertices lie over each of the S (k-1)-objects."""
+    objects = np.take(columns, vertices, axis=1).ravel()
+    return np.bincount(objects, minlength=S)
+
+
 def distance_partition(spec: GraphSpec, code) -> DistancePartition:
     """Breadth-first distance cells from the code; rho = #layers - 1.
 
-    Each layer marks the (k-1)-objects under the frontier and reaches the
-    vertices over a marked one, one table column at a time.
+    over[d][T] counts the cell-d vertices over the (k-1)-object T.  Layer d
+    is counted from whichever side is smaller: its own vertices, or the
+    vertices not yet reached, since each of T's containing_count vertices
+    lies in a cell up to d or is not yet reached.  The next layer is the
+    set of unreached vertices over some T with over[d][T] > 0; only those
+    open vertices are gathered, and they grow fewer with every layer.  The
+    counts are kept: check_completely_regular sums them into every
+    vertex's per-cell neighbor counts.
     """
     ids = _code_ids(spec, code)
     if len(ids) == 0:
         raise VerificationError("code is empty")
     table = containment_table(spec, spec.k - 1)
     columns = table.ids.T
-    V = spec.vertex_count
-    cell = np.full(V, -1, dtype=np.int64)
+    S, m = len(table.sub_index), table.containing_count
+    cell = np.full(spec.vertex_count, -1, dtype=np.int64)
     cell[ids] = 0
-    frontier = ids
-    d = 0
-    while (cell == -1).any():
-        mark = np.zeros(len(table.sub_index), dtype=bool)
+    cells = [ids.copy()]
+    over = []
+    below = np.zeros(S, dtype=np.int64)  # members of the cells before layer d
+    unreached = np.nonzero(cell == -1)[0]
+    while True:
+        if len(cells[-1]) <= len(unreached):
+            layer = _star_counts(columns, cells[-1], S)
+        else:
+            layer = m - below - _star_counts(columns, unreached, S)
+        below += layer
+        over.append(layer)
+        if unreached.size == 0:
+            break
+        mark = layer > 0
+        reached = np.zeros(unreached.size, dtype=bool)
         for col in columns:
-            mark[col[frontier]] = True
-        reached = np.zeros(V, dtype=bool)
-        for col in columns:
-            reached |= mark[col]
-        nxt = np.nonzero(reached & (cell == -1))[0]
+            reached |= np.take(mark, np.take(col, unreached))
+        nxt = unreached[reached]
         if nxt.size == 0:
             raise VerificationError("some vertices are unreachable from the code")
-        d += 1
-        cell[nxt] = d
-        frontier = nxt
-    cells = [np.nonzero(cell == i)[0] for i in range(d + 1)]
-    return DistancePartition(rho=d, cells=cells, cell_of=cell)
+        cell[nxt] = len(cells)
+        cells.append(nxt)
+        unreached = unreached[~reached]
+    return DistancePartition(rho=len(cells) - 1, cells=cells, cell_of=cell,
+                             over=np.array(over, dtype=np.int32))
+
+
+def _neighbor_words(table, over: np.ndarray,
+                    cell_of: np.ndarray) -> tuple[list, int]:
+    """Every vertex's per-cell neighbor counts, packed into uint64 words.
+
+    Cell c is the w-bit field c % per of word c // per, with
+    w = (s * containing_count).bit_length() and per = 64 // w.  A word
+    packs over[c] (the cell-c count over each (k-1)-object) into its field,
+    sums the packed values over each vertex's s (k-1)-objects, one table
+    column at a time, and takes s off the field of the vertex's own cell.
+    No field carries: its sum is at most s * containing_count < 2^w.  None
+    borrows: a vertex lies in all s of its own stars, so its own field
+    holds at least s.  Returns the words and w.
+    """
+    s = table.per_vertex
+    w = (s * table.containing_count).bit_length()
+    per = 64 // w
+    nc, S = over.shape
+    words = []
+    for lo in range(0, nc, per):
+        packed = np.zeros(S, dtype=np.uint64)
+        own = np.zeros(nc, dtype=np.uint64)
+        for c in range(lo, min(lo + per, nc)):
+            shift = np.uint64(w * (c - lo))
+            packed |= over[c].astype(np.uint64) << shift
+            own[c] = np.uint64(s) << shift
+        columns = iter(table.ids.T)
+        word = np.take(packed, next(columns))
+        for col in columns:
+            word += np.take(packed, col)
+        word -= np.take(own, cell_of)
+        words.append(word)
+    return words, w
+
+
+def _unpack(words: list, w: int, n_cells: int) -> np.ndarray:
+    """The (V, n_cells) int64 counts held in the words of _neighbor_words."""
+    per = 64 // w
+    field = np.uint64((1 << w) - 1)
+    counts = np.empty((n_cells, len(words[0])), dtype=np.int64)
+    for c, row in enumerate(counts):
+        row[:] = words[c // per] >> np.uint64(w * (c % per)) & field
+    return counts.T
 
 
 def cell_neighbor_counts(spec: GraphSpec, cell_of: np.ndarray,
                          n_cells: int) -> np.ndarray:
     """counts[v, c] = number of neighbors of v lying in cell c, for every v.
 
-    per_sub[c] counts the members of cell c over each (k-1)-object, and
-    column c of counts sums it over every vertex's (k-1)-objects, one table
-    column at a time.  The result is the (V, n_cells) view of an
-    (n_cells, V) array.
+    The cells may be any partition, not only a distance partition: the
+    members of each cell over each (k-1)-object are counted by one bincount
+    per table column, and those counts are summed into packed words as in
+    check_completely_regular (_neighbor_words).  The result is the
+    (V, n_cells) view of an (n_cells, V) array.
     """
     table = containment_table(spec, spec.k - 1)
-    columns = table.ids.T
-    s, V = columns.shape
     S = len(table.sub_index)
-    per_sub = np.zeros(n_cells * S, dtype=np.int64)
+    over = np.zeros(n_cells * S, dtype=np.int64)
     base = cell_of * S
-    for col in columns:
-        per_sub += np.bincount(base + col, minlength=n_cells * S)
-    counts = np.zeros((n_cells, V), dtype=np.int64)
-    for row, per_sub_c in zip(counts, per_sub.reshape(n_cells, S)):
-        for col in columns:
-            row += per_sub_c[col]
-    counts[cell_of, np.arange(V)] -= s  # each vertex sat in s of its own cliques
-    return counts.T
+    for col in table.ids.T:
+        over += np.bincount(base + col, minlength=n_cells * S)
+    words, w = _neighbor_words(table, over.reshape(n_cells, S), cell_of)
+    return _unpack(words, w, n_cells)
 
 
 def check_completely_regular(spec: GraphSpec, code) -> RegularityCheck:
     """Exhaustive equitability check of the distance partition.
 
-    Every vertex's per-cell neighbor counts are compared against the first
-    vertex of its cell; on failure the earliest violating vertex in
-    canonical order is reported with expected and found counts.
+    Every vertex's per-cell neighbor counts, packed from the partition's
+    layer counts (_neighbor_words), are compared word by word against those
+    of the first vertex of its cell; on failure the earliest violating
+    vertex in canonical order is reported with expected and found counts.
     """
     ids = _code_ids(spec, code)
     if len(ids) == 0:
@@ -194,11 +269,15 @@ def check_completely_regular(spec: GraphSpec, code) -> RegularityCheck:
         raise VerificationError("code is the full vertex set")
     part = distance_partition(spec, ids)
     nc = part.rho + 1
-    counts = cell_neighbor_counts(spec, part.cell_of, nc)
-    refs = np.zeros((nc, nc), dtype=np.int64)
-    for c in range(nc):
-        refs[c] = counts[part.cells[c][0]]
-    bad = np.nonzero((counts != refs[part.cell_of]).any(axis=1))[0]
+    table = containment_table(spec, spec.k - 1)
+    words, w = _neighbor_words(table, part.over, part.cell_of)
+    firsts = np.array([cell[0] for cell in part.cells])
+    mismatch = np.zeros(spec.vertex_count, dtype=bool)
+    for word in words:
+        mismatch |= word != word[firsts][part.cell_of]
+    bad = np.nonzero(mismatch)[0]
+    counts = _unpack(words, w, nc)
+    refs = counts[firsts]
     if bad.size:
         v = int(bad[0])
         c = int(part.cell_of[v])

@@ -24,17 +24,76 @@ def brute_force_cell_counts(spec, cell_of):
     return out
 
 
-@pytest.mark.parametrize("spec_text,code_frac", [
-    ("jq:2,4,2", 0.2), ("j:5,2", 0.4), ("jq:2,6,3", 0.1)])
+def oracle_code(spec, code):
+    """A seeded random fraction of the vertices, one vertex, or all but one."""
+    rng = random.Random(f"{spec}/{code}")
+    V = spec.vertex_count
+    if code == "one":
+        return [rng.randrange(V)]
+    if code == "all-but-one":
+        out = rng.randrange(V)
+        return [v for v in range(V) if v != out]
+    return sorted(rng.sample(range(V), max(1, int(V * code))))
+
+
+ORACLE_CODES = [
+    ("jq:2,4,2", 0.2), ("j:5,2", 0.4), ("jq:2,6,3", 0.1),
+    # one vertex: rho is the diameter; all but one: a code vertex whose
+    # stars hold no other cell fills its cell-0 field with s * containing
+    # before its own s comes off
+    ("jq:2,4,2", "one"), ("j:5,2", "one"), ("jq:2,6,3", "one"),
+    ("jq:2,4,2", "all-but-one"), ("j:5,2", "all-but-one"),
+    ("jq:2,6,3", "all-but-one")]
+
+
+@pytest.mark.parametrize("spec_text,code_frac", ORACLE_CODES)
 def test_cell_counts_match_adjacency_oracle(spec_text, code_frac):
-    from crcodes.graphs import parse_graph_spec
     spec = parse_graph_spec(spec_text)
-    rng = random.Random(hash(spec_text) & 0xFFFF)
-    ids = sorted(rng.sample(range(spec.vertex_count),
-                            max(1, int(spec.vertex_count * code_frac))))
+    ids = oracle_code(spec, code_frac)
     part = vf.distance_partition(spec, ids)
+    oracle = brute_force_cell_counts(spec, part.cell_of)
     counts = vf.cell_neighbor_counts(spec, part.cell_of, part.rho + 1)
-    assert np.array_equal(counts, brute_force_cell_counts(spec, part.cell_of))
+    assert np.array_equal(counts, oracle)
+    assert np.array_equal(vf.check_completely_regular(spec, ids).counts, oracle)
+
+
+@pytest.mark.parametrize("spec_text,code_frac", ORACLE_CODES)
+def test_layer_counts_match_the_star_members(spec_text, code_frac):
+    # over[c][T] is the number of cell-c vertices among the containing
+    # vertices of T, whether the layer was counted from its own vertices
+    # or from the vertices not yet reached
+    spec = parse_graph_spec(spec_text)
+    part = vf.distance_partition(spec, oracle_code(spec, code_frac))
+    members = containment_table(spec, spec.k - 1).members
+    assert part.over.dtype == np.int32
+    assert part.over.shape == (part.rho + 1, len(members))
+    for c in range(part.rho + 1):
+        assert np.array_equal(part.over[c],
+                              (part.cell_of[members] == c).sum(axis=1))
+
+
+@pytest.mark.parametrize("spec_text", ["jq:2,6,3", "j:9,4"])
+def test_cell_counts_of_a_partition_that_is_not_a_distance_partition(
+        spec_text):
+    spec = parse_graph_spec(spec_text)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        cell_of = rng.integers(0, 3, spec.vertex_count)
+        counts = vf.cell_neighbor_counts(spec, cell_of, 3)
+        assert np.array_equal(counts, brute_force_cell_counts(spec, cell_of))
+
+
+@pytest.mark.parametrize("spec_text,beta,gamma", [
+    # ten cells of 7-bit fields: two packed words
+    ("j:18,9", [81, 64, 49, 36, 25, 16, 9, 4, 1],
+     [1, 4, 9, 16, 25, 36, 49, 64, 81]),
+    ("jq:2,6,3", [98, 72, 32], [1, 9, 49])])
+def test_one_vertex_is_completely_regular(spec_text, beta, gamma):
+    spec = parse_graph_spec(spec_text)
+    res = vf.check_completely_regular(spec, [0])
+    assert res.ok
+    assert (list(res.numbers.beta), list(res.numbers.gamma)) == (beta, gamma)
+    assert res.partition.sizes()[0] == 1
 
 
 def test_distance_partition_full_code():
