@@ -305,6 +305,22 @@ TABLE_DIGESTS = {
     ("jq:3,6,3", 2): "b3a9424dea9da8d4449ac8f2bdd49851d937c4f88f63a1c8f65a49a5ffb3cbd2",
     ("jq:4,4,2", 1): "a343e0fce45fbc920ab6af3255f6b48249420d99295b2ee51ff3c78b51d99f4b",
     ("jq:9,4,2", 1): "8ad6a749484f6be0e4fbc9094af590824e7b841ad24cf36665283a26c472eaf3",
+    # taken before the tables were built by the q-Pascal recursion
+    ("j:16,6", 5): "cee8667184d23518e51be3c9c878e7a823278e8d34b5c486f862b3acb0464b34",
+    ("jq:2,8,4", 1): "74c4b35cb413afcbeab3783fe43d8b1d5dcec782f26296671658532b4a5da4eb",
+    ("jq:2,8,3", 2): "e988c9f27735935f5f3e6069257cbd706cc7760f66e837702b1a4d3156df124e",
+    ("jq:2,7,3", 1): "02001a5dde494ff0e75e5faf7328a7ccf0032de6bfbdfb0b3ec92a67fcd75677",
+}
+
+# sha256 of vertex_index(spec).rows as little-endian uint64, taken before
+# the levels were built by the q-Pascal recursion: vertex ids never move
+ROW_DIGESTS = {
+    "jq:2,8,4": "6abe5fdd202963cfe457784e74702d4ca0a0e4f9dcee13fa9b4fe1d861a759e2",
+    "jq:2,8,3": "1958b5e96d030e19b3baf1be6decde39d98ad20a311503f48ce62051c67ab6fd",
+    "jq:3,6,3": "6c3445d5df8ab7c5125602025759f7aca5a61165bac0c701635ed9c4d7c7782f",
+    "jq:4,4,2": "26c3c19947b84dc3d431204a67fc93a2f999a5557ca00b9abc57324deb1ddb5e",
+    "jq:9,4,2": "39e874f59f50afaa897933db6a929abaa858eb17f2b7b1c1cca8c07cce6c0243",
+    "j:16,6": "70e79fa21eab25d5f0f3fc6eb504f8680d1fb8a29a79282fa390fc325700929a",
 }
 
 
@@ -313,6 +329,14 @@ def test_containment_tables_reproduce_the_pinned_bytes():
         ids = g.containment_table(g.parse_graph_spec(text), j).ids
         got = hashlib.sha256(np.ascontiguousarray(ids.astype("<i4")).tobytes())
         assert got.hexdigest() == want, (text, j)
+
+
+def test_vertex_rows_reproduce_the_pinned_bytes():
+    for text, want in ROW_DIGESTS.items():
+        rows = g.vertex_index(g.parse_graph_spec(text)).rows
+        assert rows.dtype == np.uint64
+        got = hashlib.sha256(np.ascontiguousarray(rows.astype("<u8")).tobytes())
+        assert got.hexdigest() == want, text
 
 
 def test_containment_table_refuses_field_tables_above_256():
