@@ -9,6 +9,7 @@ every feasible gamma1 on the strength-1 row, each one re-verified vertex
 by vertex on the full graph.
 """
 
+import sys
 import time
 
 from crcodes import (GraphSpec, build_instance, export_opb,
@@ -44,4 +45,6 @@ for gamma1 in (9, 12, 15, 18, 21, 24, 27, 30):
         rep = verify_report(spec, out.code)
         line += (f"  size={rep['code_size']} array={{{rep['beta'][0]};"
                  f"{rep['gamma'][0]}}} verified={rep['completely_regular']}")
-    print(line + f"  [{out.stage}, {time.time()-t0:.1f}s]")
+    print(line + f"  [{out.stage}]")
+    # seconds go to stderr, so that stdout is the same from run to run
+    print(f"  gamma1={gamma1:>2}: {time.time() - t0:.1f}s", file=sys.stderr)

@@ -6,10 +6,10 @@ meet in a (k-1)-subspace.  A graph's vertices are held as one (V, k)
 uint64 array of packed rows (subspaces.enumerate_rows): vertex id i is
 row i, so ids follow the canonical order and are stable across runs.
 Subspace and Subset objects are built one at a time, only when asked for.
-A vertex is found from its packed uint64 key: a subset key is its colex
-rank, and a subspace key goes through a multiplicative-hash bucket index
-of 16 to 20 bytes per vertex (VertexIndex), where a binary search over
-sorted keys of 16 bytes per vertex used to be.
+A vertex given from outside (a code file, a group's image, a construction)
+is found from its packed uint64 key: a subset key is its colex rank, and a
+subspace key goes through a multiplicative-hash bucket index of 16 to 20
+bytes per vertex (VertexIndex), built on the first such lookup.
 
 The eigenvalues come as the ladder
 
@@ -24,21 +24,22 @@ contains exactly one common (k-1)-object, so the star cliques (the vertices
 over one fixed (k-1)-object, ContainmentTable.members) carry all edge
 information.  Dense neighbor lists (adjacency_lists) are built from them
 only for small graphs, as a reference for tests.  Every table, for every
-q, comes from one vectorized pattern loop that packs each subobject slot
-of every vertex straight into lookup keys; a table is stored as one
-contiguous (s, V) int32 array, one subobject slot per row, and read as its
-(V, s) transpose, so a pass over all vertices reads one slot at a time.
-The level-1 table (a subspace is the set of its points) is also where
-orbits.py checks group actions and constructions.py finds spread blocks.
-GF(q) arithmetic comes from galois.field_tables.
+q, comes from the q-Pascal recursion of subspaces.py on the last
+coordinate: a subobject's recursion position is a sum of offsets and of
+entries of the tables one coordinate down, so no key is packed and no
+vertex is looked up; the two levels' ranks turn positions into ids.  A
+table is stored as one contiguous (s, V) int32 array, one subobject slot
+per row, and read as its (V, s) transpose, so a pass over all vertices
+reads one slot at a time.  The level-1 table (a subspace is the set of its
+points) is also where orbits.py checks group actions and constructions.py
+finds spread blocks.  GF(q) arithmetic comes from galois.field_tables.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Optional, Union
 
 import numpy as np
@@ -149,55 +150,50 @@ def theta_ladder(spec: GraphSpec) -> list[int]:
 class VertexIndex:
     """Bijection between [0, vertex_count) and canonical vertices.
 
-    rows is the (V, k) uint64 array of subspaces.enumerate_rows: row i is
-    vertex i.  Each row packs into one uint64 key (subspace rows as the
-    digits of radix q^n, subsets by colex rank), and every vertex -> id
-    question is answered by ids_of_keys.  A colex rank below V is itself
-    the lookup position.  Subspace keys go through a hash index built once:
-    the bucket of a key is its top b bits after a multiply by 2^64 / phi,
-    with 2^b between V and 2V, and the keys and ids are held in bucket
-    order behind int32 bucket starts: 8 + 4 bytes per vertex plus 4 per
-    bucket (16 to 20 bytes per vertex), against 16 for the sorted keys and
-    argsort order it replaces.  ids_of_rows packs rows and looks their keys
-    up; containment tables pack their keys themselves.  idx[vid] builds the
+    rows is the (V, k) uint64 array of subspaces.enumerate_level: row i is
+    vertex i, and rank[p] is the id of the p-th vertex in recursion order,
+    the order in which containment_table computes its subobjects.  Each row
+    packs into one uint64 key (subspace rows as the digits of radix q^n,
+    subsets by colex rank), and every vertex -> id question from outside
+    the tables (files, orbits, constructions) is answered by ids_of_keys.
+    Recursion order is colex order on subsets, so a colex rank is itself a
+    position in rank.  Subspace keys go through a hash index built on the
+    first lookup: the bucket of a key is its top b bits after a multiply by
+    2^64 / phi, with 2^b between V and 2V, and the keys and ids are held in
+    bucket order behind int32 bucket starts (16 to 20 bytes per vertex).
+    ids_of_rows packs rows and looks their keys up.  idx[vid] builds the
     one Subspace or Subset asked for.
     """
 
     def __init__(self, spec: GraphSpec):
         self.spec = spec
-        self.rows: np.ndarray = sp.enumerate_rows(spec.n, spec.k, spec.q)
-        keys = self._pack(self.rows)
-        if spec.q == 1:  # _order[rank] is the id of the subset of that rank
-            self._order = np.empty(len(keys), dtype=np.intp)
-            self._order[keys] = np.arange(len(keys))
-        else:
-            V = len(keys)
-            bits = max(V - 1, 1).bit_length()  # 2^bits buckets, V to 2V
-            self._shift = np.uint64(64 - bits)
-            pairs = self._buckets(keys)
-            # bucket h starts where bucket h - 1 ends; a start past the last
-            # key is clipped to V - 1, so every probe position is an index
-            ends = np.bincount(pairs, minlength=1 << bits)
-            self._width = int(ends.max())
-            np.cumsum(ends, out=ends)
-            np.minimum(ends, V - 1, out=ends)
-            self._starts = np.zeros(1 << bits, dtype=np.int32)
-            self._starts[1:] = ends[:-1]
-            # ids in bucket order: one sort of the (bucket, id) pairs, each
-            # packed in a uint64, is cheaper than an argsort
-            pairs <<= np.uint64(32)
-            pairs |= np.arange(V, dtype=np.uint64)
-            pairs.sort()
-            pairs &= np.uint64(0xFFFFFFFF)
-            self._order = pairs.astype(np.int32)
-            self._keys = keys[self._order]
+        self.rows, self.rank = sp.enumerate_level(spec.n, spec.k, spec.q)
         self._adjacency: Optional[np.ndarray] = None
 
-    def _buckets(self, keys: np.ndarray) -> np.ndarray:
-        """The top bits of key * 2^64 / phi: a Fibonacci hash."""
-        h = keys * np.uint64(0x9E3779B97F4A7C15)
-        h >>= self._shift
-        return h
+    @cached_property
+    def _hash(self) -> tuple:
+        """(shift, starts, width, order, keys) of the bucket index."""
+        keys = self._pack(self.rows)
+        V = len(keys)
+        bits = max(V - 1, 1).bit_length()  # 2^bits buckets, V to 2V
+        shift = np.uint64(64 - bits)
+        pairs = _buckets(keys, shift)
+        # bucket h starts where bucket h - 1 ends; a start past the last
+        # key is clipped to V - 1, so every probe position is an index
+        ends = np.bincount(pairs, minlength=1 << bits)
+        width = int(ends.max())
+        np.cumsum(ends, out=ends)
+        np.minimum(ends, V - 1, out=ends)
+        starts = np.zeros(1 << bits, dtype=np.int32)
+        starts[1:] = ends[:-1]
+        # ids in bucket order: one sort of the (bucket, id) pairs, each
+        # packed in a uint64, is cheaper than an argsort
+        pairs <<= np.uint64(32)
+        pairs |= np.arange(V, dtype=np.uint64)
+        pairs.sort()
+        pairs &= np.uint64(0xFFFFFFFF)
+        order = pairs.astype(np.int32)
+        return shift, starts, width, order, keys[order]
 
     def _pack(self, rows: np.ndarray) -> np.ndarray:
         """One key per row; injective on the rows of vertices only."""
@@ -237,24 +233,25 @@ class VertexIndex:
         # an int64 array times a uint64 scalar would be float64
         keys = np.asarray(keys).astype(np.uint64, copy=False)
         if self.spec.q == 1:
-            if len(keys) and keys.max() >= len(self._order):
+            if len(keys) and keys.max() >= len(self.rank):
                 raise KeyError(f"a key does not name a vertex of {self.spec}")
-            return self._order[keys]
-        last = len(self._keys) - 1
-        pos = self._starts[self._buckets(keys)]
-        miss = np.flatnonzero(self._keys[pos] != keys)
+            return self.rank[keys].astype(np.intp)
+        shift, starts, width, order, stored = self._hash
+        last = len(stored) - 1
+        pos = starts[_buckets(keys, shift)]
+        miss = np.flatnonzero(stored[pos] != keys)
         at, want = pos[miss], keys[miss]
-        for _ in range(1, self._width):
+        for _ in range(1, width):
             if not len(miss):
                 break
             at += 1
             np.minimum(at, last, out=at)
-            hit = self._keys[at] == want
+            hit = stored[at] == want
             pos[miss[hit]] = at[hit]
             miss, at, want = miss[~hit], at[~hit], want[~hit]
         if len(miss):
             raise KeyError(f"a key does not name a vertex of {self.spec}")
-        return self._order[pos].astype(np.intp)
+        return order[pos].astype(np.intp)
 
     def ids_of_rows(self, rows) -> np.ndarray:
         """Ids of an (m, k) array of rows; KeyError if any row is no vertex.
@@ -270,6 +267,13 @@ class VertexIndex:
         if not np.array_equal(np.take(self.rows, ids, axis=0), rows):
             raise KeyError(f"a row does not name a vertex of {self.spec}")
         return ids
+
+
+def _buckets(keys: np.ndarray, shift: np.uint64) -> np.ndarray:
+    """The top bits of key * 2^64 / phi: a Fibonacci hash."""
+    h = keys * np.uint64(0x9E3779B97F4A7C15)
+    h >>= shift
+    return h
 
 
 def _colex_table(n: int, k: int) -> np.ndarray:
@@ -333,80 +337,116 @@ class ContainmentTable:
 
 
 @lru_cache(maxsize=None)
+def _pattern_steps(k: int, j: int, q: int):
+    """How each j-by-k pattern K_t (subspaces.enumerate_rows(k, j, q), the
+    slot order) splits off its last column: (kd, last, sub, c), 0 < j < k.
+
+    kd[t, d] is the index sum_i e_i q^i of e = K_t d, for the digit vector
+    d = sum_r d_r q^r of GF(q)^k, combined through galois.field_tables (one
+    0 for subsets).  last[t] says the last column is a pivot: K_t's last
+    row is e_{k-1} (for subsets, member k is picked).  Then sub[t] is the
+    index of K_t less that row and column among the (j-1)-by-(k-1)
+    patterns; otherwise sub[t] is the index of K_t less its last column
+    among the j-by-(k-1) patterns, and c[t] = sum_i c_i q^i of that column.
+    """
+    pats = sp.enumerate_rows(k, j, q)
+    unit = k if q == 1 else q ** (k - 1)  # the last unit row e_{k-1}
+    last = pats[:, -1] == np.uint64(unit)
+    lower = [{row: t for t, row in enumerate(map(tuple, sp.enumerate_rows(
+        k - 1, i, q).tolist()))} for i in (j - 1, j)]
+    sub = [lower[0][row[:-1]] if is_last else
+           lower[1][tuple(r % unit for r in row)]
+           for row, is_last in zip(map(tuple, pats.tolist()), last.tolist())]
+    powers = q ** np.arange(max(j, k), dtype=np.int64)
+    c = (pats // np.uint64(unit)).astype(np.int64) @ powers[:j]
+    if q == 1:
+        return np.zeros((len(pats), 1), np.int64), last, sub, c
+    add, mul = field_tables(q)
+    K = (pats[:, :, None] // powers[:k].astype(np.uint64)
+         % np.uint64(q)).astype(np.intp)
+    d = sp.digit_vectors(k, q).astype(np.intp)
+    e = np.zeros((len(pats), len(d), j), dtype=add.dtype)
+    for r in range(k):
+        e = add[e, mul[K[:, None, :, r], d[None, :, r, None]]]
+    return e.astype(np.int64) @ powers[:j], last, sub, c
+
+
+def _slot_columns(q: int, m: int, k: int, j: int, below):
+    """Slot t's column of the level-m table from k to j, for t = 0, 1, ...:
+    for every k-object on the first m coordinates, in the recursion order
+    of subspaces._recursion_rows, the recursion position of its slot-t
+    j-object.  below(k', j') is the (slots, [m-1,k']_q) int32 table one
+    coordinate down.
+
+    A k-object of the A-block is (R | d), and K_t (R | d) = (K_t R | K_t d)
+    is the A-block j-object (slot t of R, K_t d).  One of the B-block is R
+    over e_{m-1}: when K_t's last column is a pivot, K_t takes slot K'' of
+    R over e_{m-1}, a B-block j-object; otherwise it is (K_1 R | c), the
+    A-block j-object (slot K_1 of R, c), where K'', K_1 and c are those of
+    _pattern_steps.  Each column is a sum of offsets and lower columns.
+    """
+    count = gaussian(m, k, q)
+    if j == k:
+        yield np.arange(count, dtype=np.int32)
+        return
+    if j == 0 or not count:
+        for _ in range(gaussian(k, j, q)):
+            yield np.zeros(count, dtype=np.int32)
+        return
+    kd, last, sub, c = _pattern_steps(k, j, q)
+    below_k, below_j = gaussian(m - 1, k, q), gaussian(m - 1, j, q)
+    n_a = q ** k * below_k
+    a = below(k, j)
+    for t in range(len(kd)):
+        col = np.empty(count, dtype=np.int32)
+        np.add((kd[t] * below_j)[:, None], a[t],
+               out=col[:n_a].reshape(len(kd[t]), below_k))
+        if last[t]:
+            np.add(below(k - 1, j - 1)[sub[t]], q ** j * below_j,
+                   out=col[n_a:])
+        else:
+            np.add(below(k - 1, j)[sub[t]], int(c[t]) * below_j,
+                   out=col[n_a:])
+        yield col
+
+
+@lru_cache(maxsize=None)
 def containment_table(spec: GraphSpec, j: int) -> ContainmentTable:
     """Build the k-level to j-level containment table.
 
-    A j-subobject of every vertex at once is a pattern of j rows over the
-    vertex's k rows: the j-subspaces of a subspace are K*B over the RREF
-    j-by-k patterns K (subspaces.subobject_patterns), and a j-subset picks
-    j member columns, a pattern of unit rows.  One loop over the patterns
-    serves every q, and each pattern row goes straight into the packed key
-    of the subobject (the key of VertexIndex._pack): a subset member adds
-    its colex term; a subspace row is the XOR of its columns when q <= 2 or
-    j in {0, k} (unit pattern rows), otherwise it is combined from base-q
-    digits through the uint8 tables of galois.field_tables, used for
-    q <= FIELD_TABLE_MAX_Q only (ValueError above it), and enters the key
-    times the radix q^n.
-
-    Each slot's keys are looked up at once by VertexIndex.ids_of_keys; in
-    the hash index of subspaces a key is found only where it equals a
-    stored key.  For subspaces that is the whole row check: every combined
-    row is below q^n, and radix packing is injective on such rows.  Subset
-    slots also compare the rows found with the members picked.  Slot t
-    fills row t of one C-contiguous (s, V) int32 array, whose transpose is
-    ContainmentTable.ids.
+    The j-subobjects of a vertex are its slots: the j-subspaces of a
+    subspace B are K*B over the RREF j-by-k patterns K
+    (subspaces.subobject_patterns), and the j-subsets of a subset pick j of
+    its members, a pattern of unit rows.  No vertex is looked up: the
+    table comes from the q-Pascal recursion on the last coordinate
+    (_slot_columns), which gives each slot's subobject of every vertex as
+    a recursion position by arithmetic on the tables one coordinate down.
+    Those lower tables live in a memo for this build only.  Each top-level
+    column t then goes straight into row t of one C-contiguous (s, V) int32
+    array, whose transpose is ContainmentTable.ids, through the two levels'
+    VertexIndex.rank: ids[rank_k[p], t] = rank_j[column[p]].  K d combines
+    digits through galois.field_tables, built for q <= FIELD_TABLE_MAX_Q
+    only, so 0 < j < k above it raises ValueError.
     """
     if not 0 <= j <= spec.k:
         raise ValueError(f"sublevel {j} out of range 0..{spec.k}")
     q, n, k = spec.q, spec.n, spec.k
-    xor = q <= 2 or j in (0, k)
-    if not xor and q > FIELD_TABLE_MAX_Q:
+    if 0 < j < k and q > FIELD_TABLE_MAX_Q:
         raise ValueError(
             f"the level-{j} table of {spec} combines rows over GF({q}); "
             f"GF(q) tables are built for q <= {FIELD_TABLE_MAX_Q} only")
     idx = vertex_index(spec)
     sub = vertex_index(spec.level(j))
-    V = len(idx)
-    if q == 1:
-        unit = np.eye(k, dtype=int)
-        pats = [unit[list(cols)] for cols in itertools.combinations(range(k), j)]
-        members = np.ascontiguousarray(idx.rows.T, dtype=np.min_scalar_type(n))
-        colex = _colex_table(n, j)
-    else:
-        pats = sp.subobject_patterns(k, j, q)
-        columns = np.ascontiguousarray(idx.rows.T)
-        radix = np.uint64(q ** n)
-    if not xor:
-        add, mul = field_tables(q)
-        weights = np.uint64(q) ** np.arange(n, dtype=np.uint64)
-        # (k, V, n) base-q digits of the packed rows
-        digits = (columns[:, :, None] // weights % np.uint64(q)).astype(np.uint8)
-    ids = np.empty((len(pats), V), dtype=np.int32)
-    for t, pat in enumerate(pats):
-        keys = np.zeros(V, dtype=np.uint64)
-        picked = []
-        for r, prow in enumerate(pat):
-            # a pattern row is never zero
-            (col0, c0), *rest = [(col, c) for col, c in enumerate(prow) if c]
-            picked.append(col0)
-            if q == 1:
-                keys += colex[r][members[col0]]
-                continue
-            if xor:
-                row = columns[col0].copy()
-                for col, _ in rest:
-                    row ^= columns[col]
-            else:
-                acc = mul[c0][digits[col0]]
-                for col, c in rest:
-                    acc = add[acc, mul[c][digits[col]]]
-                row = acc @ weights
-            keys *= radix
-            keys += row
-        ids[t] = sub.ids_of_keys(keys)
-        if q == 1 and not np.array_equal(np.take(sub.rows, ids[t], axis=0),
-                                         idx.rows[:, picked]):
-            raise KeyError(f"a subset of {spec} is no vertex of {sub.spec}")
+
+    @lru_cache(maxsize=None)
+    def table(m: int, kk: int, jj: int) -> np.ndarray:
+        return np.stack(list(_slot_columns(q, m, kk, jj,
+                                           partial(table, m - 1))))
+
+    ids = np.empty((gaussian(k, j, q), len(idx)), dtype=np.int32)
+    for t, col in enumerate(_slot_columns(q, n, k, j, partial(table, n - 1))):
+        ids[t, idx.rank] = sub.rank[col]
+    table.cache_clear()  # table refers to itself, so only gc would free it
     return ContainmentTable(spec, j, sub, ids.T)
 
 

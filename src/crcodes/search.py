@@ -31,9 +31,10 @@ each one that normalizes the system's group permutes its orbits
 (orbits.orbit_permutation), and bip.solve branches on orbits of the group
 H those permutations generate.  They are the maps the ladder's groups are
 made of (on J_2(6,3), e = 21, a^7 gives singer:21+frobenius:2 order 6).
-The ladder and its rungs' permutations are built once per graph and
-exponent, the own system's once per point.  Johnson graphs have no field
-actions and get no symmetry; mode 'count' never uses it.
+The ladder, its rungs' permutations and their quotient matrices are built
+once per graph and exponent, the own system's permutations once per
+point.  Johnson graphs have no field actions and get no symmetry; mode
+'count' never uses it.
 
 The stage that decided is reported by name: refinement:<group> for a
 rung's witness from either pass, dfs for the own system's exact solver
@@ -62,7 +63,8 @@ from . import bip
 from .bip import BipInstance, build_instance
 from .graphs import GraphSpec
 from .orbits import (OrbitSystem, frobenius_action, join_actions,
-                     orbit_permutation, orbit_system, singer_action)
+                     orbit_permutation, orbit_system, quotient_matrix,
+                     singer_action)
 from .verify import Code, VerificationError, verify_report
 
 
@@ -123,10 +125,12 @@ def _symmetry(sup: OrbitSystem, normalizers):
 
 @functools.lru_cache(maxsize=8)
 def _refinement_ladder(spec: GraphSpec, exponent: int):
-    """(rung, its symmetry) for the orbit systems of the supergroups of
-    <a^exponent> with at most LADDER_MAX_ORBITS orbits: a^d with
-    d | exponent, optionally joined with a Frobenius power sigma^j, j | n;
-    sorted by orbit count so small instances go first."""
+    """(rung, its symmetry, its quotient matrix) for the orbit systems of
+    the supergroups of <a^exponent> with at most LADDER_MAX_ORBITS orbits:
+    a^d with d | exponent, optionally joined with a Frobenius power
+    sigma^j, j | n; sorted by orbit count so small instances go first.  A
+    rung whose quotient matrix fails its checks is left out, as every
+    point would skip it."""
     normalizers = _normalizers(spec, exponent)
     if not normalizers:
         return ()
@@ -141,7 +145,14 @@ def _refinement_ladder(spec: GraphSpec, exponent: int):
     rungs = sorted((sup for sup in map(orbit_system, actions)
                     if sup.count <= LADDER_MAX_ORBITS),
                    key=lambda sup: sup.count)
-    return tuple((sup, _symmetry(sup, normalizers)) for sup in rungs)
+    ladder = []
+    for sup in rungs:
+        try:
+            B = quotient_matrix(spec, sup)
+        except VerificationError:
+            continue
+        ladder.append((sup, _symmetry(sup, normalizers), B))
+    return tuple(ladder)
 
 
 def _carry(x, sup: OrbitSystem, osys: OrbitSystem) -> np.ndarray:
@@ -182,21 +193,21 @@ def _slice_nodes(r: int) -> int:
 def _two_passes(spec: GraphSpec, osys: OrbitSystem, inst: BipInstance,
                 systems, deadline: float, tally,
                 max_nodes: Optional[int], seed: Optional[int]):
-    """Pass 1, then pass 2, over systems: the ladder's (rung, symmetry)
-    pairs, then the own system's (osys, symmetry).
+    """Pass 1, then pass 2, over systems: the ladder's (rung, symmetry,
+    quotient matrix) triples, then the own system's (osys, symmetry, None).
 
     Returns (witness, stage, None) with the witness on the orbits of osys,
     (None, None, the own system's pass-1 SolveResult) when that decided,
     or (None, None, None).
     """
     left_open = []
-    for sup, symmetry in systems:
+    for sup, symmetry, B in systems:
         own = sup is osys
         if not own and time.monotonic() > deadline:
             continue
         try:
             system = inst if own else build_instance(spec, sup, inst.beta0,
-                                                     inst.gamma1)
+                                                     inst.gamma1, B=B)
         except VerificationError:
             continue
         cap = _slice_nodes(system.r)
@@ -263,8 +274,8 @@ def search_parameter_point(spec: GraphSpec, osys: OrbitSystem,
         rungs = _refinement_ladder(spec, singer_exponent) \
             if singer_exponent and singer_exponent > 1 else ()
         x, stage, res = _two_passes(spec, osys, inst,
-                                    (*rungs, (osys, symmetry)), deadline,
-                                    tally, max_nodes, seed)
+                                    (*rungs, (osys, symmetry, None)),
+                                    deadline, tally, max_nodes, seed)
         if x is not None:
             code = _verified_lift(x, osys, spec, gamma1, label)
             return SearchOutcome(status=bip.SAT, stage=stage, assignment=x,

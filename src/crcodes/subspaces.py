@@ -14,11 +14,21 @@ integers for prime q and galois.field_tables lookups otherwise.
 The canonical order of subspaces (used for vertex ids) is lexicographic on
 the flattened k-by-n matrix of coefficient digits, row major; subsets are
 ordered lexicographically on their sorted member lists.
+
+A level is built by the q-Pascal recursion on the last coordinate,
+[m,k]_q = q^k [m-1,k]_q + [m-1,k-1]_q: a k-object on m coordinates either
+has a free last column (an object on m-1 coordinates and one digit per
+row) or has e_{m-1} as its last row (a (k-1)-object on m-1 coordinates
+under it); for subsets, without m or with m.  The recursion lists every
+object once, each with its canonical sort key, in a fixed recursion order
+(colex order for subsets) that graphs.containment_table computes in too;
+one sort per level gives the canonical order and the rank of each
+recursion position.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -188,8 +198,83 @@ def rref(vectors: Iterable[Sequence[int] | int], n: int, q: int) -> Subspace:
 
 
 # ----------------------------------------------------------------------
-# Enumeration in canonical order
+# Enumeration: the q-Pascal recursion, then one sort
 # ----------------------------------------------------------------------
+
+def digit_vectors(k: int, q: int) -> np.ndarray:
+    """Every vector of GF(q)^k as a (q^k, k) uint64 digit array: row d
+    holds d = sum_r d_r q^r.  One zero row for q = 1."""
+    d = np.arange(q ** k, dtype=np.uint64)[:, None]
+    return d // np.uint64(q) ** np.arange(k, dtype=np.uint64) % np.uint64(q)
+
+
+def _recursion_rows(n: int, k: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of every k-object in recursion order, and a uint64 sort key
+    per row that ascends in canonical order for q >= 2 and descends for
+    q = 1.
+
+    Level (m, k') holds the k'-objects on the first m coordinates.  It is
+    built from level m-1 as its A-block, then its B-block:
+
+      A  the last column is free: a level-(m-1, k') matrix R and a digit
+         vector d of GF(q)^k' in column m-1, at position d * |L(m-1, k')|
+         + position of R (q = 1: the subsets without m);
+      B  the last row is e_{m-1}: a level-(m-1, k'-1) matrix R on top
+         (q = 1: the subsets with m as last member).
+
+    Both sizes give [m,k']_q = q^k' [m-1,k']_q + [m-1,k'-1]_q.  A key is a
+    sum of one weight per nonzero entry, fixed by the top level (n, k): digit
+    d at (r, c) adds d q^(n(k-r)-1-c), the place of (r, c) in the flattened
+    k-by-n digit matrix; member s at place c adds C(n-s, k-c), which sums to
+    C(n, k) - 1 less the lexicographic rank.
+    """
+    levels = {0: (np.zeros((1, 0), np.uint64), np.zeros(1, np.uint64))}
+    for m in range(1, n + 1):
+        below, levels = levels, {}
+        unit = m if q == 1 else q ** (m - 1)  # the entry of a B row's e_{m-1}
+        for kk in range(max(0, k - n + m), min(m, k) + 1):
+            weights = np.array([math.comb(n - m, k - r) if q == 1 else
+                                q ** (n * (k - r) - m) for r in range(kk)],
+                               dtype=np.uint64)
+            digits = digit_vectors(kk, q)
+            rows_a, key_a = below.get(kk, (np.zeros((0, kk), np.uint64),
+                                           np.zeros(0, np.uint64)))
+            n_a = len(digits) * len(key_a)
+            count = n_a + (len(below[kk - 1][1]) if kk else 0)
+            rows = np.empty((count, kk), np.uint64)
+            key = np.empty(count, np.uint64)
+            np.add(rows_a, (digits * np.uint64(unit))[:, None, :],
+                   out=rows[:n_a].reshape(len(digits), len(key_a), kk))
+            np.add(key_a, (digits @ weights)[:, None],
+                   out=key[:n_a].reshape(len(digits), len(key_a)))
+            if kk:
+                rows_b, key_b = below[kk - 1]
+                rows[n_a:, :-1] = rows_b
+                rows[n_a:, -1] = unit
+                np.add(key_b, weights[-1], out=key[n_a:])
+            levels[kk] = rows, key
+    return levels[k]
+
+
+def enumerate_level(n: int, k: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, rank): every vertex of one level as a row of a (count, k)
+    uint64 array in canonical order, and the int32 canonical id rank[p] of
+    the p-th object in recursion order (_recursion_rows), which is where
+    the containment tables of graphs.py find their ids.  Raises ValueError
+    when q^(n*k) > 2^64: the k rows then no longer pack into one uint64 key.
+    """
+    if q > 1 and q ** (n * k) > 1 << 64:
+        raise ValueError(
+            f"the {k}-subspaces of GF({q})^{n} need q^(n*k) <= 2^64 "
+            f"to pack into one word, got {q}^{n * k}")
+    rows, key = _recursion_rows(n, k, q)
+    order = np.argsort(key)
+    if q == 1:  # descending keys
+        order = order[::-1]
+    rank = np.empty(len(order), dtype=np.int32)
+    rank[order] = np.arange(len(order), dtype=np.int32)
+    return np.take(rows, order, axis=0), rank
+
 
 def enumerate_rows(n: int, k: int, q: int) -> np.ndarray:
     """Every vertex of one level as a row of a (count, k) uint64 array.
@@ -199,36 +284,7 @@ def enumerate_rows(n: int, k: int, q: int) -> np.ndarray:
     of a k-subspace of GF(q)^n, in canonical order.  Raises ValueError when
     q^(n*k) > 2^64: the k rows then no longer pack into one uint64 key.
     """
-    if q == 1:
-        members = list(itertools.combinations(range(1, n + 1), k))
-        return np.array(members, dtype=np.uint64).reshape(len(members), k)
-    if q ** (n * k) > 1 << 64:
-        raise ValueError(
-            f"the {k}-subspaces of GF({q})^{n} need q^(n*k) <= 2^64 "
-            f"to pack into one word, got {q}^{n * k}")
-    # canonical order is lexicographic on the flattened digit matrix, so
-    # digit (r, c) weighs q^(n*k - 1 - (r*n + c)) in the sort key
-    def lex(r: int, c: int) -> np.uint64:
-        return np.uint64(q ** (n * k - 1 - r * n - c))
-
-    rows, keys = [], []
-    for piv in itertools.combinations(range(n), k):
-        free = [(r, c) for r in range(k) for c in range(piv[r] + 1, n)
-                if c not in piv]
-        count = q ** len(free)
-        pivots = np.array([q ** c for c in piv], dtype=np.uint64)
-        chunk = np.tile(pivots, (count, 1))
-        key = np.full(count, sum(lex(r, c) for r, c in enumerate(piv)),
-                      dtype=np.uint64)
-        vals = np.arange(count, dtype=np.uint64)
-        for r, c in free:
-            digit = vals % np.uint64(q)
-            vals //= np.uint64(q)
-            chunk[:, r] += digit * np.uint64(q ** c)
-            key += digit * lex(r, c)
-        rows.append(chunk)
-        keys.append(key)
-    return np.concatenate(rows)[np.argsort(np.concatenate(keys))]
+    return enumerate_level(n, k, q)[0]
 
 
 # ----------------------------------------------------------------------

@@ -189,11 +189,12 @@ def test_containment_table_content_spotcheck():
 
 
 @pytest.mark.parametrize("spec_text", ["jq:2,6,3", "jq:3,4,2", "jq:4,4,2",
-                                       "j:10,4"])
+                                       "j:10,4", "jq:5,4,2", "jq:7,4,2",
+                                       "jq:8,4,2", "j:12,5"])
 def test_containment_table_exhaustive(spec_text):
-    # every vertex at every level: the q <= 2 XOR keys, the GF(q) digit
-    # keys (prime and prime-power q) and the colex keys of subsets, each
-    # against the per-vertex oracle and a dict of the sub-level rows
+    # every vertex at every level, for q = 2, prime q, prime-power q (K d
+    # through the GF(q) tables) and subsets, against the per-vertex oracle
+    # and a dict of the sub-level rows
     import itertools
 
     from crcodes import subspaces as sp
@@ -211,6 +212,20 @@ def test_containment_table_exhaustive(spec_text):
             else:
                 subs = (u.rows for u in sp.subspaces_of(idx[v], j))
             assert t.ids[v].tolist() == [id_of[row] for row in subs], (j, v)
+
+
+def test_containment_table_sampled_on_a_larger_graph():
+    # jq:2,7,3 at every j, 200 random vertices against subspaces_of
+    from crcodes import subspaces as sp
+    spec = g.parse_graph_spec("jq:2,7,3")
+    idx = g.vertex_index(spec)
+    rng = random.Random(7)
+    for j in range(spec.k + 1):
+        t = g.containment_table(spec, j)
+        id_of = {row: i for i, row in enumerate(map(tuple, t.sub_index.rows.tolist()))}
+        for v in rng.sample(range(len(idx)), 200):
+            want = [id_of[u.rows] for u in sp.subspaces_of(idx[v], j)]
+            assert t.ids[v].tolist() == want, (j, v)
 
 
 @pytest.mark.parametrize("spec_text,j", [("jq:2,6,3", 2), ("j:16,6", 5),

@@ -95,7 +95,7 @@ def test_two_passes_run_every_capped_solve_before_any_milp(singer42,
                                  singer_exponent=5)
     assert (out.status, out.stage) == (bip.SAT, "dfs")
     rungs = []
-    for sup, _ in search._refinement_ladder(S42, 5):
+    for sup, _, _ in search._refinement_ladder(S42, 5):
         try:
             bip.build_instance(S42, sup, 18, 3)
         except vf.VerificationError:
@@ -152,9 +152,9 @@ def test_ladder_builds_each_field_action_once():
             if sup.count <= 300:
                 oracle.append(sup)
     oracle.sort(key=lambda sup: sup.count)
-    assert [(s.count, s.description) for s, _ in ladder] == \
+    assert [(s.count, s.description) for s, _, _ in ladder] == \
         [(s.count, s.description) for s in oracle]
-    for (got, _), want in zip(ladder, oracle):
+    for (got, _, _), want in zip(ladder, oracle):
         assert np.array_equal(got.orbit_of, want.orbit_of)
 
 
@@ -166,7 +166,7 @@ def test_carry_matches_the_lifted_mask(spec, exponent):
     rng = np.random.default_rng(0)
     ladder = search._refinement_ladder(spec, exponent)
     assert ladder
-    for sup, _ in ladder:
+    for sup, _, _ in ladder:
         for _ in range(3):
             x_sup = rng.integers(0, 2, sup.count).astype(np.int8)
             mask = np.zeros(spec.vertex_count, dtype=bool)
@@ -174,6 +174,33 @@ def test_carry_matches_the_lifted_mask(spec, exponent):
             lifted = np.array([1 if mask[o[0]] else 0 for o in osys.orbits],
                               dtype=np.int8)
             assert np.array_equal(search._carry(x_sup, sup, osys), lifted)
+
+
+def test_each_rung_quotient_matrix_is_computed_once(singer42, monkeypatch):
+    # the ladder keeps each rung's quotient matrix: three points that run
+    # every rung build no quotient matrix again, and each one kept is that
+    # of quotient_matrix
+    osys, B = singer42
+    built = []
+    quotient = ob.quotient_matrix
+
+    def counting_quotient(spec, sup):
+        built.append(sup.description)
+        return quotient(spec, sup)
+
+    monkeypatch.setattr(search, "quotient_matrix", counting_quotient)
+    monkeypatch.setattr(bip, "quotient_matrix", counting_quotient)
+    search._refinement_ladder.cache_clear()
+    try:
+        for beta0, gamma1 in [(18, 3), (15, 6), (12, 3)]:
+            search_parameter_point(S42, osys, beta0, gamma1, B=B,
+                                   max_seconds=60, singer_exponent=5)
+        ladder = search._refinement_ladder(S42, 5)
+    finally:
+        search._refinement_ladder.cache_clear()
+    assert sorted(built) == sorted(sup.description for sup, _, _ in ladder)
+    for sup, _, kept in ladder:
+        assert np.array_equal(kept, quotient(S42, sup))
 
 
 def test_max_seconds_bounds_the_point():
@@ -331,7 +358,7 @@ def test_every_ladder_rung_gets_its_normalizing_field_actions():
     orders = {7: 1, 11: 2, 15: 3, 18: 1, 23: 6, 33: 6, 35: 1, 38: 3, 55: 2,
               69: 18, 90: 1, 99: 21, 155: 42, 165: 6, 254: 21}
     got = {}
-    for sup, symmetry in search._refinement_ladder(S63, 21):
+    for sup, symmetry, _ in search._refinement_ladder(S63, 21):
         A_ext, rhs = bip.build_instance(S63, sup, 81, 12).rows()
         got[sup.count] = len(bip._symmetry_group(A_ext, rhs, symmetry))
     assert got == orders

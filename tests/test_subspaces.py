@@ -106,6 +106,32 @@ def test_enumerate_subspaces_counts_and_order(n, k, q, count):
     assert all(sp.rref(list(s.rows), n, q) == s for s in subs)
 
 
+def test_enumerate_rows_match_the_pivot_pattern_loop():
+    # the q-Pascal recursion against the loop over pivot patterns and
+    # their free digits, on every level of small spaces, and the rank of
+    # each recursion position against the rows the recursion lists
+    import numpy as np
+    for q, top in [(1, 9), (2, 7), (3, 5), (4, 4), (5, 4), (8, 3), (9, 3)]:
+        for n in range(top + 1):
+            for k in range(n + 1):
+                rows, rank = sp.enumerate_level(n, k, q)
+                assert rows.dtype == np.uint64 and rows.shape == (
+                    sp.gaussian(n, k, q), k)
+                assert np.array_equal(rows, oracles.pivot_pattern_rows(n, k, q)), \
+                    (n, k, q)
+                listed, _ = sp._recursion_rows(n, k, q)
+                assert np.array_equal(rows[rank], listed), (n, k, q)
+
+
+def test_enumerate_rows_refuses_rows_wider_than_a_word():
+    with pytest.raises(ValueError):
+        sp.enumerate_rows(9, 8, 2)  # 2^72
+    with pytest.raises(ValueError):
+        sp.enumerate_rows(7, 3, 9)  # 9^21 = 2^66.6
+    assert sp.enumerate_rows(8, 8, 2).shape == (1, 8)  # 2^64 exactly
+    assert sp.enumerate_rows(70, 2, 1).shape == (2415, 2)  # no limit at q = 1
+
+
 def test_enumerate_subsets():
     subs = oracles.enumerate_subsets(16, 6)
     assert len(subs) == 8008
