@@ -27,12 +27,15 @@ only for small graphs, as a reference for tests.  Every table, for every
 q, comes from the q-Pascal recursion of subspaces.py on the last
 coordinate: a subobject's recursion position is a sum of offsets and of
 entries of the tables one coordinate down, so no key is packed and no
-vertex is looked up; the two levels' ranks turn positions into ids.  A
-table is stored as one contiguous (s, V) int32 array, one subobject slot
-per row, and read as its (V, s) transpose, so a pass over all vertices
-reads one slot at a time.  The level-1 table (a subspace is the set of its
-points) is also where orbits.py checks group actions and constructions.py
-finds spread blocks.  GF(q) arithmetic comes from galois.field_tables.
+vertex is looked up.  A table is stored as one contiguous (s, V) int32
+array of recursion positions, one subobject slot per row, so a pass over
+all vertices reads one slot at a time.  The canonical (V, s) ids, the star
+members and the sub-level index are views derived from that array on
+first use, for the callers that name vertices by id (orbits,
+constructions, neighbors); verify.py counts on the positions themselves.
+The level-1 table (a subspace is the set of its points) is also where
+orbits.py checks group actions and constructions.py finds spread blocks.
+GF(q) arithmetic comes from galois.field_tables.
 """
 
 from __future__ import annotations
@@ -151,14 +154,15 @@ class VertexIndex:
     """Bijection between [0, vertex_count) and canonical vertices.
 
     rows is the (V, k) uint64 array of subspaces.enumerate_level: row i is
-    vertex i, and rank[p] is the id of the p-th vertex in recursion order,
-    the order in which containment_table computes its subobjects.  Each row
-    packs into one uint64 key (subspace rows as the digits of radix q^n,
-    subsets by colex rank), and every vertex -> id question from outside
-    the tables (files, orbits, constructions) is answered by ids_of_keys.
-    Recursion order is colex order on subsets, so a colex rank is itself a
-    position in rank.  Subspace keys go through a hash index built on the
-    first lookup: the bucket of a key is its top b bits after a multiply by
+    vertex i.  rank[p] is the id of the p-th vertex in recursion order, the
+    order in which containment_table computes, and position is its inverse:
+    position[i] is the recursion position of vertex i.  Each row packs into
+    one uint64 key (subspace rows as the digits of radix q^n, subsets by
+    colex rank), and every vertex -> id question from outside the tables
+    (files, orbits, constructions) is answered by ids_of_keys.  Recursion
+    order is colex order on subsets, so a colex rank is itself a position
+    in rank.  Subspace keys go through a hash index built on the first
+    lookup: the bucket of a key is its top b bits after a multiply by
     2^64 / phi, with 2^b between V and 2V, and the keys and ids are held in
     bucket order behind int32 bucket starts (16 to 20 bytes per vertex).
     ids_of_rows packs rows and looks their keys up.  idx[vid] builds the
@@ -167,7 +171,8 @@ class VertexIndex:
 
     def __init__(self, spec: GraphSpec):
         self.spec = spec
-        self.rows, self.rank = sp.enumerate_level(spec.n, spec.k, spec.q)
+        self.rows, self.rank, self.position = sp.enumerate_level(
+            spec.n, spec.k, spec.q)
         self._adjacency: Optional[np.ndarray] = None
 
     @cached_property
@@ -297,25 +302,34 @@ def vertex_index(spec: GraphSpec) -> VertexIndex:
 
 @dataclass
 class ContainmentTable:
-    """For each vertex of the k-level, the ids of its j-subobjects.
+    """For each vertex of the k-level, its j-subobjects.
 
-    ids has shape (vertex_count, s) where s = [k choose j]_q; sub_index is
-    the j-level VertexIndex.  ids is the transposed view of one C-contiguous
-    (s, vertex_count) int32 array, so each column ids[:, t] (subobject slot
-    t of every vertex) is contiguous, and the passes of verify.py read one
-    column at a time.  Vertices of the j-level are contained in cliques of
-    constant size: every two k-objects over a common (k-1)-object are
-    adjacent.
+    positions, the one array a build makes, is C-contiguous (s, V) int32
+    with s = [k choose j]_q: positions[t, p] is the recursion position
+    (subspaces.enumerate_level) of the slot-t j-object of the k-object at
+    recursion position p.  What does not depend on how vertices are
+    labelled (verify.py's cells, neighbor counts and covers) reads it one
+    slot row at a time.  ids, members and sub_index are canonical views,
+    derived on first use: ids[i, t] is the j-level id of slot t of vertex
+    i, the (V, s) transpose of an (s, V) int32 array, so each column
+    ids[:, t] is contiguous; sub_index is the j-level VertexIndex.  ids_of
+    derives rows of ids without keeping them.
+    Vertices of the j-level are contained in cliques of constant size:
+    every two k-objects over a common (k-1)-object are adjacent.
     """
 
     spec: GraphSpec
     j: int
-    sub_index: VertexIndex
-    ids: np.ndarray
+    positions: np.ndarray
 
     @property
     def per_vertex(self) -> int:
-        return self.ids.shape[1]
+        return len(self.positions)
+
+    @property
+    def sub_count(self) -> int:
+        """Number of j-objects."""
+        return gaussian(self.spec.n, self.j, self.spec.q)
 
     @property
     def containing_count(self) -> int:
@@ -324,16 +338,42 @@ class ContainmentTable:
         return gaussian(n - j, k - j, q)
 
     @cached_property
+    def sub_index(self) -> VertexIndex:
+        return vertex_index(self.spec.level(self.j))
+
+    def ids_of(self, vertices=slice(None)) -> np.ndarray:
+        """The j-level ids of the slots of the given vertex ids (one id or
+        an array; all of them by default), for vertex i at recursion
+        position p: rank_j[positions[t, p]] in slot t.  Nothing is kept, so
+        a caller that reads a few rows, or sorts its own copy, does not
+        hold the whole view beside positions."""
+        at = vertex_index(self.spec).position[vertices]
+        rank = self.sub_index.rank
+        ids = np.empty((self.per_vertex,) + np.shape(at), dtype=np.int32)
+        for t, col in enumerate(self.positions):
+            ids[t] = rank[col[at]]
+        return ids.T
+
+    @cached_property
+    def ids(self) -> np.ndarray:
+        """(V, s) j-level ids of each vertex's slots, ids_of() kept."""
+        return self.ids_of()
+
+    @cached_property
     def members(self) -> np.ndarray:
         """(j-level count, containing_count) ascending ids over each j-object.
 
         For j = k-1 the rows are the star cliques: two vertices are adjacent
-        iff they share a row, and then they share exactly one.  The stable
-        sort runs over ids in vertex-major order, so each row ascends.
+        iff they share a row, and then they share exactly one.  One stable
+        argsort of positions groups the vertex positions over each j-object
+        position; the groups are then put in id order, row and column.
         """
-        s = self.per_vertex
-        order = np.argsort(self.ids.ravel(), kind="stable")
-        return (order // s).reshape(len(self.sub_index), self.containing_count)
+        V = self.positions.shape[1]
+        order = np.argsort(self.positions.ravel(), kind="stable")
+        rows = vertex_index(self.spec).rank[order % V].reshape(
+            self.sub_count, self.containing_count)[self.sub_index.position]
+        rows.sort(axis=1)
+        return rows
 
 
 @lru_cache(maxsize=None)
@@ -371,43 +411,39 @@ def _pattern_steps(k: int, j: int, q: int):
     return e.astype(np.int64) @ powers[:j], last, sub, c
 
 
-def _slot_columns(q: int, m: int, k: int, j: int, below):
-    """Slot t's column of the level-m table from k to j, for t = 0, 1, ...:
-    for every k-object on the first m coordinates, in the recursion order
-    of subspaces._recursion_rows, the recursion position of its slot-t
-    j-object.  below(k', j') is the (slots, [m-1,k']_q) int32 table one
-    coordinate down.
+def _slot_table(q: int, m: int, k: int, j: int, below) -> np.ndarray:
+    """The level-m table from k to j: an (s, [m,k]_q) int32 array whose row
+    t holds, for every k-object on the first m coordinates in the recursion
+    order of subspaces._recursion_rows, the recursion position of its
+    slot-t j-object.  below(k', j') is the table one coordinate down.
 
     A k-object of the A-block is (R | d), and K_t (R | d) = (K_t R | K_t d)
     is the A-block j-object (slot t of R, K_t d).  One of the B-block is R
     over e_{m-1}: when K_t's last column is a pivot, K_t takes slot K'' of
     R over e_{m-1}, a B-block j-object; otherwise it is (K_1 R | c), the
     A-block j-object (slot K_1 of R, c), where K'', K_1 and c are those of
-    _pattern_steps.  Each column is a sum of offsets and lower columns.
+    _pattern_steps.  Each row is a sum of offsets and lower rows.
     """
     count = gaussian(m, k, q)
     if j == k:
-        yield np.arange(count, dtype=np.int32)
-        return
+        return np.arange(count, dtype=np.int32)[None]
     if j == 0 or not count:
-        for _ in range(gaussian(k, j, q)):
-            yield np.zeros(count, dtype=np.int32)
-        return
+        return np.zeros((gaussian(k, j, q), count), dtype=np.int32)
     kd, last, sub, c = _pattern_steps(k, j, q)
     below_k, below_j = gaussian(m - 1, k, q), gaussian(m - 1, j, q)
     n_a = q ** k * below_k
     a = below(k, j)
-    for t in range(len(kd)):
-        col = np.empty(count, dtype=np.int32)
+    out = np.empty((len(kd), count), dtype=np.int32)
+    for t, row in enumerate(out):
         np.add((kd[t] * below_j)[:, None], a[t],
-               out=col[:n_a].reshape(len(kd[t]), below_k))
+               out=row[:n_a].reshape(len(kd[t]), below_k))
         if last[t]:
             np.add(below(k - 1, j - 1)[sub[t]], q ** j * below_j,
-                   out=col[n_a:])
+                   out=row[n_a:])
         else:
             np.add(below(k - 1, j)[sub[t]], int(c[t]) * below_j,
-                   out=col[n_a:])
-        yield col
+                   out=row[n_a:])
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -417,16 +453,15 @@ def containment_table(spec: GraphSpec, j: int) -> ContainmentTable:
     The j-subobjects of a vertex are its slots: the j-subspaces of a
     subspace B are K*B over the RREF j-by-k patterns K
     (subspaces.subobject_patterns), and the j-subsets of a subset pick j of
-    its members, a pattern of unit rows.  No vertex is looked up: the
-    table comes from the q-Pascal recursion on the last coordinate
-    (_slot_columns), which gives each slot's subobject of every vertex as
-    a recursion position by arithmetic on the tables one coordinate down.
-    Those lower tables live in a memo for this build only.  Each top-level
-    column t then goes straight into row t of one C-contiguous (s, V) int32
-    array, whose transpose is ContainmentTable.ids, through the two levels'
-    VertexIndex.rank: ids[rank_k[p], t] = rank_j[column[p]].  K d combines
-    digits through galois.field_tables, built for q <= FIELD_TABLE_MAX_Q
-    only, so 0 < j < k above it raises ValueError.
+    its members, a pattern of unit rows.  No vertex is looked up and no
+    VertexIndex is built: the table comes from the q-Pascal recursion on
+    the last coordinate (_slot_table), which gives each slot's subobject
+    of every vertex as a recursion position by arithmetic on the tables one
+    coordinate down.  Those lower tables live in a memo for this build
+    only; the top one is ContainmentTable.positions, and the canonical ids
+    are derived from it only when asked for.  K d combines digits through
+    galois.field_tables, built for q <= FIELD_TABLE_MAX_Q only, so
+    0 < j < k above it raises ValueError.
     """
     if not 0 <= j <= spec.k:
         raise ValueError(f"sublevel {j} out of range 0..{spec.k}")
@@ -435,19 +470,14 @@ def containment_table(spec: GraphSpec, j: int) -> ContainmentTable:
         raise ValueError(
             f"the level-{j} table of {spec} combines rows over GF({q}); "
             f"GF(q) tables are built for q <= {FIELD_TABLE_MAX_Q} only")
-    idx = vertex_index(spec)
-    sub = vertex_index(spec.level(j))
 
     @lru_cache(maxsize=None)
     def table(m: int, kk: int, jj: int) -> np.ndarray:
-        return np.stack(list(_slot_columns(q, m, kk, jj,
-                                           partial(table, m - 1))))
+        return _slot_table(q, m, kk, jj, partial(table, m - 1))
 
-    ids = np.empty((gaussian(k, j, q), len(idx)), dtype=np.int32)
-    for t, col in enumerate(_slot_columns(q, n, k, j, partial(table, n - 1))):
-        ids[t, idx.rank] = sub.rank[col]
+    positions = table(n, k, j)
     table.cache_clear()  # table refers to itself, so only gc would free it
-    return ContainmentTable(spec, j, sub, ids.T)
+    return ContainmentTable(spec, j, positions)
 
 
 # ----------------------------------------------------------------------
@@ -485,5 +515,5 @@ def adjacency_lists(spec: GraphSpec) -> np.ndarray:
 def neighbors(spec: GraphSpec, vid: int) -> np.ndarray:
     """Sorted neighbor ids of one vertex: the other members of its stars."""
     table = containment_table(spec, spec.k - 1)
-    nb = table.members[table.ids[vid]].ravel()
+    nb = table.members[table.ids_of(vid)].ravel()
     return np.sort(nb[nb != vid])

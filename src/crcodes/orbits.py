@@ -85,7 +85,7 @@ def join_actions(actions: Sequence[GroupAction]) -> GroupAction:
 def _points_of(spec: GraphSpec) -> tuple[np.ndarray, np.ndarray]:
     """The sorted point ids of each vertex, and their lexsort, computed once
     for every generator on spec."""
-    rows = np.sort(containment_table(spec, 1).ids, axis=1)
+    rows = np.sort(containment_table(spec, 1).ids_of(), axis=1)
     return rows, np.lexsort(rows.T[::-1])
 
 
@@ -257,9 +257,9 @@ def quotient_matrix(spec: GraphSpec, osys: OrbitSystem) -> np.ndarray:
     stars = table.members
     s = table.per_vertex
     B = np.zeros((r, r), dtype=np.int64)
-    for i, rep in enumerate(osys.representatives()):
-        B[i] = np.bincount(osys.orbit_of[stars[table.ids[rep]]].ravel(),
-                           minlength=r)
+    reps = osys.representatives()
+    for i, (rep, slots) in enumerate(zip(reps, table.ids_of(reps))):
+        B[i] = np.bincount(osys.orbit_of[stars[slots]].ravel(), minlength=r)
         B[i, osys.orbit_of[rep]] -= s
     m = spec.valency
     if not (B.sum(axis=1) == m).all():

@@ -22,8 +22,8 @@ row) or has e_{m-1} as its last row (a (k-1)-object on m-1 coordinates
 under it); for subsets, without m or with m.  The recursion lists every
 object once, each with its canonical sort key, in a fixed recursion order
 (colex order for subsets) that graphs.containment_table computes in too;
-one sort per level gives the canonical order and the rank of each
-recursion position.
+one sort per level gives the canonical order, the rank of each
+recursion position and the position of each canonical id.
 """
 
 from __future__ import annotations
@@ -256,12 +256,14 @@ def _recursion_rows(n: int, k: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     return levels[k]
 
 
-def enumerate_level(n: int, k: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, rank): every vertex of one level as a row of a (count, k)
-    uint64 array in canonical order, and the int32 canonical id rank[p] of
-    the p-th object in recursion order (_recursion_rows), which is where
-    the containment tables of graphs.py find their ids.  Raises ValueError
-    when q^(n*k) > 2^64: the k rows then no longer pack into one uint64 key.
+def enumerate_level(n: int, k: int, q: int):
+    """(rows, rank, position): every vertex of one level as a row of a
+    (count, k) uint64 array in canonical order, the int32 canonical id
+    rank[p] of the p-th object in recursion order (_recursion_rows), and
+    its inverse, the int32 recursion position position[i] of vertex i.
+    Recursion order is the order the containment tables of graphs.py
+    compute in.  Raises ValueError when q^(n*k) > 2^64: the k rows then no
+    longer pack into one uint64 key.
     """
     if q > 1 and q ** (n * k) > 1 << 64:
         raise ValueError(
@@ -271,9 +273,10 @@ def enumerate_level(n: int, k: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(key)
     if q == 1:  # descending keys
         order = order[::-1]
+    position = order.astype(np.int32)
     rank = np.empty(len(order), dtype=np.int32)
-    rank[order] = np.arange(len(order), dtype=np.int32)
-    return np.take(rows, order, axis=0), rank
+    rank[position] = np.arange(len(order), dtype=np.int32)
+    return np.take(rows, position, axis=0), rank, position
 
 
 def enumerate_rows(n: int, k: int, q: int) -> np.ndarray:

@@ -24,20 +24,32 @@ s * containing_count < 2^w, so one gather per table column adds every
 cell's count without a carry between fields.  That turns the 10^8-edge
 check of the largest graph here into a handful of array passes.
 
+Cells, counts, intersection numbers and covers do not depend on how the
+vertices are labelled, so all of it runs on recursion positions, straight
+on ContainmentTable.positions: the code's ids are mapped to positions
+once, and no canonical table and no sub-level VertexIndex is built.  Only
+what names a vertex is canonical, and it is mapped back at the edge: a
+cell's reference vertex and the counterexample are the ones of least id,
+and the canonical fields of DistancePartition and RegularityCheck are
+views derived when first read.
+
 The design strength reads the same (k-1) table and no other full-size
-one: the code's cover of the (k-1)-objects is counted down, level by
-level, through the tables of the much smaller sub-levels (design_strength),
-so a verify holds one table of the graph itself.
+one: the code's cover of the (k-1)-objects, which is the partition's
+layer-0 count when a partition is at hand, is counted down, level by
+level, through the tables of the much smaller sub-levels
+(design_strength), so a verify holds one table of the graph itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import GraphSpec, containment_table, theta, theta_ladder
+from .graphs import (GraphSpec, containment_table, theta, theta_ladder,
+                     vertex_index)
 from .subspaces import gaussian
 
 
@@ -75,18 +87,38 @@ class Code:
 class DistancePartition:
     """Distance cells of a code, with the layer counts of their search.
 
-    over[d][T] is the number of cell-d vertices over the (k-1)-object T,
-    at most containing_count, so int32; over[d] > 0 marks the objects the
-    search stepped through from layer d.
+    The search runs on recursion positions, and that is what it keeps:
+    cell_positions[c] holds the sorted positions of cell c, cell_at[p] the
+    cell of position p, and over_at[d][P] the number of cell-d vertices
+    over the (k-1)-object at position P.  cells (rho+1 sorted id arrays),
+    cell_of (the cell of each id) and over are the same in canonical ids,
+    derived on first read.  over[d][T] is the number of cell-d vertices
+    over the (k-1)-object T, at most containing_count, so int32; over[d] > 0
+    marks the objects the search stepped through from layer d.
     """
 
+    spec: GraphSpec
     rho: int
-    cells: list  # list of rho+1 sorted id arrays
-    cell_of: np.ndarray  # (V,) cell index per vertex
-    over: np.ndarray  # (rho+1, S) int32 layer counts
+    cell_positions: list  # rho+1 sorted position arrays
+    cell_at: np.ndarray  # (V,) cell index per recursion position
+    over_at: np.ndarray  # (rho+1, S) int32 layer counts by position
 
     def sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.cells)
+        return tuple(len(c) for c in self.cell_positions)
+
+    @cached_property
+    def cells(self) -> list:
+        rank = vertex_index(self.spec).rank
+        return [np.sort(rank[c]).astype(np.int64) for c in self.cell_positions]
+
+    @cached_property
+    def cell_of(self) -> np.ndarray:
+        return np.take(self.cell_at, vertex_index(self.spec).position)
+
+    @cached_property
+    def over(self) -> np.ndarray:
+        sub = vertex_index(self.spec.level(self.spec.k - 1))
+        return np.take(self.over_at, sub.position, axis=1)
 
 
 @dataclass
@@ -112,11 +144,23 @@ class Counterexample:
 
 @dataclass
 class RegularityCheck:
+    """The verdict, with every vertex's per-cell neighbor counts: _words
+    and _width are the packed form of _neighbor_words, by recursion
+    position, and counts[v, c] is unpacked from them on first read."""
+
     ok: bool
     partition: DistancePartition
-    counts: np.ndarray  # (V, rho+1) per-cell neighbor counts
     numbers: Optional[IntersectionNumbers]
     counterexample: Optional[Counterexample]
+    _words: list = field(repr=False)
+    _width: int = field(repr=False)
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """(V, rho+1) per-cell neighbor counts, row v for vertex v."""
+        at = vertex_index(self.partition.spec).position
+        return _unpack([np.take(word, at) for word in self._words],
+                       self._width, self.partition.rho + 1)
 
 
 def _sorted_ids(ids) -> np.ndarray:
@@ -128,12 +172,17 @@ def _sorted_ids(ids) -> np.ndarray:
     return np.asarray(sorted(int(i) for i in ids), dtype=np.int64)
 
 
-def _code_ids(spec: GraphSpec, code) -> np.ndarray:
+def _as_code(spec: GraphSpec, code) -> Code:
+    """code as a Code of spec; raw ids get the range and duplicate checks."""
     if isinstance(code, Code):
         if code.spec != spec:
             raise VerificationError("code belongs to a different graph")
-        return code.ids
-    return _sorted_ids(code)
+        return code
+    return Code(spec, code)
+
+
+def _code_ids(spec: GraphSpec, code) -> np.ndarray:
+    return _as_code(spec, code).ids
 
 
 def _star_counts(columns: np.ndarray, vertices: np.ndarray,
@@ -146,27 +195,29 @@ def _star_counts(columns: np.ndarray, vertices: np.ndarray,
 def distance_partition(spec: GraphSpec, code) -> DistancePartition:
     """Breadth-first distance cells from the code; rho = #layers - 1.
 
-    over[d][T] counts the cell-d vertices over the (k-1)-object T.  Layer d
-    is counted from whichever side is smaller: its own vertices, or the
-    vertices not yet reached, since each of T's containing_count vertices
-    lies in a cell up to d or is not yet reached.  The next layer is the
-    set of unreached vertices over some T with over[d][T] > 0; only those
-    open vertices are gathered, and they grow fewer with every layer.  The
-    counts are kept: check_completely_regular sums them into every
-    vertex's per-cell neighbor counts.
+    The search runs on recursion positions (ContainmentTable.positions):
+    the code's ids are mapped to positions once.  over_at[d][P] counts the
+    cell-d vertices over the (k-1)-object P.  Layer d is counted from
+    whichever side is smaller: its own vertices, or the vertices not yet
+    reached, since each of P's containing_count vertices lies in a cell up
+    to d or is not yet reached.  The next layer is the set of unreached
+    vertices over some P with over_at[d][P] > 0; only those open vertices
+    are gathered, and they grow fewer with every layer.  The counts are
+    kept: check_completely_regular sums them into every vertex's per-cell
+    neighbor counts.
     """
     ids = _code_ids(spec, code)
     if len(ids) == 0:
         raise VerificationError("code is empty")
     table = containment_table(spec, spec.k - 1)
-    columns = table.ids.T
-    S, m = len(table.sub_index), table.containing_count
+    columns = table.positions
+    S, m = table.sub_count, table.containing_count
     cell = np.full(spec.vertex_count, -1, dtype=np.int64)
-    cell[ids] = 0
-    cells = [ids.copy()]
+    cell[np.take(vertex_index(spec).position, ids)] = 0
+    cells = [np.flatnonzero(cell == 0)]
     over = []
     below = np.zeros(S, dtype=np.int64)  # members of the cells before layer d
-    unreached = np.nonzero(cell == -1)[0]
+    unreached = np.flatnonzero(cell == -1)
     while True:
         if len(cells[-1]) <= len(unreached):
             layer = _star_counts(columns, cells[-1], S)
@@ -186,22 +237,25 @@ def distance_partition(spec: GraphSpec, code) -> DistancePartition:
         cell[nxt] = len(cells)
         cells.append(nxt)
         unreached = unreached[~reached]
-    return DistancePartition(rho=len(cells) - 1, cells=cells, cell_of=cell,
-                             over=np.array(over, dtype=np.int32))
+    return DistancePartition(spec, rho=len(cells) - 1, cell_positions=cells,
+                             cell_at=cell,
+                             over_at=np.array(over, dtype=np.int32))
 
 
 def _neighbor_words(table, over: np.ndarray,
-                    cell_of: np.ndarray) -> tuple[list, int]:
-    """Every vertex's per-cell neighbor counts, packed into uint64 words.
+                    cell_at: np.ndarray) -> tuple[list, int]:
+    """Every vertex's per-cell neighbor counts, packed into uint64 words,
+    by recursion position.
 
     Cell c is the w-bit field c % per of word c // per, with
     w = (s * containing_count).bit_length() and per = 64 // w.  A word
-    packs over[c] (the cell-c count over each (k-1)-object) into its field,
-    sums the packed values over each vertex's s (k-1)-objects, one table
-    column at a time, and takes s off the field of the vertex's own cell.
-    No field carries: its sum is at most s * containing_count < 2^w.  None
-    borrows: a vertex lies in all s of its own stars, so its own field
-    holds at least s.  Returns the words and w.
+    packs over[c] (the cell-c count over each (k-1)-object, by position)
+    into its field, sums the packed values over each vertex's s
+    (k-1)-objects, one row of table.positions at a time, and takes s off
+    the field of the vertex's own cell.  No field carries: its sum is at
+    most s * containing_count < 2^w.  None borrows: a vertex lies in all s
+    of its own stars, so its own field holds at least s.  Returns the
+    words and w.
     """
     s = table.per_vertex
     w = (s * table.containing_count).bit_length()
@@ -215,22 +269,22 @@ def _neighbor_words(table, over: np.ndarray,
             shift = np.uint64(w * (c - lo))
             packed |= over[c].astype(np.uint64) << shift
             own[c] = np.uint64(s) << shift
-        columns = iter(table.ids.T)
+        columns = iter(table.positions)
         word = np.take(packed, next(columns))
         for col in columns:
             word += np.take(packed, col)
-        word -= np.take(own, cell_of)
+        word -= np.take(own, cell_at)
         words.append(word)
     return words, w
 
 
 def _unpack(words: list, w: int, n_cells: int) -> np.ndarray:
-    """The (V, n_cells) int64 counts held in the words of _neighbor_words."""
+    """The (len, n_cells) int64 counts held in the words of _neighbor_words."""
     per = 64 // w
-    field = np.uint64((1 << w) - 1)
+    mask = np.uint64((1 << w) - 1)
     counts = np.empty((n_cells, len(words[0])), dtype=np.int64)
     for c, row in enumerate(counts):
-        row[:] = words[c // per] >> np.uint64(w * (c % per)) & field
+        row[:] = words[c // per] >> np.uint64(w * (c % per)) & mask
     return counts.T
 
 
@@ -240,18 +294,22 @@ def cell_neighbor_counts(spec: GraphSpec, cell_of: np.ndarray,
 
     The cells may be any partition, not only a distance partition: the
     members of each cell over each (k-1)-object are counted by one bincount
-    per table column, and those counts are summed into packed words as in
-    check_completely_regular (_neighbor_words).  The result is the
-    (V, n_cells) view of an (n_cells, V) array.
+    per table row, and those counts are summed into packed words as in
+    check_completely_regular (_neighbor_words), all by recursion position.
+    The words are put in id order before they are unpacked; the result is
+    the (V, n_cells) view of an (n_cells, V) array.
     """
     table = containment_table(spec, spec.k - 1)
-    S = len(table.sub_index)
+    idx = vertex_index(spec)
+    cell_at = np.take(cell_of, idx.rank)
+    S = table.sub_count
     over = np.zeros(n_cells * S, dtype=np.int64)
-    base = cell_of * S
-    for col in table.ids.T:
+    base = cell_at * S
+    for col in table.positions:
         over += np.bincount(base + col, minlength=n_cells * S)
-    words, w = _neighbor_words(table, over.reshape(n_cells, S), cell_of)
-    return _unpack(words, w, n_cells)
+    words, w = _neighbor_words(table, over.reshape(n_cells, S), cell_at)
+    return _unpack([np.take(word, idx.position) for word in words], w,
+                   n_cells)
 
 
 def check_completely_regular(spec: GraphSpec, code) -> RegularityCheck:
@@ -259,34 +317,38 @@ def check_completely_regular(spec: GraphSpec, code) -> RegularityCheck:
 
     Every vertex's per-cell neighbor counts, packed from the partition's
     layer counts (_neighbor_words), are compared word by word against those
-    of the first vertex of its cell; on failure the earliest violating
-    vertex in canonical order is reported with expected and found counts.
+    of its cell's reference vertex, the one of least id; on failure the
+    violating vertex of least id is reported with expected and found
+    counts.  Only those few vertices are unpacked; RegularityCheck.counts
+    unpacks all of them when read.
     """
-    ids = _code_ids(spec, code)
-    if len(ids) == 0:
+    code = _as_code(spec, code)
+    if len(code) == 0:
         raise VerificationError("code is empty")
-    if len(ids) == spec.vertex_count:
+    if len(code) == spec.vertex_count:
         raise VerificationError("code is the full vertex set")
-    part = distance_partition(spec, ids)
+    part = distance_partition(spec, code)
     nc = part.rho + 1
     table = containment_table(spec, spec.k - 1)
-    words, w = _neighbor_words(table, part.over, part.cell_of)
-    firsts = np.array([cell[0] for cell in part.cells])
+    words, w = _neighbor_words(table, part.over_at, part.cell_at)
+    rank = vertex_index(spec).rank
+    firsts = np.array([at[np.argmin(rank[at])] for at in part.cell_positions])
     mismatch = np.zeros(spec.vertex_count, dtype=bool)
     for word in words:
-        mismatch |= word != word[firsts][part.cell_of]
-    bad = np.nonzero(mismatch)[0]
-    counts = _unpack(words, w, nc)
-    refs = counts[firsts]
+        mismatch |= word != word[firsts][part.cell_at]
+    bad = np.flatnonzero(mismatch)
+    refs = _unpack([word[firsts] for word in words], w, nc)
+    result = RegularityCheck(ok=not bad.size, partition=part, numbers=None,
+                             counterexample=None, _words=words, _width=w)
     if bad.size:
-        v = int(bad[0])
-        c = int(part.cell_of[v])
-        return RegularityCheck(
-            ok=False, partition=part, counts=counts, numbers=None,
-            counterexample=Counterexample(
-                vertex=v, cell=c,
-                expected=tuple(int(x) for x in refs[c]),
-                found=tuple(int(x) for x in counts[v])))
+        p = bad[np.argmin(rank[bad])]
+        c = int(part.cell_at[p])
+        found = _unpack([word[[p]] for word in words], w, nc)[0]
+        result.counterexample = Counterexample(
+            vertex=int(rank[p]), cell=c,
+            expected=tuple(int(x) for x in refs[c]),
+            found=tuple(int(x) for x in found))
+        return result
     # distance cells can never host edges skipping a layer; make sure
     for c in range(nc):
         for c2 in range(nc):
@@ -299,11 +361,10 @@ def check_completely_regular(spec: GraphSpec, code) -> RegularityCheck:
     alpha = tuple(int(refs[c][c]) for c in range(nc))
     beta = tuple(int(refs[c][c + 1]) for c in range(nc - 1))
     gamma = tuple(int(refs[c][c - 1]) for c in range(1, nc))
-    numbers = IntersectionNumbers(
+    result.numbers = IntersectionNumbers(
         alpha=alpha, beta=beta, gamma=gamma,
         quotient=tuple(tuple(int(x) for x in refs[c]) for c in range(nc)))
-    return RegularityCheck(ok=True, partition=part, counts=counts,
-                           numbers=numbers, counterexample=None)
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -378,11 +439,14 @@ def eigenvalue_indices(spec: GraphSpec, values: Sequence[int]) -> list[int]:
 def design_strength(spec: GraphSpec, ids) -> tuple[int, tuple[int, ...]]:
     """Largest t with every t-subobject covered by a constant number of blocks.
 
-    The blocks are the vertices named by ids inside the given level; the
-    returned lambdas are the cover counts (lambda_1, ..., lambda_t).  Only
-    the level's (k-1) table is read: cover_{k-1} counts the blocks over
-    each (k-1)-object, and each lower cover is counted down from the one
-    above through the small table of level j+1 over level j,
+    The blocks are the vertices named by ids inside the given level; ids
+    may also be a DistancePartition of the level, whose cell 0 is the
+    block set.  The returned lambdas are the cover counts (lambda_1, ...,
+    lambda_t).  Only the level's (k-1) table is read, by recursion
+    position: cover_{k-1} counts the blocks over each (k-1)-object (a
+    partition's layer-0 count over_at[0] is exactly that), and each lower
+    cover is counted down from the one above through the small table of
+    level j+1 over level j,
 
         cover_j[T] = (sum of cover_{j+1}[S] over the (j+1)-objects
                       S containing T) / [k-j]_q,
@@ -390,22 +454,30 @@ def design_strength(spec: GraphSpec, ids) -> tuple[int, tuple[int, ...]]:
     since every block over T holds exactly [k-j]_q such S.  A division
     that is not exact means an inconsistent table and raises.
     """
-    ids = _code_ids(spec, ids)
-    if len(ids) == 0:
+    if isinstance(ids, DistancePartition):
+        if ids.spec != spec:
+            raise VerificationError("partition belongs to a different graph")
+        size, cover = len(ids.cell_positions[0]), ids.over_at[0]
+    else:
+        ids = _code_ids(spec, ids)
+        size, cover = len(ids), None
+    if size == 0:
         raise VerificationError("empty block set has no strength")
     k = spec.k
     covers = []  # cover_{k-1}, ..., cover_1
     if k >= 2:
-        table = containment_table(spec, k - 1)
-        cover = np.zeros(len(table.sub_index), dtype=np.int64)
-        for col in table.ids.T:
-            cover += np.bincount(col[ids], minlength=len(cover))
+        if cover is None:
+            table = containment_table(spec, k - 1)
+            cover = _star_counts(table.positions,
+                                 np.take(vertex_index(spec).position, ids),
+                                 table.sub_count)
+        cover = cover.astype(np.int64)
         covers.append(cover)
         for j in range(k - 2, 0, -1):
             up = containment_table(spec.level(j + 1), j)
-            total = np.zeros(len(up.sub_index), dtype=np.int64)
-            for c in range(up.per_vertex):
-                np.add.at(total, up.ids[:, c], cover)
+            total = np.zeros(up.sub_count, dtype=np.int64)
+            for col in up.positions:
+                np.add.at(total, col, cover)
             cover, rest = np.divmod(total, gaussian(k - j, 1, spec.q))
             if rest.any():
                 raise VerificationError(
@@ -416,7 +488,7 @@ def design_strength(spec: GraphSpec, ids) -> tuple[int, tuple[int, ...]]:
         if (cover != cover[0]).any():
             return len(lambdas), tuple(lambdas)
         lambdas.append(int(cover[0]))
-    if k and len(ids) == spec.vertex_count:
+    if k and size == spec.vertex_count:
         lambdas.append(1)  # the full vertex set covers each vertex once
     return len(lambdas), tuple(lambdas)
 
@@ -493,24 +565,28 @@ def size_and_integrality_report(spec: GraphSpec, beta0: int, gamma1: int) -> dic
 # ----------------------------------------------------------------------
 
 def verify_report(spec: GraphSpec, code, label: Optional[str] = None) -> dict:
-    """JSON-ready verification report with stable key order."""
-    ids = _code_ids(spec, code)
-    if label is None and isinstance(code, Code):
+    """JSON-ready verification report with stable key order.
+
+    The strength is counted from the partition's layer-0 counts, which are
+    the code's cover of the (k-1)-objects, so no cover is counted twice.
+    """
+    code = _as_code(spec, code)
+    if label is None:
         label = code.label
     report: dict = {
         "graph": str(spec),
-        "code_size": int(len(ids)),
+        "code_size": len(code),
     }
     if label:
         report["label"] = label
-    if len(ids) == 0:
+    if len(code) == 0:
         report.update({"completely_regular": False, "error": "code is empty"})
         return report
-    if len(ids) == spec.vertex_count:
+    if len(code) == spec.vertex_count:
         report.update({"completely_regular": False,
                        "error": "code is the full vertex set"})
         return report
-    result = check_completely_regular(spec, ids)
+    result = check_completely_regular(spec, code)
     report["rho"] = result.partition.rho
     report["cells"] = [int(x) for x in result.partition.sizes()]
     if not result.ok:
@@ -532,7 +608,7 @@ def verify_report(spec: GraphSpec, code, label: Optional[str] = None) -> dict:
     report["eigenvalues"] = eigs
     report["eigenvalue_indices"] = eigenvalue_indices(spec, eigs)
     t_rule = strength_from_eigenvalues(spec, eigs)
-    t_design, lambdas = design_strength(spec, ids)
+    t_design, lambdas = design_strength(spec, result.partition)
     report["strength"] = t_design
     report["lambdas"] = list(lambdas)
     checks = [
@@ -544,7 +620,7 @@ def verify_report(spec: GraphSpec, code, label: Optional[str] = None) -> dict:
         beta0, gamma1 = nums.beta[0], nums.gamma[0]
         sir = size_and_integrality_report(spec, beta0, gamma1)
         checks.append({"name": "size_formula",
-                       "ok": sir.get("size") == len(ids)})
+                       "ok": sir.get("size") == len(code)})
         report["complement_pair"] = sir["complement_pair"]
     report["checks"] = checks
     report["completely_regular"] = all(c["ok"] for c in checks)

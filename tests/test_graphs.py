@@ -228,6 +228,21 @@ def test_containment_table_sampled_on_a_larger_graph():
             assert t.ids[v].tolist() == want, (j, v)
 
 
+@pytest.mark.parametrize("spec_text,j", [("jq:2,6,3", 2), ("j:9,4", 3),
+                                         ("jq:3,4,2", 1)])
+def test_ids_of_reads_rows_of_the_canonical_view(spec_text, j):
+    # rows derived without the view, for one id, some ids and all of them,
+    # against the kept view; reading them keeps nothing on the table
+    t = g.containment_table(g.parse_graph_spec(spec_text), j)
+    some = np.array([5, 0, 17, 5, len(t.positions[0]) - 1])
+    kept = "ids" in vars(t)
+    got = [t.ids_of(17), t.ids_of(some), t.ids_of()]
+    assert ("ids" in vars(t)) == kept
+    assert got[0].tolist() == t.ids[17].tolist()
+    assert np.array_equal(got[1], t.ids[some])
+    assert np.array_equal(got[2], t.ids)
+
+
 @pytest.mark.parametrize("spec_text,j", [("jq:2,6,3", 2), ("j:16,6", 5),
                                          ("jq:3,4,2", 1)])
 def test_members_are_ascending_star_rows(spec_text, j):

@@ -109,18 +109,21 @@ def test_enumerate_subspaces_counts_and_order(n, k, q, count):
 def test_enumerate_rows_match_the_pivot_pattern_loop():
     # the q-Pascal recursion against the loop over pivot patterns and
     # their free digits, on every level of small spaces, and the rank of
-    # each recursion position against the rows the recursion lists
+    # each recursion position and the position of each id against the rows
+    # the recursion lists
     import numpy as np
     for q, top in [(1, 9), (2, 7), (3, 5), (4, 4), (5, 4), (8, 3), (9, 3)]:
         for n in range(top + 1):
             for k in range(n + 1):
-                rows, rank = sp.enumerate_level(n, k, q)
+                rows, rank, position = sp.enumerate_level(n, k, q)
                 assert rows.dtype == np.uint64 and rows.shape == (
                     sp.gaussian(n, k, q), k)
                 assert np.array_equal(rows, oracles.pivot_pattern_rows(n, k, q)), \
                     (n, k, q)
                 listed, _ = sp._recursion_rows(n, k, q)
                 assert np.array_equal(rows[rank], listed), (n, k, q)
+                assert np.array_equal(listed[position], rows), (n, k, q)
+                assert position.dtype == np.int32
 
 
 def test_enumerate_rows_refuses_rows_wider_than_a_word():

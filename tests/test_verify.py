@@ -6,8 +6,9 @@ import pytest
 
 from crcodes import constructions as con
 from crcodes import verify as vf
+from crcodes import graphs
 from crcodes.graphs import (GraphSpec, adjacency_lists, containment_table,
-                            parse_graph_spec)
+                            parse_graph_spec, vertex_index)
 
 S63 = GraphSpec("grassmann", 2, 6, 3)
 S166 = GraphSpec("johnson", 1, 16, 6)
@@ -144,23 +145,55 @@ def test_spread_avoid_j263():
     assert rep["strength"] == 1
 
 
-def test_counterexample_on_perturbed_code():
-    spread = con.desarguesian_2spread(2, 6)
-    code = con.avoid_code(S63, spread)
-    ids = set(code.ids.tolist())
-    outside = next(v for v in range(S63.vertex_count) if v not in ids)
-    res = vf.check_completely_regular(S63, sorted(ids | {outside}))
-    assert not res.ok
-    ce = res.counterexample
-    assert ce is not None
-    assert ce.expected != ce.found
-    # earliest violating vertex in canonical order
-    counts = res.counts
-    refs = {c: counts[res.partition.cells[c][0]]
-            for c in range(res.partition.rho + 1)}
-    for v in range(ce.vertex):
-        c = int(res.partition.cell_of[v])
-        assert np.array_equal(counts[v], refs[c])
+def perturbed_codes(spec):
+    """One-vertex swaps of completely regular codes and of a random code,
+    three seeded swaps each."""
+    V = spec.vertex_count
+    if spec.q == 1:  # the vertices over point 1: rho = 1
+        codes = [np.flatnonzero(vertex_index(spec).rows[:, 0] == 1)]
+    elif spec.k == 2:
+        codes = [con.hyperplane_code(spec).ids,
+                 con.desarguesian_2spread(spec.q, spec.n).ids]
+    else:
+        codes = [con.hyperplane_code(spec).ids,
+                 con.avoid_code(spec, con.desarguesian_2spread(
+                     spec.q, spec.n)).ids]
+    rng = random.Random(str(spec))
+    codes.append(np.array(rng.sample(range(V), V // 10)))
+    for ids in codes:
+        inside = set(ids.tolist())
+        outside = sorted(set(range(V)) - inside)
+        for _ in range(3):
+            out, into = rng.choice(sorted(inside)), rng.choice(outside)
+            yield sorted(inside - {out} | {into})
+
+
+@pytest.mark.parametrize("spec_text", ["jq:2,6,3", "jq:3,4,2", "j:9,4"])
+def test_counterexample_on_perturbed_code(spec_text):
+    # the reported vertex, cell and rows against the adjacency oracle: each
+    # cell's reference is its vertex of least id, and the counterexample is
+    # the violating vertex of least id.  The checks run in recursion order,
+    # so some case must have an earlier violator by recursion position
+    # (colex order, for subsets) than by id, or the test could not tell
+    # the two orders apart
+    spec = parse_graph_spec(spec_text)
+    position = vertex_index(spec).position
+    orders_differ = False
+    for ids in perturbed_codes(spec):
+        res = vf.check_completely_regular(spec, ids)
+        assert not res.ok and res.numbers is None
+        part = res.partition
+        counts = brute_force_cell_counts(spec, part.cell_of)
+        refs = np.array([counts[cell[0]] for cell in part.cells])
+        bad = np.flatnonzero((counts != refs[part.cell_of]).any(axis=1))
+        v = int(bad[0])
+        c = int(part.cell_of[v])
+        ce = res.counterexample
+        assert (ce.vertex, ce.cell, ce.expected, ce.found) == (
+            v, c, tuple(refs[c].tolist()), tuple(counts[v].tolist()))
+        assert np.array_equal(res.counts, counts)
+        orders_differ |= int(bad[np.argmin(position[bad])]) != v
+    assert orders_differ
 
 
 def test_check_rejects_empty_and_full():
@@ -377,6 +410,58 @@ def test_code_rejects_duplicate_and_out_of_range_ids(bad):
     if min(bad) >= 0:
         with pytest.raises(vf.VerificationError):
             vf.Code(S63, np.array(bad, dtype=np.uint64))
+
+
+def _spread_avoid_ids():
+    return con.avoid_code(S63, con.desarguesian_2spread(2, 6)).ids.tolist()
+
+
+@pytest.mark.parametrize("ids", [
+    [-1], [1395 + 5], [0, 0], "spread-avoid-repeated"])
+def test_raw_ids_get_the_checks_of_code(ids):
+    # a negative id would wrap to the last vertex, and a repeated one would
+    # count twice in the code's size and in its cover
+    if ids == "spread-avoid-repeated":
+        ids = _spread_avoid_ids()
+        ids.append(ids[40])
+    for check in (vf.verify_report, vf.distance_partition,
+                  vf.check_completely_regular, vf.design_strength):
+        for given in (ids, np.array(ids, dtype=np.int64)):
+            with pytest.raises(vf.VerificationError):
+                check(S63, given)
+
+
+def test_design_strength_of_a_partition_is_that_of_its_code():
+    for code in (con.hyperplane_code(S63), con.symplectic_code(),
+                 con.avoid_code(S63, con.desarguesian_2spread(2, 6))):
+        part = vf.distance_partition(S63, code)
+        assert vf.design_strength(S63, part) == vf.design_strength(
+            S63, code.ids)
+    with pytest.raises(vf.VerificationError):
+        vf.design_strength(S166, part)
+
+
+@pytest.mark.parametrize("spec_text", ["jq:2,6,3", "j:9,4"])
+def test_verify_builds_only_the_graphs_own_index(spec_text):
+    # cells, counts and covers run on recursion positions, so a verify
+    # builds no index of a sub-level, both when the code is completely
+    # regular (the strength reads the sub-level tables) and when it is not
+    spec = parse_graph_spec(spec_text)
+    codes = list(perturbed_codes(spec))[:1]
+    if spec.q == 1:
+        codes.append(np.flatnonzero(vertex_index(spec).rows[:, 0] == 1))
+    else:
+        codes.append(_spread_avoid_ids())
+    for ids in codes:
+        graphs.vertex_index.cache_clear()
+        graphs.containment_table.cache_clear()
+        rep = vf.verify_report(spec, ids)
+        assert "counterexample" in rep or rep["completely_regular"]
+        assert graphs.vertex_index.cache_info().currsize == 1
+        hits = graphs.vertex_index.cache_info().hits
+        vertex_index(spec)
+        assert graphs.vertex_index.cache_info().hits == hits + 1
+    assert rep["completely_regular"] and "strength" in rep
 
 
 @pytest.mark.parametrize("graph,beta,gamma,eigenvalues", [
