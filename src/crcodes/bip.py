@@ -96,8 +96,9 @@ class BipInstance:
     def rows(self) -> tuple[np.ndarray, np.ndarray]:
         """(A_ext, rhs): r quotient rows with theta folded in, plus cardinality."""
         r = self.r
-        A = self.B - self.target_eigenvalue * np.eye(r, dtype=np.int64)
-        A_ext = np.vstack([A, self.orbit_sizes[None, :]]).astype(np.int64)
+        A_ext = np.empty((r + 1, r), dtype=np.int64)
+        A_ext[:r], A_ext[r] = self.B, self.orbit_sizes
+        A_ext.ravel()[:r * r:r + 1] -= self.target_eigenvalue  # the diagonal
         rhs = np.full(r + 1, self.gamma1, dtype=np.int64)
         rhs[r] = self.code_size
         return A_ext, rhs

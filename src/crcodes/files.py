@@ -91,10 +91,7 @@ def _code_from_bytes(raw: bytes) -> Code:
         ids = _body_ids(body, vertex_index(spec), size)
     except _LineFault as fault:
         line, why = fault.args
-        nl = np.flatnonzero(body == _NEWLINE)
-        at = nl[line - 1] + 1 if line else 0
-        end = nl[line] if line < len(nl) else len(body)
-        text = body[at:end].tobytes().decode("utf-8", "backslashreplace")
+        text = body.split(b"\n")[line].decode("utf-8", "backslashreplace")
         text = text.strip(" \t\r")
         what = (f"repeats line {first + why}" if isinstance(why, int)
                 else f"is not a vertex of {spec} ({why})")
@@ -102,7 +99,7 @@ def _code_from_bytes(raw: bytes) -> Code:
     return Code(spec, ids, label=label)
 
 
-def _split_header(raw: bytes) -> tuple[str, int, np.ndarray]:
+def _split_header(raw: bytes) -> tuple[str, int, bytes]:
     """The header line, the number of the line after it, the body's bytes."""
     at, no = 0, 1
     while True:
@@ -117,7 +114,7 @@ def _split_header(raw: bytes) -> tuple[str, int, np.ndarray]:
         head = raw[at:end].decode("ascii")
     except UnicodeDecodeError:
         raise ValueError(f"line {no}: the header is not ASCII") from None
-    return head, no + 1, np.frombuffer(raw, dtype=np.uint8)[end + 1:]
+    return head, no + 1, raw[end + 1:]
 
 
 class _LineFault(Exception):
@@ -126,19 +123,18 @@ class _LineFault(Exception):
     the vertex is first on)."""
 
 
-_NEWLINE = ord("\n")
-
 # byte classes of a code-file body: a digit is its value, below _SEP
 _SEP, _NL, _CR, _WS, _BAD = 16, 17, 18, 19, 20
 
 
-def _byte_classes(digits: bytes, sep: bytes) -> np.ndarray:
-    lut = np.full(256, _BAD, dtype=np.uint8)
+def _byte_classes(digits: bytes, sep: bytes) -> bytes:
+    """The bytes.translate table from a byte to its class."""
+    lut = bytearray([_BAD]) * 256
     for value, char in enumerate(digits):
         lut[char] = lut[ord(chr(char).upper())] = value
-    lut[ord(sep)], lut[_NEWLINE], lut[ord("\r")] = _SEP, _NL, _CR
+    lut[ord(sep)], lut[ord("\n")], lut[ord("\r")] = _SEP, _NL, _CR
     lut[ord(" ")] = lut[ord("\t")] = _WS
-    return lut
+    return bytes(lut)
 
 
 # base -> (byte classes, most digits in a token)
@@ -167,91 +163,87 @@ def _check(cls: np.ndarray, bad: np.ndarray, why: str, pos=None) -> None:
         raise _fault(cls, at if pos is None else int(pos[at]), why)
 
 
-def _body_rows(body: np.ndarray, k: int, base: int):
+def _body_rows(body: bytes, k: int, base: int):
     """The (m, k) uint64 rows of a code-file body, in one pass over its bytes.
 
-    Every byte is classed through a 256-entry table.  The stripped edge
-    bytes are dropped, the separator and newline positions bound the tokens,
-    and the tokens are read one digit position at a time, all at once.
-    Returns the classes, the rows, and the position in the classes of each
-    row's newline; raises _LineFault at the first line that breaks the
-    grammar.  Whether a row is a vertex is left to the lookup.
+    Every byte is classed by one bytes.translate; carriage returns, spaces,
+    tabs and bad bytes are looked for only when the classes hold one.  The
+    separator and newline positions bound the tokens, and the tokens are
+    read one digit position at a time, all at once.  Returns the classes,
+    the rows, and the position in the classes of each row's newline; raises
+    _LineFault at the first line that breaks the grammar.  Whether a row is
+    a vertex is checked by VertexIndex.ids_of_rows.
     """
-    lut, most = _GRAMMAR[base]
-    cls = lut[body]
+    table, most = _GRAMMAR[base]
+    cls = np.frombuffer(body.translate(table), dtype=np.uint8)
     if not len(cls):
         return cls, np.empty((0, k), dtype=np.uint64), np.empty(0, dtype=np.intp)
-    _check(cls, cls == _BAD, "a character outside the grammar")
-    stray = cls == _CR
-    stray[:-1] &= cls[1:] != _NL
-    _check(cls, stray, "a carriage return before no newline")
+    stripped = cls.max() >= _CR
+    if stripped:
+        _check(cls, cls == _BAD, "a character outside the grammar")
+        stray = cls == _CR
+        stray[:-1] &= cls[1:] != _NL
+        _check(cls, stray, "a carriage return before no newline")
     if cls[-1] != _NL:
         cls = np.append(cls, np.uint8(_NL))
-    edge = cls >= _CR
-    if edge.any():
-        keep = np.flatnonzero(~edge)
+    if stripped:
+        keep = np.flatnonzero(cls < _CR)
         cls = cls[keep]
         # two content bytes of one line with stripped bytes between them
         inner = np.diff(keep) > 1
         inner &= cls[:-1] < _NL
         inner &= cls[1:] < _NL
         _check(cls, inner, "a space or tab inside the line")
-    nl = cls == _NL
     if k == 0:  # the one vertex is written as a blank line
-        _check(cls, ~nl, "a line of a k = 0 graph is not blank")
+        _check(cls, cls != _NL, "a line of a k = 0 graph is not blank")
         return cls, np.empty((len(cls), 0), dtype=np.uint64), np.arange(len(cls))
     ends = np.flatnonzero(cls >= _SEP)
-    starts = np.empty_like(ends)
-    starts[0] = 0
-    starts[1:] = ends[:-1] + 1
-    # a newline first or right after a newline ends a blank line
-    blank = nl.copy()
-    blank[1:] &= nl[:-1]
+    newline = cls[ends] == _NL
+    length = np.empty_like(ends)  # a token runs from the previous end
+    length[0] = ends[0]
+    np.subtract(ends[1:], ends[:-1], out=length[1:])
+    length[1:] -= 1
+    # a blank line: an empty token ending in a newline, first or right
+    # after a newline
+    blank = length == 0
+    blank &= newline
+    blank[1:] &= newline[:-1]
     if blank.any():
-        line = ~blank[ends]
-        ends, starts = ends[line], starts[line]
+        line = ~blank
+        ends, length, newline = ends[line], length[line], newline[line]
     # every line: k - 1 separators, then its newline
-    kinds = nl[ends]
-    if len(kinds) % k or (kinds.reshape(-1, k) != (np.arange(k) == k - 1)).any():
-        _check(cls, kinds != (np.arange(len(kinds)) % k == k - 1),
+    if len(newline) % k or (newline.reshape(-1, k) != (np.arange(k) == k - 1)).any():
+        _check(cls, newline != (np.arange(len(newline)) % k == k - 1),
                f"a line does not hold {k} tokens", ends)
-    length = ends - starts
-    _check(cls, length == 0, "an empty token", ends)
-    _check(cls, length > most, f"a token of more than {most} digits", ends)
-    # Horner's rule, one digit position of every token at a time; a token
-    # that has run out of digits keeps its value and its place
-    vals = cls[starts].astype(np.uint64)
-    at = starts
-    for j in range(1, int(length.max(initial=0))):
-        live = length > j
-        at += live
-        digit = cls[at]
-        if j == 19:  # base 10: the one digit that can leave the uint64
-            _check(cls, live & ((vals > _DEC_TOP) |
-                                ((vals == _DEC_TOP) & (digit > 5))),
+    # one reduce for both length checks: an empty token wraps to 2^64 - 1
+    longest = int((length - 1).view(np.uint64).max(initial=0)) + 1
+    if longest > most:
+        _check(cls, length == 0, "an empty token", ends)
+        _check(cls, length > most, f"a token of more than {most} digits", ends)
+    # Horner's rule on the last `longest` bytes before every token end, one
+    # place at a time; the bytes before a shorter token count as zeros
+    vals = np.zeros(len(ends), dtype=np.uint64)
+    for j in range(longest, 0, -1):
+        digit = np.take(cls, ends - j, mode="clip")
+        if j > 1:
+            digit *= length >= j
+        elif longest == 20:  # base 10: the one digit that can leave the uint64
+            _check(cls, (vals > _DEC_TOP) | ((vals == _DEC_TOP) & (digit > 5)),
                    "a token above 2^64 - 1", ends)
-        np.multiply(vals, np.uint64(base), out=vals, where=live)
-        np.add(vals, digit, out=vals, where=live)
+        vals *= np.uint64(base)
+        vals += digit
     return cls, vals.reshape(-1, k), ends[k - 1::k]
 
 
-def _body_ids(body: np.ndarray, idx, size: int) -> np.ndarray:
+def _body_ids(body: bytes, idx, size: int) -> np.ndarray:
     """The sorted vertex ids named by a code-file body of size vertices."""
     cls, rows, ends = _body_rows(body, idx.spec.k, 10 if idx.spec.q == 1 else 16)
     if len(rows) != size:
         raise ValueError(f"header says {size} vertices, file has {len(rows)}")
     try:
         ids = idx.ids_of_rows(rows)
-    except KeyError:
-        lo, hi = 0, len(rows)  # bisect for the first row that is no vertex
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            try:
-                idx.ids_of_rows(rows[lo:mid])
-                lo = mid
-            except KeyError:
-                hi = mid
-        raise _fault(cls, int(ends[lo]), "names no vertex") from None
+    except KeyError as exc:  # its second argument is the first row of none
+        raise _fault(cls, int(ends[exc.args[1]]), "names no vertex") from None
     # a file written in id order is one sorted run, which the stable sort
     # passes in linear time; equal ids keep their line order
     order = np.argsort(ids, kind="stable")

@@ -7,9 +7,9 @@ uint64 array of packed rows (subspaces.enumerate_rows): vertex id i is
 row i, so ids follow the canonical order and are stable across runs.
 Subspace and Subset objects are built one at a time, only when asked for.
 A vertex given from outside (a code file, a group's image, a construction)
-is found from its packed uint64 key: a subset key is its colex rank, and a
-subspace key goes through a multiplicative-hash bucket index of 16 to 20
-bytes per vertex (VertexIndex), built on the first such lookup.
+is found by arithmetic: positions_of_rows gives its recursion position (for
+a subset, its colex rank), VertexIndex.rank its id, and the row stored
+there is compared with the row given.
 
 The eigenvalues come as the ladder
 
@@ -156,17 +156,11 @@ class VertexIndex:
     rows is the (V, k) uint64 array of subspaces.enumerate_level: row i is
     vertex i.  rank[p] is the id of the p-th vertex in recursion order, the
     order in which containment_table computes, and position is its inverse:
-    position[i] is the recursion position of vertex i.  Each row packs into
-    one uint64 key (subspace rows as the digits of radix q^n, subsets by
-    colex rank), and every vertex -> id question from outside the tables
-    (files, orbits, constructions) is answered by ids_of_keys.  Recursion
-    order is colex order on subsets, so a colex rank is itself a position
-    in rank.  Subspace keys go through a hash index built on the first
-    lookup: the bucket of a key is its top b bits after a multiply by
-    2^64 / phi, with 2^b between V and 2V, and the keys and ids are held in
-    bucket order behind int32 bucket starts (16 to 20 bytes per vertex).
-    ids_of_rows packs rows and looks their keys up.  idx[vid] builds the
-    one Subspace or Subset asked for.
+    position[i] is the recursion position of vertex i.  Every vertex -> id
+    question from outside the tables (files, orbits, constructions) is
+    answered by ids_of_rows: positions_of_rows gives a row's recursion
+    position by arithmetic, rank its id.  idx[vid] builds the one Subspace
+    or Subset asked for.
     """
 
     def __init__(self, spec: GraphSpec):
@@ -174,47 +168,6 @@ class VertexIndex:
         self.rows, self.rank, self.position = sp.enumerate_level(
             spec.n, spec.k, spec.q)
         self._adjacency: Optional[np.ndarray] = None
-
-    @cached_property
-    def _hash(self) -> tuple:
-        """(shift, starts, width, order, keys) of the bucket index."""
-        keys = self._pack(self.rows)
-        V = len(keys)
-        bits = max(V - 1, 1).bit_length()  # 2^bits buckets, V to 2V
-        shift = np.uint64(64 - bits)
-        pairs = _buckets(keys, shift)
-        # bucket h starts where bucket h - 1 ends; a start past the last
-        # key is clipped to V - 1, so every probe position is an index
-        ends = np.bincount(pairs, minlength=1 << bits)
-        width = int(ends.max())
-        np.cumsum(ends, out=ends)
-        np.minimum(ends, V - 1, out=ends)
-        starts = np.zeros(1 << bits, dtype=np.int32)
-        starts[1:] = ends[:-1]
-        # ids in bucket order: one sort of the (bucket, id) pairs, each
-        # packed in a uint64, is cheaper than an argsort
-        pairs <<= np.uint64(32)
-        pairs |= np.arange(V, dtype=np.uint64)
-        pairs.sort()
-        pairs &= np.uint64(0xFFFFFFFF)
-        order = pairs.astype(np.int32)
-        return shift, starts, width, order, keys[order]
-
-    def _pack(self, rows: np.ndarray) -> np.ndarray:
-        """One key per row; injective on the rows of vertices only."""
-        n, k, q = self.spec.n, self.spec.k, self.spec.q
-        keys = np.zeros(len(rows), dtype=np.uint64)
-        if q == 1:
-            # colex rank; members above n are clipped, and their rows fail
-            # the equality check of ids_of_rows
-            table = _colex_table(n, k)
-            for c in range(k):
-                keys += table[c][np.minimum(rows[:, c], np.uint64(n))]
-            return keys
-        radix = np.uint64(q ** n)
-        for c in range(k):
-            keys = keys * radix + rows[:, c]
-        return keys
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -225,70 +178,115 @@ class VertexIndex:
             return Subset(self.spec.n, row)
         return Subspace(self.spec.n, self.spec.q, row)
 
-    def ids_of_keys(self, keys) -> np.ndarray:
-        """Ids of the vertices with these packed keys; KeyError if a key
-        names no vertex.  Any integer array or list is taken as uint64.
-
-        A subspace key is compared with the stored keys at probes 0, 1, ...
-        from its bucket start, each probe on the keys still unmatched, for
-        at most the widest bucket; a stored key equal to the key asked for
-        is that vertex wherever it stands, so the comparison is the whole
-        check.  Every colex rank below V names a subset.
-        """
-        # an int64 array times a uint64 scalar would be float64
-        keys = np.asarray(keys).astype(np.uint64, copy=False)
-        if self.spec.q == 1:
-            if len(keys) and keys.max() >= len(self.rank):
-                raise KeyError(f"a key does not name a vertex of {self.spec}")
-            return self.rank[keys].astype(np.intp)
-        shift, starts, width, order, stored = self._hash
-        last = len(stored) - 1
-        pos = starts[_buckets(keys, shift)]
-        miss = np.flatnonzero(stored[pos] != keys)
-        at, want = pos[miss], keys[miss]
-        for _ in range(1, width):
-            if not len(miss):
-                break
-            at += 1
-            np.minimum(at, last, out=at)
-            hit = stored[at] == want
-            pos[miss[hit]] = at[hit]
-            miss, at, want = miss[~hit], at[~hit], want[~hit]
-        if len(miss):
-            raise KeyError(f"a key does not name a vertex of {self.spec}")
-        return order[pos].astype(np.intp)
-
     def ids_of_rows(self, rows) -> np.ndarray:
-        """Ids of an (m, k) array of rows; KeyError if any row is no vertex.
+        """Ids of an (m, k) array of rows; KeyError if any row is no vertex,
+        with the index of the first such row as its second argument.
 
-        A row that is not canonical (a subspace row wider than n digits,
-        members out of order) can pack to the key of another vertex, so the
-        rows found are compared with the rows asked for.
+        A row that is not canonical (a subspace row wider than n digits or
+        out of RREF, members out of order) gets some position too, so the
+        rows found are compared with the rows asked for: a row equal to the
+        row of the vertex at its position is that vertex.
         """
         rows = np.asarray(rows, dtype=np.uint64)
         if rows.ndim != 2 or rows.shape[1] != self.spec.k:
             raise KeyError(f"rows of shape {rows.shape} are not {self.spec.k}-rows")
-        ids = self.ids_of_keys(self._pack(rows))
-        if not np.array_equal(np.take(self.rows, ids, axis=0), rows):
-            raise KeyError(f"a row does not name a vertex of {self.spec}")
+        at = positions_of_rows(self.spec, rows)
+        np.clip(at, 0, len(self) - 1, out=at)
+        ids = self.rank[at].astype(np.intp)
+        found = np.take(self.rows, ids, axis=0)
+        if not np.array_equal(found, rows):
+            first = int(np.flatnonzero((found != rows).any(axis=1))[0])
+            raise KeyError(f"row {first} does not name a vertex of {self.spec}",
+                           first)
         return ids
 
 
-def _buckets(keys: np.ndarray, shift: np.uint64) -> np.ndarray:
-    """The top bits of key * 2^64 / phi: a Fibonacci hash."""
-    h = keys * np.uint64(0x9E3779B97F4A7C15)
-    h >>= shift
-    return h
+def positions_of_rows(spec: GraphSpec, rows: np.ndarray) -> np.ndarray:
+    """The int64 recursion position (subspaces.enumerate_level) of each row
+    of an (m, k) uint64 array of vertex rows, by arithmetic.
+
+    For subsets it is the colex rank.  For subspaces it is a sum over the n
+    columns, the q-Pascal recursion unrolled: with kk the number of pivots
+    in columns <= c and d_c = sum_r digit(r, c) q^r, column c adds
+    d_c [c, kk]_q, or q d_c [c, kk]_q when it is a pivot column, which is
+    when d_c >= q^(pivots before c).  Any other row gets some position,
+    which ids_of_rows checks.
+    """
+    if spec.q == 1:
+        table = _colex_table(spec.n, spec.k)
+        at = np.zeros(len(rows), dtype=np.int64)
+        for c in range(spec.k):
+            at += table[c][np.minimum(rows[:, c], np.uint64(spec.n))]
+        return at
+    if spec.q == 2 and spec.n <= 8:
+        return _byte_positions(spec.n, rows)
+    return _digit_positions(spec.n, spec.q, rows)
 
 
 def _colex_table(n: int, k: int) -> np.ndarray:
     """T[c, m] = C(m - 1, c + 1) where member m can stand at place c, else 0.
 
-    Row c sums to at most C(n - k + c, c + 1), so every key is below C(n, k).
+    Row c sums to at most C(n - k + c, c + 1), so every rank is below C(n, k).
     """
     return np.array([[math.comb(m - 1, c + 1) if c < m <= n - k + c + 1 else 0
                       for m in range(n + 1)] for c in range(k)],
-                    dtype=np.uint64).reshape(k, n + 1)
+                    dtype=np.int64).reshape(k, n + 1)
+
+
+@lru_cache(maxsize=None)
+def _column_weights(n: int, k: int, q: int) -> np.ndarray:
+    """G[c, kk] = [c, kk]_q for columns c < n and kk <= k, padded with 0 to
+    c < 8 and kk <= 8 for the byte table; read-only, as the cache hands it
+    to every caller."""
+    weights = np.array([[gaussian(c, kk, q) if c < n and kk <= k else 0
+                         for kk in range(max(k, 8) + 1)]
+                        for c in range(max(n, 8))], dtype=np.int64)
+    weights.setflags(write=False)
+    return weights
+
+
+def _digit_positions(n: int, q: int, rows: np.ndarray) -> np.ndarray:
+    """positions_of_rows one column at a time, for any q >= 2."""
+    weights = _column_weights(n, rows.shape[1], q)
+    powers = q ** np.arange(rows.shape[1] + 1, dtype=np.int64)
+    at = np.zeros(len(rows), dtype=np.int64)
+    kk = np.zeros(len(rows), dtype=np.intp)  # pivots in the columns so far
+    rest = rows
+    for c in range(n):
+        rest, digits = np.divmod(rest, np.uint64(q))
+        d = digits.astype(np.int64) @ powers[:-1]
+        pivot = d >= powers[kk]
+        kk += pivot
+        at += d * np.where(pivot, q, 1) * weights[c, kk]
+    return at
+
+
+@lru_cache(maxsize=None)
+def _byte_weights(n: int, k: int) -> np.ndarray:
+    """The q = 2 weight table of a one-byte row, flattened from (pivots,
+    row byte): entry [p, x] sums, over the columns c set in x, [c, kk]_2,
+    twice that for a pivot column, kk being the pivots of p up to c.
+    Read-only, as the cache hands it to every caller."""
+    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1  # (byte, bit)
+    table = _column_weights(n, k, 2)[np.arange(8), np.cumsum(bits, axis=1)]
+    table = (table * (1 + bits) @ bits.T).ravel()
+    table.setflags(write=False)
+    return table
+
+
+def _byte_positions(n: int, rows: np.ndarray) -> np.ndarray:
+    """positions_of_rows for q = 2 and n <= 8, where a row is one byte: row
+    r adds 2^r times the entry of its byte under the pivots of all the rows
+    (_byte_weights).  Bits above the byte are dropped, so such a row gets
+    the position of the row without them."""
+    planes = np.ascontiguousarray(rows.T, dtype=np.uint8)
+    pivots = np.bitwise_or.reduce(planes & (0 - planes), axis=0)
+    base = pivots.astype(np.intp) << 8
+    table = _byte_weights(n, rows.shape[1])
+    at = np.zeros(len(rows), dtype=np.int64)
+    for r, plane in enumerate(planes):
+        at += table[base + plane] << r
+    return at
 
 
 @lru_cache(maxsize=None)

@@ -222,38 +222,37 @@ def _recursion_rows(n: int, k: int, q: int) -> tuple[np.ndarray, np.ndarray]:
       B  the last row is e_{m-1}: a level-(m-1, k'-1) matrix R on top
          (q = 1: the subsets with m as last member).
 
-    Both sizes give [m,k']_q = q^k' [m-1,k']_q + [m-1,k'-1]_q.  A key is a
-    sum of one weight per nonzero entry, fixed by the top level (n, k): digit
-    d at (r, c) adds d q^(n(k-r)-1-c), the place of (r, c) in the flattened
+    Both sizes give [m,k']_q = q^k' [m-1,k']_q + [m-1,k'-1]_q.  The A-block
+    of d = 0 is level (m-1, k') itself, so every level (m, k') is the head
+    of one buffer per k', grown in place: only the blocks of d != 0 and the
+    B-block are written (for q = 1, only the B-block).  A key is a sum of
+    one weight per nonzero entry, fixed by the top level (n, k): digit d at
+    (r, c) adds d q^(n(k-r)-1-c), the place of (r, c) in the flattened
     k-by-n digit matrix; member s at place c adds C(n-s, k-c), which sums to
     C(n, k) - 1 less the lexicographic rank.
     """
-    levels = {0: (np.zeros((1, 0), np.uint64), np.zeros(1, np.uint64))}
+    # level (m, kk) is needed for m <= n - k + kk only
+    rows = [np.zeros((gaussian(n - k + kk, kk, q), kk), np.uint64)
+            for kk in range(k + 1)]
+    keys = [np.zeros(len(r), np.uint64) for r in rows]
     for m in range(1, n + 1):
-        below, levels = levels, {}
         unit = m if q == 1 else q ** (m - 1)  # the entry of a B row's e_{m-1}
-        for kk in range(max(0, k - n + m), min(m, k) + 1):
+        for kk in range(max(1, k - n + m), min(m, k) + 1):
             weights = np.array([math.comb(n - m, k - r) if q == 1 else
                                 q ** (n * (k - r) - m) for r in range(kk)],
                                dtype=np.uint64)
-            digits = digit_vectors(kk, q)
-            rows_a, key_a = below.get(kk, (np.zeros((0, kk), np.uint64),
-                                           np.zeros(0, np.uint64)))
-            n_a = len(digits) * len(key_a)
-            count = n_a + (len(below[kk - 1][1]) if kk else 0)
-            rows = np.empty((count, kk), np.uint64)
-            key = np.empty(count, np.uint64)
-            np.add(rows_a, (digits * np.uint64(unit))[:, None, :],
-                   out=rows[:n_a].reshape(len(digits), len(key_a), kk))
-            np.add(key_a, (digits @ weights)[:, None],
-                   out=key[:n_a].reshape(len(digits), len(key_a)))
-            if kk:
-                rows_b, key_b = below[kk - 1]
-                rows[n_a:, :-1] = rows_b
-                rows[n_a:, -1] = unit
-                np.add(key_b, weights[-1], out=key[n_a:])
-            levels[kk] = rows, key
-    return levels[k]
+            digits = digit_vectors(kk, q)[1:]
+            below, on = gaussian(m - 1, kk, q), gaussian(m - 1, kk - 1, q)
+            n_a = (len(digits) + 1) * below
+            level, key = rows[kk], keys[kk]
+            np.add(level[:below], (digits * np.uint64(unit))[:, None, :],
+                   out=level[below:n_a].reshape(len(digits), below, kk))
+            np.add(key[:below], (digits @ weights)[:, None],
+                   out=key[below:n_a].reshape(len(digits), below))
+            level[n_a:n_a + on, :-1] = rows[kk - 1][:on]
+            level[n_a:n_a + on, -1] = unit
+            np.add(keys[kk - 1][:on], weights[-1], out=key[n_a:n_a + on])
+    return rows[k], keys[k]
 
 
 def enumerate_level(n: int, k: int, q: int):

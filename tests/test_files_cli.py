@@ -10,7 +10,7 @@ import oracles
 from crcodes import constructions as con
 from crcodes import files
 from crcodes.cli import main
-from crcodes.graphs import GraphSpec, parse_graph_spec
+from crcodes.graphs import GraphSpec, parse_graph_spec, vertex_index
 from crcodes.verify import Code
 
 S63 = GraphSpec("grassmann", 2, 6, 3)
@@ -149,6 +149,23 @@ def test_code_reader_names_lines_after_blank_lines_and_crlf():
         broken[no - 1] = bad
         with pytest.raises(ValueError, match=f"line {no}: .*{why}"):
             files.code_from_text("\r\n".join(broken))
+
+
+@pytest.mark.parametrize("graph,line", [
+    ("jq:2,8,4", "110:20:40:80"),  # bits above n = 8; the bytes read 10:20:40:80
+    ("jq:2,8,4", "30:20:40:80"),   # row 0 not zero in pivot column 5
+    ("jq:2,8,4", "20:10:40:80"),   # rows out of pivot order
+    ("jq:3,4,2", "1:54"),          # 3 + 3 * 27: a digit of q in column n - 1
+    ("jq:3,4,2", "2:3"),           # a pivot digit of 2
+    ("jq:3,4,2", "1:12"),          # 2 * 9: a pivot digit of 2
+])
+def test_code_reader_names_a_row_out_of_rref(graph, line):
+    rows = vertex_index(parse_graph_spec(graph)).rows[[5, 7, 9]].tolist()
+    good = [":".join(format(r, "x") for r in row) for row in rows]
+    text = "\n".join([f"code graph={graph} size=4"] + good[:2] + [line, good[2]])
+    with pytest.raises(ValueError,
+                       match=re.escape(f"line 4: {line!r} is not a vertex")):
+        files.code_from_text(text + "\n")
 
 
 @pytest.mark.parametrize("last,why", [

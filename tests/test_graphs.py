@@ -1,6 +1,5 @@
 import hashlib
 import random
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -254,78 +253,106 @@ def test_members_are_ascending_star_rows(spec_text, j):
 
 
 @pytest.mark.parametrize("spec_text", ["jq:2,6,3", "jq:3,4,2", "j:16,6"])
-def test_ids_of_keys_finds_vertices_and_refuses_other_keys(spec_text):
-    idx = g.vertex_index(g.parse_graph_spec(spec_text))
-    keys = idx._pack(idx.rows)
-    assert idx.ids_of_keys(keys).tolist() == list(range(len(idx)))
-    # a key between two vertex keys, or past the last colex rank
-    absent = len(idx) if idx.spec.q == 1 else np.sort(keys)[0] + 1
-    assert absent not in set(keys.tolist())
-    for bad in ([absent], [keys[3], absent], [2 ** 64 - 1]):
-        with pytest.raises(KeyError):
-            idx.ids_of_keys(np.array(bad, dtype=np.uint64))
-
-
-FIB = 0x9E3779B97F4A7C15
-
-
-def _bucket(key: int, bits: int) -> int:
-    """The hash of VertexIndex in Python integers: top bits of key * FIB."""
-    return (key * FIB % 2 ** 64) >> (64 - bits)
-
-
-def _key_in_bucket(bucket: int, bits: int, low: int) -> int:
-    """A key whose hash is bucket: FIB is odd, so it inverts mod 2^64."""
-    return ((bucket << (64 - bits)) | low) * pow(FIB, -1, 2 ** 64) % 2 ** 64
+def test_ids_of_rows_names_the_first_row_that_is_no_vertex(spec_text):
+    spec = g.parse_graph_spec(spec_text)
+    idx = g.vertex_index(spec)
+    assert idx.ids_of_rows(idx.rows).tolist() == list(range(len(idx)))
+    # a subspace row with a digit above column n - 1 has the position of the
+    # row without it; members out of order name no subset
+    if spec.q == 1:
+        wrong = idx.rows[:, ::-1]
+    else:
+        wrong = idx.rows + np.uint64(spec.q ** spec.n)
+        assert np.array_equal(g.positions_of_rows(spec, wrong), idx.position)
+    for bad in ([3], [3, 10, len(idx) - 1], [len(idx) - 1]):
+        rows = idx.rows.copy()
+        rows[bad] = wrong[bad]
+        with pytest.raises(KeyError) as err:
+            idx.ids_of_rows(rows)
+        assert err.value.args[1] == bad[0]
 
 
 @pytest.mark.parametrize("spec_text", [
     "jq:2,6,3", "jq:3,4,2", "jq:4,4,2", "jq:5,4,2", "jq:8,4,2", "jq:9,4,2",
-    "jq:2,5,1", "jq:2,4,0", "jq:2,8,3"])
-def test_ids_of_keys_agrees_with_a_dict_oracle(spec_text):
-    idx = g.vertex_index(g.parse_graph_spec(spec_text))
-    V = len(idx)
-    keys = idx._pack(idx.rows).tolist()
-    oracle = {key: vid for vid, key in enumerate(keys)}
-    assert len(oracle) == V
+    "jq:2,5,1", "jq:2,4,0", "jq:2,8,3", "j:16,6"])
+def test_positions_of_rows_agree_with_a_dict_oracle(spec_text):
+    spec = g.parse_graph_spec(spec_text)
+    idx = g.vertex_index(spec)
+    assert np.array_equal(g.positions_of_rows(spec, idx.rows), idx.position)
+    if spec.q == 2:  # the byte tables and the digit loop
+        assert np.array_equal(g._byte_positions(spec.n, idx.rows), idx.position)
+        assert np.array_equal(g._digit_positions(spec.n, 2, idx.rows),
+                              idx.position)
+    rows = list(map(tuple, idx.rows.tolist()))
+    oracle = {row: vid for vid, row in enumerate(rows)}
+    assert len(oracle) == len(idx)
     rng = random.Random(5)
-    asked = rng.sample(keys, len(keys)) + rng.choices(keys, k=50)
-    got = idx.ids_of_keys(np.array(asked, dtype=np.uint64))
-    assert got.tolist() == [oracle[key] for key in asked]
-    # non-vertex keys that hash into the widest bucket, the bucket of the
-    # last stored key, and the last bucket of all; 2^64 - 1; each alone
-    # and among vertex keys
-    bits = max(V - 1, 1).bit_length()
-    load = Counter(_bucket(key, bits) for key in keys)
-    widest = max(load, key=load.get)
-    absent = [_key_in_bucket(b, bits, low) for b in (widest, max(load),
-                                                    2 ** bits - 1)
-              for low in (1, 12345, 2 ** 40 + 7)] + [2 ** 64 - 1]
-    assert _bucket(absent[0], bits) == widest
-    for key in absent:
-        assert key not in oracle
-        for query in ([key], [keys[0], key], asked[:7] + [key] + asked[7:9]):
-            with pytest.raises(KeyError):
-                idx.ids_of_keys(np.array(query, dtype=np.uint64))
-    empty = idx.ids_of_keys(np.array([], dtype=np.uint64))
+    asked = rng.sample(rows, len(rows)) + rng.choices(rows, k=50)
+    got = idx.ids_of_rows(np.array(asked, dtype=np.uint64).reshape(
+        len(asked), spec.k))
+    assert got.tolist() == [oracle[row] for row in asked]
+    empty = idx.ids_of_rows(np.empty((0, spec.k), dtype=np.uint64))
     assert empty.shape == (0,) and empty.dtype.kind == "i"
+    if not spec.k:
+        return
+    # rows that are no vertex, from random words below 4 q^n (members up to
+    # n + 1), and all ones; each alone and among vertex rows
+    top = spec.n + 2 if spec.q == 1 else 4 * spec.q ** spec.n
+    absent = [tuple(rng.randrange(top) for _ in range(spec.k))
+              for _ in range(20)] + [(2 ** 64 - 1,) * spec.k]
+    for row in absent:
+        if row in oracle:
+            continue
+        for query in ([row], [rows[0], row], asked[:7] + [row] + asked[7:9]):
+            with pytest.raises(KeyError) as err:
+                idx.ids_of_rows(np.array(query, dtype=np.uint64))
+            assert err.value.args[1] == query.index(row)
 
 
 @pytest.mark.parametrize("spec_text", ["jq:2,6,3", "jq:4,4,2", "j:10,4"])
-def test_ids_of_keys_takes_any_integer_keys(spec_text):
+def test_ids_of_rows_takes_any_integer_rows(spec_text):
     idx = g.vertex_index(g.parse_graph_spec(spec_text))
-    keys = idx._pack(idx.rows)[::-3]
-    want = idx.ids_of_keys(keys).tolist()
+    rows = idx.rows[::-3]
+    want = idx.ids_of_rows(rows).tolist()
     assert want == list(range(len(idx)))[::-3]
-    for asked in (keys.astype(np.int64), keys.tolist()):
-        assert idx.ids_of_keys(asked).tolist() == want
+    for asked in (rows.astype(np.int64), rows.tolist()):
+        assert idx.ids_of_rows(asked).tolist() == want
     # a negative int64 is the uint64 2^64 - 1, which names no vertex
-    for bad in (np.array([-1], dtype=np.int64), [int(keys[0]), -1],
-                [2 ** 64 - 1]):
-        with pytest.raises(KeyError):
-            idx.ids_of_keys(bad)
-    for empty in ([], np.array([], dtype=np.int64)):
-        assert idx.ids_of_keys(empty).shape == (0,)
+    bad = rows[:2].astype(np.int64)
+    bad[1, 0] = -1
+    with pytest.raises(KeyError):
+        idx.ids_of_rows(bad)
+    assert idx.ids_of_rows(np.empty((0, idx.spec.k), np.int64)).shape == (0,)
+
+
+@pytest.mark.parametrize("spec_text,row,alias", [
+    # bits above n = 8: the byte tables read only 10:20:40:80
+    ("jq:2,8,4", [0x110, 0x20, 0x40, 0x80], [0x10, 0x20, 0x40, 0x80]),
+    # row 0 is not zero in pivot column 5, row 1's
+    ("jq:2,8,4", [0x30, 0x20, 0x40, 0x80], None),
+    # rows out of pivot order
+    ("jq:2,8,4", [0x20, 0x10, 0x40, 0x80], None),
+    # 3 + 3 * 27: a digit of q in the last column, read past column n - 1
+    ("jq:3,4,2", [1, 3 + 3 * 27], [1, 3]),
+    # a pivot digit of 2, in columns whose weight [c, kk]_q is 0
+    ("jq:3,4,2", [2, 3], [1, 3]),
+    ("jq:3,4,2", [1, 2 * 3], [1, 3]),
+    # and in one whose weight is not
+    ("jq:3,4,2", [1, 2 * 9], None),
+])
+def test_ids_of_rows_refuses_rows_out_of_rref(spec_text, row, alias):
+    spec = g.parse_graph_spec(spec_text)
+    idx = g.vertex_index(spec)
+    asked = np.array([row], dtype=np.uint64)
+    if alias is not None:  # the arithmetic gives the alias's position
+        assert g.positions_of_rows(spec, asked).tolist() == \
+            g.positions_of_rows(spec, np.array([alias], dtype=np.uint64)).tolist()
+        idx.ids_of_rows([alias])
+    with pytest.raises(KeyError):
+        idx.ids_of_rows(asked)
+    with pytest.raises(KeyError) as err:
+        idx.ids_of_rows([idx.rows[0].tolist(), idx.rows[9].tolist(), row])
+    assert err.value.args[1] == 2
 
 
 # sha256 of containment_table(spec, j).ids as little-endian int32, taken
