@@ -253,7 +253,9 @@ def test_members_are_ascending_star_rows(spec_text, j):
 
 
 @pytest.mark.parametrize("spec_text", ["jq:2,6,3", "jq:3,4,2", "j:16,6"])
-def test_ids_of_rows_names_the_first_row_that_is_no_vertex(spec_text):
+def test_ids_of_keys_finds_vertices_and_refuses_other_keys(spec_text):
+    """ids_of_rows looks vertices up by their rows: every vertex row is found
+    and the first row that is no vertex is named."""
     spec = g.parse_graph_spec(spec_text)
     idx = g.vertex_index(spec)
     assert idx.ids_of_rows(idx.rows).tolist() == list(range(len(idx)))
@@ -310,7 +312,8 @@ def test_positions_of_rows_agree_with_a_dict_oracle(spec_text):
 
 
 @pytest.mark.parametrize("spec_text", ["jq:2,6,3", "jq:4,4,2", "j:10,4"])
-def test_ids_of_rows_takes_any_integer_rows(spec_text):
+def test_ids_of_keys_takes_any_integer_keys(spec_text):
+    """The rows ids_of_rows looks up may come as any integer array or list."""
     idx = g.vertex_index(g.parse_graph_spec(spec_text))
     rows = idx.rows[::-3]
     want = idx.ids_of_rows(rows).tolist()
