@@ -16,6 +16,10 @@ propagation leaves open also gets an LP bound: one warm-started HiGHS
 model of 0 <= x <= 1 with the fixed columns' bounds set.  An infeasible
 LP prunes the node only when its dual ray, rounded to integers, passes an
 exact check (farkas_certificate); otherwise the LP point picks the branch.
+In mode 'first', an LP point that is integral on the free variables is
+rounded and, with the fixed values, checked in int64: x in {0,1} and
+A_ext x == rhs.  If it passes, it is the solution, and the search stops
+there; modes 'all' and 'count' must enumerate that subtree and ignore it.
 In mode 'first' the solver can also branch on orbits of a group H of
 symmetries of the system (orbital branching: Ostrowski, Linderoth, Rossi
 & Smriglio 2011).  H is given by permutations pi of the orbit variables;
@@ -143,6 +147,12 @@ class SolveResult:
     certificates: int = 0      # nodes pruned by a checked Farkas vector
 
 
+def exact_witness(A_ext: np.ndarray, rhs: np.ndarray, x) -> bool:
+    """x is 0/1 and A_ext x == rhs, checked in int64."""
+    x = np.asarray(x, dtype=np.int64)
+    return bool(((x == 0) | (x == 1)).all() and ((A_ext @ x) == rhs).all())
+
+
 FARKAS_SCALES = (10 ** 3, 10 ** 6, 10 ** 9)
 
 
@@ -239,11 +249,14 @@ def solve(inst: BipInstance, mode: str = "first",
     reaches inside it; a timed-out LP decides nothing.  It prunes the node
     only on a Farkas vector that passes the integer check, which a subtree
     holding a solution never passes, so 'all' and 'count' stay exact.
-    Branching takes the most fractional free variable of the LP point;
-    when the LP is integral on the free variables or gives no point, it
-    takes a free variable of maximum absolute coefficient inside a row of
-    minimum slack.  Value 1 goes first; the optional seed shuffles only
-    tie-breaks, deterministically.
+    Branching takes the most fractional free variable of the LP point.
+    When the LP is integral on the free variables, mode 'first' rounds the
+    point, keeps the fixed values, and returns it as the solution if it
+    passes exact_witness in int64; the LP alone never decides a SAT.  When
+    that check fails, in modes 'all' and 'count', or when the LP gives no
+    point, branching takes a free variable of maximum absolute coefficient
+    inside a row of minimum slack.  Value 1 goes first; the optional seed
+    shuffles only tie-breaks, deterministically.
 
     symmetry (mode 'first' only; ValueError otherwise) is a list of
     permutations pi of the orbit variables, each of which must fix the
@@ -343,8 +356,10 @@ def solve(inst: BipInstance, mode: str = "first",
     all_cols = np.arange(r, dtype=np.int32)
 
     def lp_check():
-        """'prune' on a checked certificate, else the most fractional free
-        variable of the LP point, or None when the LP gives no branch."""
+        """'prune' on a checked certificate; in mode 'first', 'witness' once
+        the LP point, rounded and checked in integers, solves the system,
+        with its free variables assigned from it; else the most fractional
+        free variable of the LP point, or None when the LP gives no branch."""
         nonlocal lp
         left = None if max_seconds is None else \
             max_seconds - (time.monotonic() - t0)
@@ -372,6 +387,12 @@ def solve(inst: BipInstance, mode: str = "first",
             if best < 0.5 - 1e-6:
                 cand = np.nonzero(dist == best)[0]
                 return int(cand[np.argmin(tie_rank[cand])])
+            if mode == "first":
+                point = np.where(x == -1, np.rint(value), x).astype(np.int64)
+                if exact_witness(A_ext, rhs, point):
+                    for j in np.nonzero(x == -1)[0]:
+                        assign(int(j), int(point[j]))
+                    return "witness"
         return None
 
     def pick_branch() -> int:
@@ -427,6 +448,8 @@ def solve(inst: BipInstance, mode: str = "first",
             result.status = BUDGET_EXCEEDED
             break
         j = lp_check() if stack else None
+        if j == "witness":
+            continue
         if j == "prune":
             result.certificates += 1
             alive = backtrack()

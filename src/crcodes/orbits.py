@@ -3,10 +3,12 @@
 A group is given by generator permutations of the points: the [n]_q
 points of a Grassmann graph or the n points of a Johnson graph, by their
 ids in the level-1 vertex index.  A vertex is the set of its points, its
-row of the level-1 containment table, so GroupAction reads each
-generator's vertex permutation off that table: vertex u goes to the
-vertex whose sorted row equals u's moved, sorted row.  That one match is
-the exhaustive automorphism check.  It fails unless the points of every
+row of the level-1 containment table, held as a bit set of point ids
+(ceil(points / 64) uint64 words, built one table column at a time), so
+GroupAction reads each generator's vertex permutation off that table:
+vertex u goes to the vertex whose point set equals the set of u's moved
+points, matched by sorting the sets.  That one match is the exhaustive
+automorphism check.  It fails unless the points of every
 vertex go to the points of a vertex, and a point bijection that passes
 keeps the sizes of intersections, so it keeps adjacency (two vertices
 share exactly [k-1]_q points).  Every permutation of the n points of
@@ -34,7 +36,7 @@ sigma^j.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -46,6 +48,8 @@ from .verify import VerificationError
 # Largest orbit count whose dense (r, r) int64 quotient matrix is built
 # (about 1.2 GB); quotient_matrix refuses more before allocating.
 QUOTIENT_MAX_ORBITS = 12_000
+
+_BITS = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 
 
 @dataclass
@@ -82,27 +86,46 @@ def join_actions(actions: Sequence[GroupAction]) -> GroupAction:
 
 
 @lru_cache(maxsize=4)
-def _points_of(spec: GraphSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted point ids of each vertex, and their lexsort, computed once
-    for every generator on spec."""
-    rows = np.sort(containment_table(spec, 1).ids_of(), axis=1)
-    return rows, np.lexsort(rows.T[::-1])
+def _points_of(spec: GraphSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The int32 point ids of each vertex, the ascending point sets of the
+    vertices, and their order (sets = _point_sets(ids)[order]), computed
+    once for every generator on spec."""
+    ids = containment_table(spec, 1).ids_of()
+    sets = _point_sets(ids, spec.level(1).vertex_count)
+    order = np.lexsort(sets.T[::-1])
+    return ids, sets[order], order
+
+
+def _point_sets(ids: np.ndarray, points: int,
+                point_perm: Optional[np.ndarray] = None) -> np.ndarray:
+    """(V, ceil(points / 64)) uint64 bit sets of the rows of ids, moved by
+    point_perm if given: bit p % 64 of word p // 64 is set for point p.
+    Built one column at a time; a column sets one bit in each row, so no
+    word is written twice by one scatter."""
+    V, words = len(ids), -(-points // 64)
+    sets = np.zeros((V, words), dtype=np.uint64)
+    flat, base = sets.ravel(), np.arange(V) * words
+    for col in ids.T:
+        p = col if point_perm is None else point_perm[col]
+        flat[base + (p >> 6)] |= _BITS[p & 63]
+    return sets
 
 
 @lru_cache(maxsize=16)
 def _vertex_perm(spec: GraphSpec, key: bytes) -> np.ndarray:
     """The vertex permutation p with points(p[u]) = point_perm(points(u)),
     point_perm the int64 array of bytes key; VerificationError unless every
-    moved row is the row of a vertex.  Made once per point permutation: a
-    join or a ladder rung reuses the read-only result of each part's."""
+    moved point set is the point set of a vertex.  Made once per point
+    permutation: a join or a ladder rung reuses the read-only result of
+    each part's."""
     point_perm = np.frombuffer(key, dtype=np.int64)
-    rows, at = _points_of(spec)
-    image = np.sort(point_perm[rows], axis=1)
+    ids, sets, order = _points_of(spec)
+    image = _point_sets(ids, len(point_perm), point_perm)
     im = np.lexsort(image.T[::-1])
-    if not np.array_equal(rows[at], image[im]):
+    if not np.array_equal(sets, image[im]):
         raise VerificationError("generator is not a graph automorphism")
-    p = np.empty(len(rows), dtype=np.int64)
-    p[im] = at
+    p = np.empty(len(ids), dtype=np.int64)
+    p[im] = order
     p.flags.writeable = False
     return p
 
@@ -185,8 +208,13 @@ class OrbitSystem:
     def sizes(self) -> np.ndarray:
         return np.array([len(o) for o in self.orbits], dtype=np.int64)
 
+    @cached_property
     def representatives(self) -> np.ndarray:
-        return np.array([int(o[0]) for o in self.orbits], dtype=np.int64)
+        """The least vertex of each orbit, orbits[i][0]: where orbit id i
+        first occurs in orbit_of.  Read-only; made once per system."""
+        reps = np.unique(self.orbit_of, return_index=True)[1]
+        reps.flags.writeable = False
+        return reps
 
 
 def orbit_system(action: GroupAction) -> OrbitSystem:
@@ -233,7 +261,7 @@ def orbit_permutation(osys: OrbitSystem,
     """
     (g,) = action.generators
     image = osys.orbit_of[g]
-    pi = image[osys.representatives()]
+    pi = image[osys.representatives]
     if not np.array_equal(image, pi[osys.orbit_of]):
         return None
     return pi
@@ -257,7 +285,7 @@ def quotient_matrix(spec: GraphSpec, osys: OrbitSystem) -> np.ndarray:
     stars = table.members
     s = table.per_vertex
     B = np.zeros((r, r), dtype=np.int64)
-    reps = osys.representatives()
+    reps = osys.representatives
     for i, (rep, slots) in enumerate(zip(reps, table.ids_of(reps))):
         B[i] = np.bincount(osys.orbit_of[stars[slots]].ravel(), minlength=r)
         B[i, osys.orbit_of[rep]] -= s

@@ -16,9 +16,11 @@ its representative's rung orbit.  All passes share one deadline.
           system of r orbits (on the own system at most max_nodes too,
           with the caller's seed), since a node's LP cost grows about as
           r**2: 1-2 ms at r = 93-109, 50-80 ms at r = 465.  It stops at the
-          first witness, or when the own system is UNSAT.  Most small rungs
-          are proven UNSAT here, and small own systems are decided here and
-          never reach milp.
+          first witness, or when the own system is UNSAT.  A witness is a
+          leaf of the tree or a node LP point that is already 0/1 and
+          passes bip.solve's int64 check.  Most small rungs are proven
+          UNSAT here, and small own systems are decided here and never
+          reach milp.
   pass 2  HiGHS branch-and-cut, at most 60 s each, on every system pass 1
           left open, in the same order.
   final   one exhaustive run of the exact solver on the own system, on
@@ -81,12 +83,6 @@ class SearchOutcome:
     lp_calls: int = 0           # over every bip.solve of this point
     certificates: int = 0       # nodes pruned by a checked Farkas vector
     lift_verified: bool = False  # code passed verify_report on the graph
-
-
-def _exact_witness(inst: BipInstance, x) -> bool:
-    A_ext, rhs = inst.rows()
-    xi = np.asarray(x, dtype=np.int64)
-    return bool(((xi == 0) | (xi == 1)).all() and ((A_ext @ xi) == rhs).all())
 
 
 def _verified_lift(x, osys: OrbitSystem, spec: GraphSpec, gamma1: int,
@@ -158,7 +154,7 @@ def _refinement_ladder(spec: GraphSpec, exponent: int):
 def _carry(x, sup: OrbitSystem, osys: OrbitSystem) -> np.ndarray:
     """x on the orbits of sup, read on the orbits of osys, each of which
     lies inside one orbit of sup: the value of its representative's."""
-    return np.asarray(x, dtype=np.int8)[sup.orbit_of[osys.representatives()]]
+    return np.asarray(x, dtype=np.int8)[sup.orbit_of[osys.representatives]]
 
 
 def _milp_witness(inst: BipInstance, budget: float):
@@ -223,13 +219,13 @@ def _two_passes(spec: GraphSpec, osys: OrbitSystem, inst: BipInstance,
             return None, None, res
         elif res.status == bip.SAT:
             x = _carry(res.solutions[0], sup, osys)
-            if _exact_witness(inst, x):
+            if bip.exact_witness(*inst.rows(), x):
                 return x, f"refinement:{sup.description}", None
     for sup, system in left_open:
         sol = _milp_witness(system, min(60.0, deadline - time.monotonic()))
         if sol is not None:
             x = _carry(sol, sup, osys)
-            if _exact_witness(inst, x):
+            if bip.exact_witness(*inst.rows(), x):
                 stage = "milp" if sup is osys else \
                     f"refinement:{sup.description}"
                 return x, stage, None

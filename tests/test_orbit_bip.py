@@ -1,3 +1,6 @@
+import hashlib
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -119,7 +122,9 @@ def test_composed_generators_coarsen():
 def test_non_automorphism_rejected():
     # a point transposition maps some line through one of the two points
     # onto a set of points that is no subspace
-    for spec, swap in [(S42, [0, 1]), (S73, [7, 41])]:
+    # (S73, [5, 100]) moves points across the two 64-bit words of the
+    # J_2(7,3) point sets
+    for spec, swap in [(S42, [0, 1]), (S73, [7, 41]), (S73, [5, 100])]:
         perm = np.arange(spec.level(1).vertex_count)
         perm[swap] = perm[swap[::-1]]
         with pytest.raises(vf.VerificationError, match="not a graph automorphism"):
@@ -129,6 +134,40 @@ def test_non_automorphism_rejected():
         ob.GroupAction(S42, [np.arange(S42.vertex_count)])
     with pytest.raises(vf.VerificationError, match="not a point permutation"):
         ob.GroupAction(S42, [np.zeros(15, dtype=np.int64)])
+
+
+# sha256 of GroupAction.generators as little-endian int64, taken when the
+# match sorted each vertex's point ids; the bit-set match must reproduce
+# them (J_2(7,3) has 127 points, two words; J(16,6) one)
+GENERATOR_DIGESTS = {
+    ("jq:2,6,3", "singer:1"):
+        "dcb0c60072b651857ae58b93f035ae9582907035dba23448a3dfd7974780333c",
+    ("jq:2,6,3", "frobenius:1"):
+        "d7afc59bae0957bdcf4d958678fc85f476cfd42fa78c113b69ed44736a28478c",
+    ("jq:2,7,3", "singer:1"):
+        "455caf0cb824f9016a01eb501417d3a9d55e66b475c725a96b2e00ea508c3b0c",
+    ("jq:2,7,3", "frobenius:1"):
+        "e3ce8515be3af13933a2608b98a2b57c607db195c3e561be15ba4f1bf43a34db",
+    ("jq:3,4,2", "singer:1"):
+        "0320320ae5d76460a9cfc776b29551cdf733ebe334686e5af1177863083b627e",
+    ("jq:3,4,2", "frobenius:1"):
+        "99b3ed226eacedd90199d5959806ac809d44f74f11375f8a095e055f15d9e4ff",
+    ("j:16,6", "3x+1"):
+        "6996e7140f24e9ac69b209a87b60d889844ee92cdaa21c51b893762313f7fc21",
+}
+
+
+def test_generators_reproduce_the_pinned_bytes():
+    for (graph, group), want in GENERATOR_DIGESTS.items():
+        spec = parse_graph_spec(graph)
+        if group == "3x+1":
+            action = ob.GroupAction(spec, [(3 * np.arange(16) + 1) % 16])
+        else:
+            action = _group(spec, group)
+        digest = hashlib.sha256()
+        for g in action.generators:
+            digest.update(np.ascontiguousarray(g.astype("<i8")).tobytes())
+        assert digest.hexdigest() == want, (graph, group)
 
 
 def test_quotient_matrix_identity_action_is_adjacency():
@@ -418,6 +457,11 @@ def test_orbit_system_matches_the_loop(spec, group):
     assert all(np.array_equal(a, b) and a.dtype == b.dtype
                for a, b in zip(got.orbits, want.orbits))
     assert got.description == want.description == group
+    for osys in (got, want):
+        reps = osys.representatives
+        assert np.array_equal(reps, [o[0] for o in want.orbits])
+        assert reps.dtype == np.int64 and not reps.flags.writeable
+        assert osys.representatives is reps  # made once per system
 
 
 def test_join_is_one_action_over_the_point_generators():
@@ -535,6 +579,74 @@ def test_symmetry_that_breaks_the_system_is_refused(singer42):
         bip._symmetry_group(A, b, [np.array([1, 0])])
     assert len(bip._symmetry_group(A, np.array([1, 1, 2]),
                                    [np.array([1, 0])])) == 2
+
+
+class _PointLP:
+    """Stands in for bip._node_lp: every node LP is optimal, at the first
+    of points that takes the node's fixed values (else the last one)."""
+
+    def __init__(self, points):
+        self.points = [np.asarray(p, dtype=float) for p in points]
+
+    def changeColsBounds(self, count, cols, lo, hi):
+        self.lo, self.hi = lo, hi
+
+    def setOptionValue(self, *args):
+        pass
+
+    def getRunTime(self):
+        return 0.0
+
+    def run(self):
+        pass
+
+    def getModelStatus(self):
+        return SimpleNamespace(name="kOptimal")
+
+    def getSolution(self):
+        fixed = self.lo == self.hi
+        point = next((p for p in self.points
+                      if (np.rint(p)[fixed] == self.lo[fixed]).all()),
+                     self.points[-1])
+        return SimpleNamespace(col_value=point)
+
+
+def test_lp_point_is_taken_only_by_the_integer_check(singer42, monkeypatch):
+    def lp_at(*points):
+        monkeypatch.setattr(bip, "_node_lp", lambda A, b: _PointLP(points))
+
+    osys, B = singer42
+    sat = bip.build_instance(S42, osys, 15, 6, B=B)  # the LP runs here
+    A_ext, rhs = sat.rows()
+    sols = np.array(brute_force_assignments(sat))
+    known = set(map(tuple, sols))
+    # s0 + s1 - s2 in {0, 1, 2}^r solves A_ext x = rhs in integers, and
+    # takes every fixed value the three solutions share
+    outside = [p for p in (a + b - c for a in sols for b in sols
+                           for c in sols)
+               if p.min() == 0 and p.max() == 2]
+    assert outside and all(((A_ext @ p) == rhs).all() for p in outside)
+    # 0/1 points that break rows, one within 1e-6 of its rounding
+    flips = [s ^ np.eye(15, dtype=np.int64)[i] for s in sols for i in (0, 7)]
+    near = np.where(flips[0] == 1, 1 - 1e-9, 1e-9)
+    unsat = bip.build_instance(S42, osys, 12, 3, B=B)
+    assert brute_force_assignments(unsat) == []
+    for points in (outside, flips, [near], [np.ones(15)]):
+        lp_at(*points)
+        res = bip.solve(unsat)
+        assert res.status == bip.UNSAT and res.lp_calls > 0
+        res = bip.solve(sat)
+        assert res.status == bip.SAT and res.lp_calls > 0
+        assert tuple(res.solutions[0]) in known
+    lp_at(*sols)
+    res = bip.solve(sat)
+    assert res.status == bip.SAT and tuple(res.solutions[0]) in known
+    # modes 'all' and 'count' ignore LP points, even solutions: they must
+    # enumerate the subtree below the node
+    res = bip.solve(sat, mode="all")
+    assert sorted(tuple(int(v) for v in x) for x in res.solutions) == \
+        sorted(known)
+    assert res.lp_calls > 0 and bip.solve(sat, mode="count").count == len(sols)
 
 
 @pytest.mark.parametrize("mode", ["all", "count"])

@@ -217,15 +217,51 @@ def test_max_seconds_bounds_the_point():
 
 def test_node_lp_stops_at_the_deadline():
     # 1395 orbits: each node LP is slow, and HiGHS gets the time left as
-    # its time_limit, so no LP runs past max_seconds
+    # its time_limit, so no LP runs past max_seconds.  (84, 9) is still open
+    # after 2 s at seed 0, where (56, 7) is decided at its second node
     ident = ob.GroupAction(S63, [np.arange(63)], description="identity")
     osys = ob.orbit_system(ident)
-    inst = bip.build_instance(S63, osys, 56, 7,
+    inst = bip.build_instance(S63, osys, 84, 9,
                               B=ob.quotient_matrix(S63, osys))
     t0 = time.monotonic()
     res = bip.solve(inst, seed=0, max_seconds=2)
     assert res.status in (bip.SAT, bip.BUDGET_EXCEEDED)
     assert time.monotonic() - t0 < 4
+
+
+@pytest.fixture(scope="module")
+def identity63():
+    osys = ob.orbit_system(ob.GroupAction(S63, [np.arange(63)],
+                                          description="identity"))
+    return osys, ob.quotient_matrix(S63, osys)
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1])
+def test_seeded_tie_breaks_keep_the_identity_point_easy(identity63, seed):
+    # (56, 7) under identity, 1395 orbits: the second node's LP point is a
+    # 0/1 witness at every seed.  A search that branches past it takes
+    # seeds 0 and 1 beyond 5000 nodes
+    osys, B = identity63
+    inst = bip.build_instance(S63, osys, 56, 7, B=B)
+    res = bip.solve(inst, seed=seed, max_nodes=50)
+    assert res.status == bip.SAT and res.nodes <= 2
+    A_ext, rhs = inst.rows()
+    assert ((A_ext @ res.solutions[0].astype(np.int64)) == rhs).all()
+
+
+def test_seeded_identity_point_is_decided_without_milp(identity63,
+                                                       monkeypatch):
+    def no_milp(inst, budget):
+        raise AssertionError("milp ran on a point the slice decides")
+
+    monkeypatch.setattr(search, "_milp_witness", no_milp)
+    osys, B = identity63
+    out = search_parameter_point(S63, osys, 56, 7, B=B, max_seconds=30,
+                                 seed=0)
+    assert (out.status, out.stage) == (bip.SAT, "dfs") and out.lift_verified
+    rep = vf.verify_report(S63, out.code)
+    assert rep["completely_regular"] and (rep["beta"], rep["gamma"]) == \
+        ([56], [7])
 
 
 @pytest.fixture(scope="module")
@@ -316,6 +352,21 @@ def test_probe_witnesses_satisfy_original_system():
     assert ((A_ext @ x) == rhs).all()
     rep = vf.verify_report(S63, out.code)
     assert rep["completely_regular"] and rep["gamma"] == [12]
+
+
+@pytest.mark.parametrize("gamma1", [33, 36, 39, 42, 45])
+def test_theta2_points_above_criterion_8_are_sat(gamma1):
+    # theta_2 = 5 under singer:21 beyond criterion 8's gamma1 <= 30: every
+    # one is SAT with a verified lift, each on a ladder rung
+    osys = ob.orbit_system(ob.singer_action(S63, 21))
+    B = ob.quotient_matrix(S63, osys)
+    out = search_parameter_point(S63, osys, 93 - gamma1, gamma1, B=B,
+                                 max_seconds=120, singer_exponent=21)
+    assert out.status == bip.SAT and out.lift_verified
+    rep = vf.verify_report(S63, out.code)
+    assert rep["completely_regular"]
+    assert (rep["beta"], rep["gamma"]) == ([93 - gamma1], [gamma1])
+    assert rep["code_size"] == 15 * gamma1
 
 
 def test_frobenius_action_is_automorphism():
