@@ -13,7 +13,9 @@ cardinality row, each row's achievable sum under the partial assignment
 must bracket its right-hand side; rows whose bracket collapses onto the
 target force all their free variables.  Below the root, every node that
 propagation leaves open also gets an LP bound: one warm-started HiGHS
-model of 0 <= x <= 1 with the fixed columns' bounds set.  An infeasible
+model of 0 <= x <= 1 with the fixed columns' bounds set.  It is a pure
+feasibility LP (zero objective, presolve off, no dual cost perturbation),
+since only its feasibility and one point in it are read.  An infeasible
 LP prunes the node only when its dual ray, rounded to integers, passes an
 exact check (farkas_certificate); otherwise the LP point picks the branch.
 In mode 'first', an LP point that is integral on the free variables is
@@ -184,13 +186,27 @@ def farkas_certificate(ray, A_ext: np.ndarray, rhs: np.ndarray,
     return None
 
 
+NODE_LP_OPTIONS = {"output_flag": False, "presolve": "off",
+                   "dual_simplex_cost_perturbation_multiplier": 0.0}
+
+
 def _node_lp(A_ext: np.ndarray, rhs: np.ndarray):
-    """HiGHS model of A_ext x = rhs, 0 <= x <= 1, zero objective, presolve
-    off; scipy is imported here so that importing the package stays cheap."""
+    """HiGHS model of A_ext x = rhs, 0 <= x <= 1: a pure feasibility LP.
+
+    The objective is zero, so every basis is dual optimal and the dual
+    simplex only has to reach primal feasibility; its default cost
+    perturbation would make it optimise a random objective instead, so it
+    is switched off (NODE_LP_OPTIONS).  Presolve is off too: each run
+    starts from the previous run's basis.  HiGHS answers an unknown
+    option name with a status, not an exception, so each status is
+    checked: RuntimeError if one is refused.  scipy is imported here so
+    that importing the package stays cheap.
+    """
     from scipy.optimize._highspy import _core as highs
     lp = highs._Highs()
-    lp.setOptionValue("output_flag", False)
-    lp.setOptionValue("presolve", "off")
+    for name, value in NODE_LP_OPTIONS.items():
+        if lp.setOptionValue(name, value) != highs.HighsStatus.kOk:
+            raise RuntimeError(f"HiGHS refused option {name} = {value!r}")
     m, r = A_ext.shape
     lp.addVars(r, np.zeros(r), np.ones(r))
     rows, cols = np.nonzero(A_ext)

@@ -272,9 +272,10 @@ def quotient_matrix(spec: GraphSpec, osys: OrbitSystem) -> np.ndarray:
 
     A representative's neighbors are the other members of its s stars, so
     its row is the orbit-label count over those stars, less s on its own
-    orbit.  Generators are verified automorphisms, so every member of an
-    orbit has the same row; valency row sums and edge-count symmetry are
-    still checked.
+    orbit.  All rows are counted by one bincount, representative i's
+    labels offset by i * r into r * r bins.  Generators are verified
+    automorphisms, so every member of an orbit has the same row; valency
+    row sums and edge-count symmetry are still checked.
     """
     r = osys.count
     if r > QUOTIENT_MAX_ORBITS:
@@ -284,11 +285,10 @@ def quotient_matrix(spec: GraphSpec, osys: OrbitSystem) -> np.ndarray:
     table = containment_table(spec, spec.k - 1)
     stars = table.members
     s = table.per_vertex
-    B = np.zeros((r, r), dtype=np.int64)
-    reps = osys.representatives
-    for i, (rep, slots) in enumerate(zip(reps, table.ids_of(reps))):
-        B[i] = np.bincount(osys.orbit_of[stars[slots]].ravel(), minlength=r)
-        B[i, osys.orbit_of[rep]] -= s
+    labels = osys.orbit_of[stars[table.ids_of(osys.representatives)]]
+    labels = labels.reshape(r, -1) + (np.arange(r) * r)[:, None]
+    B = np.bincount(labels.ravel(), minlength=r * r).reshape(r, r)
+    B.ravel()[::r + 1] -= s     # representative i is in orbit i
     m = spec.valency
     if not (B.sum(axis=1) == m).all():
         raise VerificationError("quotient matrix row sums differ from valency")

@@ -14,13 +14,14 @@ its representative's rung orbit.  All passes share one deadline.
 
   pass 1  the exact solver, capped at SLICE_WORK // r**2 nodes on every
           system of r orbits (on the own system at most max_nodes too,
-          with the caller's seed), since a node's LP cost grows about as
-          r**2: 1-2 ms at r = 93-109, 50-80 ms at r = 465.  It stops at the
-          first witness, or when the own system is UNSAT.  A witness is a
-          leaf of the tree or a node LP point that is already 0/1 and
-          passes bip.solve's int64 check.  Most small rungs are proven
-          UNSAT here, and small own systems are decided here and never
-          reach milp.
+          with the caller's seed), since a node's LP cost grows at least
+          as r**2: a warm node LP takes 0.7-1.4 ms at r = 93-99, 6 ms at
+          r = 155 and 50 ms at r = 465 (medians on a 2-core VM).  It
+          stops at the first witness, or when the own system is UNSAT.  A
+          witness is a leaf of the tree or a node LP point that is already
+          0/1 and passes bip.solve's int64 check.  Most small rungs are
+          proven UNSAT here, and small own systems are decided here and
+          never reach milp.
   pass 2  HiGHS branch-and-cut, at most 60 s each, on every system pass 1
           left open, in the same order.
   final   one exhaustive run of the exact solver on the own system, on

@@ -171,15 +171,23 @@ def test_generators_reproduce_the_pinned_bytes():
 
 
 def test_quotient_matrix_identity_action_is_adjacency():
-    """B against the adjacency oracle, row by row for every orbit member."""
+    """B against the adjacency oracle, row by row for every orbit member:
+    the identity (B is the adjacency matrix), a Johnson graph under a
+    point permutation, and orbits of equal and of unequal sizes."""
     identity = ob.GroupAction(S42, [np.arange(15)], description="identity")
-    for spec, action in [(S42, identity), (S63, ob.singer_action(S63, 21))]:
+    J73 = GraphSpec("johnson", 1, 7, 3)
+    swap_cycle = ob.GroupAction(J73, [[1, 2, 0, 4, 3, 5, 6]])
+    ladder_rung = ob.join_actions([ob.singer_action(S63, 7),
+                                   ob.frobenius_action(S63, 1)])
+    for spec, action in [(S42, identity), (J73, swap_cycle),
+                         (S63, ob.singer_action(S63, 21)), (S63, ladder_rung)]:
         osys = ob.orbit_system(action)
         B = ob.quotient_matrix(spec, osys)
         adj = adjacency_lists(spec)
         for v in range(spec.vertex_count):
             row = np.bincount(osys.orbit_of[adj[v]], minlength=osys.count)
             assert np.array_equal(row, B[osys.orbit_of[v]])
+    assert len(set(osys.sizes().tolist())) > 1  # the rung's orbit sizes differ
 
 
 def test_quotient_edge_symmetry(gamma21):
@@ -359,6 +367,18 @@ def test_farkas_certificate_on_highs_duals():
     assert lp.getModelStatus().name == "kOptimal"
     duals = np.asarray(lp.getSolution().row_dual)
     assert bip.farkas_certificate(duals, FARKAS_A, FARKAS_B, *FULL_BOX) is None
+
+
+def test_node_lp_is_a_pure_feasibility_lp(monkeypatch):
+    lp = bip._node_lp(FARKAS_A, FARKAS_B)
+    assert lp.getOptionValue("presolve")[1] == "off"
+    assert lp.getOptionValue(
+        "dual_simplex_cost_perturbation_multiplier")[1] == 0
+    # HiGHS answers an unknown option with a status, raising nothing; a
+    # node LP must not be built without every one of its options
+    monkeypatch.setitem(bip.NODE_LP_OPTIONS, "no_such_option", 0.0)
+    with pytest.raises(RuntimeError, match="no_such_option"):
+        bip._node_lp(FARKAS_A, FARKAS_B)
 
 
 def test_budget_exceeded_reported(gamma21):

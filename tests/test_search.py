@@ -281,7 +281,8 @@ def test_j273_points_end_unsat_by_certificates(singer73, beta0, gamma1):
 
 
 @pytest.mark.parametrize("beta0,gamma1,status", [
-    (210, 7, bip.UNSAT), (203, 14, bip.UNSAT), (196, 21, bip.SAT)])
+    (210, 7, bip.UNSAT), (203, 14, bip.UNSAT), (196, 21, bip.SAT),
+    (161, 56, bip.SAT), (147, 70, bip.SAT)])
 def test_slice_decides_j273_points_without_milp(singer73, monkeypatch,
                                                 beta0, gamma1, status):
     # 93 orbits get a 462-node slice of the exact solver, which decides
@@ -322,7 +323,7 @@ def test_slice_shrinks_as_orbits_grow():
 
 
 def test_slice_keeps_to_max_nodes(singer73, monkeypatch):
-    # (203, 14) needs 59 nodes; with max_nodes=10 the slice runs out,
+    # (203, 14) needs 45 nodes; with max_nodes=10 the slice runs out,
     # milp (here finding nothing) runs, and the final solve is capped too
     osys, B = singer73
     caps = []
