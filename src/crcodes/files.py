@@ -3,8 +3,9 @@
 Code file: a header line `code graph=<spec> size=<count> [label=<label>]`
 followed by one vertex per line.  Subspace lines join the basis rows as
 lowercase hex of the packed base-q row integers with ':'; subset lines
-are comma-separated members.  Files are written in id order and read in
-any order; a vertex on two lines is an error that names both.
+are comma-separated members.  Files are written in id order, which is
+the q-Pascal recursion order of subspaces.py (colex order for subsets),
+and read in any order; a vertex on two lines is an error that names both.
 
 A code file is read as one byte array, in one numpy pass, under this
 grammar:

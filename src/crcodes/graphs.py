@@ -4,12 +4,12 @@ J(n,k) has the k-subsets of {1..n} as vertices, adjacent when they share
 k-1 elements; J_q(n,k) has the k-subspaces of GF(q)^n, adjacent when they
 meet in a (k-1)-subspace.  A graph's vertices are held as one (V, k)
 uint64 array of packed rows (subspaces.enumerate_rows): vertex id i is
-row i, so ids follow the canonical order and are stable across runs.
-Subspace and Subset objects are built one at a time, only when asked for.
-A vertex given from outside (a code file, a group's image, a construction)
-is found by arithmetic: positions_of_rows gives its recursion position (for
-a subset, its colex rank), VertexIndex.rank its id, and the row stored
-there is compared with the row given.
+row i, and ids follow the q-Pascal recursion order of subspaces.py (colex
+order for subsets), so they are stable across runs.  Subspace and Subset
+objects are built one at a time, only when asked for.  A vertex given from
+outside (a code file, a group's image, a construction) is found by
+arithmetic: positions_of_rows gives its place in the recursion order,
+which is its id, and the row stored there is compared with the row given.
 
 The eigenvalues come as the ladder
 
@@ -25,14 +25,11 @@ over one fixed (k-1)-object, ContainmentTable.members) carry all edge
 information.  Dense neighbor lists (adjacency_lists) are built from them
 only for small graphs, as a reference for tests.  Every table, for every
 q, comes from the q-Pascal recursion of subspaces.py on the last
-coordinate: a subobject's recursion position is a sum of offsets and of
-entries of the tables one coordinate down, so no key is packed and no
-vertex is looked up.  A table is stored as one contiguous (s, V) int32
-array of recursion positions, one subobject slot per row, so a pass over
-all vertices reads one slot at a time.  The canonical (V, s) ids, the star
-members and the sub-level index are views derived from that array on
-first use, for the callers that name vertices by id (orbits,
-constructions, neighbors); verify.py counts on the positions themselves.
+coordinate: a subobject's id is a sum of offsets and of entries of the
+tables one coordinate down, so no key is packed and no vertex is looked
+up.  A table is stored as one contiguous (s, V) int32 array of ids, one
+subobject slot per row, so a pass over all vertices reads one slot at a
+time; ContainmentTable.ids is its (V, s) transpose, a view.
 The level-1 table (a subspace is the set of its points) is also where
 orbits.py checks group actions and constructions.py finds spread blocks.
 GF(q) arithmetic comes from galois.field_tables.
@@ -153,20 +150,16 @@ def theta_ladder(spec: GraphSpec) -> list[int]:
 class VertexIndex:
     """Bijection between [0, vertex_count) and canonical vertices.
 
-    rows is the (V, k) uint64 array of subspaces.enumerate_level: row i is
-    vertex i.  rank[p] is the id of the p-th vertex in recursion order, the
-    order in which containment_table computes, and position is its inverse:
-    position[i] is the recursion position of vertex i.  Every vertex -> id
-    question from outside the tables (files, orbits, constructions) is
-    answered by ids_of_rows: positions_of_rows gives a row's recursion
-    position by arithmetic, rank its id.  idx[vid] builds the one Subspace
-    or Subset asked for.
+    rows is the (V, k) uint64 array of subspaces.enumerate_rows: row i is
+    vertex i, in the recursion order.  Every vertex -> id question from
+    outside the tables (files, orbits, constructions) is answered by
+    ids_of_rows, by arithmetic.  idx[vid] builds the one Subspace or Subset
+    asked for.
     """
 
     def __init__(self, spec: GraphSpec):
         self.spec = spec
-        self.rows, self.rank, self.position = sp.enumerate_level(
-            spec.n, spec.k, spec.q)
+        self.rows = sp.enumerate_rows(spec.n, spec.k, spec.q)
         self._adjacency: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
@@ -182,7 +175,8 @@ class VertexIndex:
         """Ids of an (m, k) array of rows; KeyError if any row is no vertex,
         with the index of the first such row as its second argument.
 
-        A row that is not canonical (a subspace row wider than n digits or
+        The id of a row is its recursion position (positions_of_rows).  A
+        row that is not canonical (a subspace row wider than n digits or
         out of RREF, members out of order) gets some position too, so the
         rows found are compared with the rows asked for: a row equal to the
         row of the vertex at its position is that vertex.
@@ -190,9 +184,8 @@ class VertexIndex:
         rows = np.asarray(rows, dtype=np.uint64)
         if rows.ndim != 2 or rows.shape[1] != self.spec.k:
             raise KeyError(f"rows of shape {rows.shape} are not {self.spec.k}-rows")
-        at = positions_of_rows(self.spec, rows)
-        np.clip(at, 0, len(self) - 1, out=at)
-        ids = self.rank[at].astype(np.intp)
+        ids = positions_of_rows(self.spec, rows).astype(np.intp, copy=False)
+        np.clip(ids, 0, len(self) - 1, out=ids)
         found = np.take(self.rows, ids, axis=0)
         if not np.array_equal(found, rows):
             first = int(np.flatnonzero((found != rows).any(axis=1))[0])
@@ -202,8 +195,9 @@ class VertexIndex:
 
 
 def positions_of_rows(spec: GraphSpec, rows: np.ndarray) -> np.ndarray:
-    """The int64 recursion position (subspaces.enumerate_level) of each row
-    of an (m, k) uint64 array of vertex rows, by arithmetic.
+    """The int64 recursion position (subspaces.enumerate_level), which is
+    the vertex id, of each row of an (m, k) uint64 array of vertex rows, by
+    arithmetic.
 
     For subsets it is the colex rank.  For subspaces it is a sum over the n
     columns, the q-Pascal recursion unrolled: with kk the number of pivots
@@ -303,17 +297,14 @@ class ContainmentTable:
     """For each vertex of the k-level, its j-subobjects.
 
     positions, the one array a build makes, is C-contiguous (s, V) int32
-    with s = [k choose j]_q: positions[t, p] is the recursion position
-    (subspaces.enumerate_level) of the slot-t j-object of the k-object at
-    recursion position p.  What does not depend on how vertices are
-    labelled (verify.py's cells, neighbor counts and covers) reads it one
-    slot row at a time.  ids, members and sub_index are canonical views,
-    derived on first use: ids[i, t] is the j-level id of slot t of vertex
-    i, the (V, s) transpose of an (s, V) int32 array, so each column
-    ids[:, t] is contiguous; sub_index is the j-level VertexIndex.  ids_of
-    derives rows of ids without keeping them.
-    Vertices of the j-level are contained in cliques of constant size:
-    every two k-objects over a common (k-1)-object are adjacent.
+    with s = [k choose j]_q: positions[t, v] is the j-level id of the
+    slot-t j-object of vertex v.  A pass over all vertices (verify.py's
+    cells, neighbor counts and covers) reads it one slot row at a time.
+    ids is its (V, s) transpose, a view: ids[v] lists the slots of vertex
+    v, and each column ids[:, t] is contiguous.  sub_index is the j-level
+    VertexIndex.  Vertices of the j-level are contained in cliques of
+    constant size: every two k-objects over a common (k-1)-object are
+    adjacent.
     """
 
     spec: GraphSpec
@@ -323,6 +314,11 @@ class ContainmentTable:
     @property
     def per_vertex(self) -> int:
         return len(self.positions)
+
+    @property
+    def ids(self) -> np.ndarray:
+        """(V, s) j-level ids of each vertex's slots, positions.T."""
+        return self.positions.T
 
     @property
     def sub_count(self) -> int:
@@ -339,37 +335,19 @@ class ContainmentTable:
     def sub_index(self) -> VertexIndex:
         return vertex_index(self.spec.level(self.j))
 
-    def ids_of(self, vertices=slice(None)) -> np.ndarray:
-        """The j-level ids of the slots of the given vertex ids (one id or
-        an array; all of them by default), for vertex i at recursion
-        position p: rank_j[positions[t, p]] in slot t.  Nothing is kept, so
-        a caller that reads a few rows, or sorts its own copy, does not
-        hold the whole view beside positions."""
-        at = vertex_index(self.spec).position[vertices]
-        rank = self.sub_index.rank
-        ids = np.empty((self.per_vertex,) + np.shape(at), dtype=np.int32)
-        for t, col in enumerate(self.positions):
-            ids[t] = rank[col[at]]
-        return ids.T
-
-    @cached_property
-    def ids(self) -> np.ndarray:
-        """(V, s) j-level ids of each vertex's slots, ids_of() kept."""
-        return self.ids_of()
-
     @cached_property
     def members(self) -> np.ndarray:
         """(j-level count, containing_count) ascending ids over each j-object.
 
         For j = k-1 the rows are the star cliques: two vertices are adjacent
         iff they share a row, and then they share exactly one.  One stable
-        argsort of positions groups the vertex positions over each j-object
-        position; the groups are then put in id order, row and column.
+        argsort of positions groups the vertices over each j-object, in
+        j-object order; each group is then sorted.
         """
         V = self.positions.shape[1]
         order = np.argsort(self.positions.ravel(), kind="stable")
-        rows = vertex_index(self.spec).rank[order % V].reshape(
-            self.sub_count, self.containing_count)[self.sub_index.position]
+        rows = (order % V).astype(np.int32).reshape(self.sub_count,
+                                                    self.containing_count)
         rows.sort(axis=1)
         return rows
 
@@ -412,7 +390,7 @@ def _pattern_steps(k: int, j: int, q: int):
 def _slot_table(q: int, m: int, k: int, j: int, below) -> np.ndarray:
     """The level-m table from k to j: an (s, [m,k]_q) int32 array whose row
     t holds, for every k-object on the first m coordinates in the recursion
-    order of subspaces._recursion_rows, the recursion position of its
+    order of subspaces.enumerate_level, the recursion position of its
     slot-t j-object.  below(k', j') is the table one coordinate down.
 
     A k-object of the A-block is (R | d), and K_t (R | d) = (K_t R | K_t d)
@@ -454,10 +432,9 @@ def containment_table(spec: GraphSpec, j: int) -> ContainmentTable:
     its members, a pattern of unit rows.  No vertex is looked up and no
     VertexIndex is built: the table comes from the q-Pascal recursion on
     the last coordinate (_slot_table), which gives each slot's subobject
-    of every vertex as a recursion position by arithmetic on the tables one
-    coordinate down.  Those lower tables live in a memo for this build
-    only; the top one is ContainmentTable.positions, and the canonical ids
-    are derived from it only when asked for.  K d combines digits through
+    of every vertex as an id by arithmetic on the tables one coordinate
+    down.  Those lower tables live in a memo for this build only; the top
+    one is ContainmentTable.positions.  K d combines digits through
     galois.field_tables, built for q <= FIELD_TABLE_MAX_Q only, so
     0 < j < k above it raises ValueError.
     """
@@ -513,5 +490,5 @@ def adjacency_lists(spec: GraphSpec) -> np.ndarray:
 def neighbors(spec: GraphSpec, vid: int) -> np.ndarray:
     """Sorted neighbor ids of one vertex: the other members of its stars."""
     table = containment_table(spec, spec.k - 1)
-    nb = table.members[table.ids_of(vid)].ravel()
+    nb = table.members[table.ids[vid]].ravel()
     return np.sort(nb[nb != vid])

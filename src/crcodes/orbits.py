@@ -17,6 +17,13 @@ and cannot be given.  join_actions is one GroupAction over the
 concatenated point generators; the match is memoized on the point
 permutation, so a join checks no generator again.
 
+Orbits are numbered by the least lexicographic key of their members
+(subspaces.enumerate_level), not by their least vertex id.  The exact
+solver branches on orbits in that numbering, so it shapes every search
+tree.  Numbered by least id instead, criterion 8 of the acceptance tests
+slows from about 27 to 63 s on a 2-core VM: its gamma1 = 15 is no longer decided in pass
+1, and milp runs on the 90-, 155- and 165-orbit rungs.
+
 The orbits of an automorphism group induce an equitable partition, so
 the orbit quotient matrix B (B_ij = neighbors of an O_i vertex inside O_j)
 is counted from one representative per orbit.  An action that normalizes
@@ -43,6 +50,7 @@ import numpy as np
 
 from .galois import companion, default_modulus, matrix_power, prime_factors
 from .graphs import GraphSpec, containment_table, vertex_index
+from .subspaces import enumerate_level
 from .verify import VerificationError
 
 # Largest orbit count whose dense (r, r) int64 quotient matrix is built
@@ -90,7 +98,7 @@ def _points_of(spec: GraphSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The int32 point ids of each vertex, the ascending point sets of the
     vertices, and their order (sets = _point_sets(ids)[order]), computed
     once for every generator on spec."""
-    ids = containment_table(spec, 1).ids_of()
+    ids = containment_table(spec, 1).ids
     sets = _point_sets(ids, spec.level(1).vertex_count)
     order = np.lexsort(sets.T[::-1])
     return ids, sets[order], order
@@ -194,7 +202,8 @@ def frobenius_action(spec: GraphSpec, power: int = 1) -> GroupAction:
 
 @dataclass
 class OrbitSystem:
-    """Orbits of a GroupAction, ids assigned by ascending minimum vertex id."""
+    """Orbits of a GroupAction, numbered by ascending least lexicographic
+    key (orbit_system)."""
 
     spec: GraphSpec
     orbit_of: np.ndarray          # (V,) orbit id per vertex
@@ -210,30 +219,47 @@ class OrbitSystem:
 
     @cached_property
     def representatives(self) -> np.ndarray:
-        """The least vertex of each orbit, orbits[i][0]: where orbit id i
-        first occurs in orbit_of.  Read-only; made once per system."""
+        """The least vertex id of each orbit, orbits[i][0]: where orbit id
+        i first occurs in orbit_of.  Read-only; made once per system."""
         reps = np.unique(self.orbit_of, return_index=True)[1]
         reps.flags.writeable = False
         return reps
 
 
-def orbit_system(action: GroupAction) -> OrbitSystem:
-    """Orbits as the classes of their minimum vertex id, in array passes.
+@lru_cache(maxsize=4)
+def _lex_order(spec: GraphSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(lex, rank): lex[r] is the vertex of lexicographic rank r, and
+    rank[v] the rank of vertex v, from the keys of
+    subspaces.enumerate_level.  Read-only, as the cache hands them out."""
+    key = enumerate_level(spec.n, spec.k, spec.q)[1]
+    lex = np.argsort(key)
+    rank = np.empty_like(lex)
+    rank[lex] = np.arange(len(lex))
+    lex.flags.writeable = rank.flags.writeable = False
+    return lex, rank
 
-    label[v] is always a vertex of v's orbit with label[v] <= v.  For each
-    generator g, label = min(label, label[g]) with g squared each step
-    makes label the minimum over g's cycles; label = label[label] jumps to
-    the smaller labels other generators found.  When a pass over every
-    generator changes nothing, label is constant on each orbit, so it is
-    the orbit's minimum vertex, and ids follow ascending minima.
+
+def orbit_system(action: GroupAction) -> OrbitSystem:
+    """Orbits as the classes of their least lexicographic rank, in array
+    passes.
+
+    The generators are carried to ranks, g' = rank[g[lex]] (_lex_order),
+    and label[x] is always a rank of x's orbit with label[x] <= x.  For
+    each generator g', label = min(label, label[g']) with g' squared each
+    step makes label the minimum over g''s cycles; label = label[label]
+    jumps to the smaller labels other generators found.  When a pass over
+    every generator changes nothing, label is constant on each orbit, so
+    it is the orbit's least rank, and orbit ids follow ascending least
+    ranks (the module docstring says why).  The orbits are then read back
+    on vertex ids.
     """
-    V = action.spec.vertex_count
-    label = np.arange(V, dtype=np.int64)
+    lex, rank = _lex_order(action.spec)
+    label = np.arange(len(lex), dtype=np.int64)
     changed = True
     while changed:
         before = label
         for g in action.generators:
-            step = g
+            step = rank[g[lex]]
             while True:
                 new = np.minimum(label, label[step])
                 if np.array_equal(new, label):
@@ -241,7 +267,7 @@ def orbit_system(action: GroupAction) -> OrbitSystem:
                 label = new[new]
                 step = step[step]
         changed = not np.array_equal(label, before)
-    _, orbit_of = np.unique(label, return_inverse=True)
+    _, orbit_of = np.unique(label[rank], return_inverse=True)
     orbit_of = orbit_of.astype(np.int64, copy=False)
     order = np.argsort(orbit_of, kind="stable")
     bounds = np.cumsum(np.bincount(orbit_of))[:-1]
@@ -285,7 +311,7 @@ def quotient_matrix(spec: GraphSpec, osys: OrbitSystem) -> np.ndarray:
     table = containment_table(spec, spec.k - 1)
     stars = table.members
     s = table.per_vertex
-    labels = osys.orbit_of[stars[table.ids_of(osys.representatives)]]
+    labels = osys.orbit_of[stars[table.ids[osys.representatives]]]
     labels = labels.reshape(r, -1) + (np.arange(r) * r)[:, None]
     B = np.bincount(labels.ravel(), minlength=r * r).reshape(r, r)
     B.ravel()[::r + 1] -= s     # representative i is in orbit i

@@ -11,19 +11,20 @@ is the graph layer's vertex representation; Subspace and Subset are the
 per-object values for row reduction, whose GF(q) scalars are mod-q
 integers for prime q and galois.field_tables lookups otherwise.
 
-The canonical order of subspaces (used for vertex ids) is lexicographic on
-the flattened k-by-n matrix of coefficient digits, row major; subsets are
-ordered lexicographically on their sorted member lists.
-
 A level is built by the q-Pascal recursion on the last coordinate,
 [m,k]_q = q^k [m-1,k]_q + [m-1,k-1]_q: a k-object on m coordinates either
 has a free last column (an object on m-1 coordinates and one digit per
 row) or has e_{m-1} as its last row (a (k-1)-object on m-1 coordinates
 under it); for subsets, without m or with m.  The recursion lists every
-object once, each with its canonical sort key, in a fixed recursion order
-(colex order for subsets) that graphs.containment_table computes in too;
-one sort per level gives the canonical order, the rank of each
-recursion position and the position of each canonical id.
+object once, in a fixed recursion order (colex order for subsets), and
+that order is the vertex id order: graphs.containment_table computes in
+it, code files are written in it, and a row's place in it is arithmetic
+(graphs.positions_of_rows).
+
+The lexicographic order, on the flattened k-by-n matrix of coefficient
+digits, row major, for subspaces and on the sorted member lists for
+subsets, is kept as one uint64 key per row (enumerate_level), for one
+use: orbits.orbit_system numbers orbits by it.
 """
 
 from __future__ import annotations
@@ -198,7 +199,7 @@ def rref(vectors: Iterable[Sequence[int] | int], n: int, q: int) -> Subspace:
 
 
 # ----------------------------------------------------------------------
-# Enumeration: the q-Pascal recursion, then one sort
+# Enumeration: the q-Pascal recursion
 # ----------------------------------------------------------------------
 
 def digit_vectors(k: int, q: int) -> np.ndarray:
@@ -208,10 +209,12 @@ def digit_vectors(k: int, q: int) -> np.ndarray:
     return d // np.uint64(q) ** np.arange(k, dtype=np.uint64) % np.uint64(q)
 
 
-def _recursion_rows(n: int, k: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of every k-object in recursion order, and a uint64 sort key
-    per row that ascends in canonical order for q >= 2 and descends for
-    q = 1.
+def enumerate_level(n: int, k: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, key): every vertex of one level as a row of a (count, k)
+    uint64 array, row i for vertex i, in recursion order, and a uint64 key
+    per row that ascends in lexicographic order (orbits.orbit_system
+    numbers orbits by it).  Raises ValueError when q^(n*k) > 2^64: the k
+    rows then no longer pack into one uint64 key.
 
     Level (m, k') holds the k'-objects on the first m coordinates.  It is
     built from level m-1 as its A-block, then its B-block:
@@ -229,8 +232,13 @@ def _recursion_rows(n: int, k: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     one weight per nonzero entry, fixed by the top level (n, k): digit d at
     (r, c) adds d q^(n(k-r)-1-c), the place of (r, c) in the flattened
     k-by-n digit matrix; member s at place c adds C(n-s, k-c), which sums to
-    C(n, k) - 1 less the lexicographic rank.
+    C(n, k) - 1 less the lexicographic rank, so that sum is taken from
+    C(n, k) - 1 at the end and the key is the rank.
     """
+    if q > 1 and q ** (n * k) > 1 << 64:
+        raise ValueError(
+            f"the {k}-subspaces of GF({q})^{n} need q^(n*k) <= 2^64 "
+            f"to pack into one word, got {q}^{n * k}")
     # level (m, kk) is needed for m <= n - k + kk only
     rows = [np.zeros((gaussian(n - k + kk, kk, q), kk), np.uint64)
             for kk in range(k + 1)]
@@ -252,39 +260,18 @@ def _recursion_rows(n: int, k: int, q: int) -> tuple[np.ndarray, np.ndarray]:
             level[n_a:n_a + on, :-1] = rows[kk - 1][:on]
             level[n_a:n_a + on, -1] = unit
             np.add(keys[kk - 1][:on], weights[-1], out=key[n_a:n_a + on])
+    if q == 1:
+        np.subtract(np.uint64(math.comb(n, k) - 1), keys[k], out=keys[k])
     return rows[k], keys[k]
 
 
-def enumerate_level(n: int, k: int, q: int):
-    """(rows, rank, position): every vertex of one level as a row of a
-    (count, k) uint64 array in canonical order, the int32 canonical id
-    rank[p] of the p-th object in recursion order (_recursion_rows), and
-    its inverse, the int32 recursion position position[i] of vertex i.
-    Recursion order is the order the containment tables of graphs.py
-    compute in.  Raises ValueError when q^(n*k) > 2^64: the k rows then no
-    longer pack into one uint64 key.
-    """
-    if q > 1 and q ** (n * k) > 1 << 64:
-        raise ValueError(
-            f"the {k}-subspaces of GF({q})^{n} need q^(n*k) <= 2^64 "
-            f"to pack into one word, got {q}^{n * k}")
-    rows, key = _recursion_rows(n, k, q)
-    order = np.argsort(key)
-    if q == 1:  # descending keys
-        order = order[::-1]
-    position = order.astype(np.int32)
-    rank = np.empty(len(order), dtype=np.int32)
-    rank[position] = np.arange(len(order), dtype=np.int32)
-    return np.take(rows, position, axis=0), rank, position
-
-
 def enumerate_rows(n: int, k: int, q: int) -> np.ndarray:
-    """Every vertex of one level as a row of a (count, k) uint64 array.
+    """Every vertex of one level as a row of a (count, k) uint64 array, in
+    vertex id order, the recursion order (enumerate_level).
 
     For q = 1 a row is a k-subset of {1..n}, members ascending, and rows
-    come in lexicographic order.  For q >= 2 a row is the packed RREF basis
-    of a k-subspace of GF(q)^n, in canonical order.  Raises ValueError when
-    q^(n*k) > 2^64: the k rows then no longer pack into one uint64 key.
+    come in colex order.  For q >= 2 a row is the packed RREF basis of a
+    k-subspace of GF(q)^n.  Raises ValueError when q^(n*k) > 2^64.
     """
     return enumerate_level(n, k, q)[0]
 

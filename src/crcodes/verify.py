@@ -24,14 +24,10 @@ s * containing_count < 2^w, so one gather per table column adds every
 cell's count without a carry between fields.  That turns the 10^8-edge
 check of the largest graph here into a handful of array passes.
 
-Cells, counts, intersection numbers and covers do not depend on how the
-vertices are labelled, so all of it runs on recursion positions, straight
-on ContainmentTable.positions: the code's ids are mapped to positions
-once, and no canonical table and no sub-level VertexIndex is built.  Only
-what names a vertex is canonical, and it is mapped back at the edge: a
-cell's reference vertex and the counterexample are the ones of least id,
-and the canonical fields of DistancePartition and RegularityCheck are
-views derived when first read.
+Vertex ids are the recursion positions of subspaces.py, the order
+ContainmentTable.positions is computed in, so everything runs straight on
+that array: no id is mapped to another label.  A cell's reference vertex
+and the counterexample are the ones of least id.
 
 The design strength reads the same (k-1) table and no other full-size
 one: the code's cover of the (k-1)-objects, which is the partition's
@@ -48,8 +44,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import (GraphSpec, containment_table, theta, theta_ladder,
-                     vertex_index)
+from .graphs import GraphSpec, containment_table, theta, theta_ladder
 from .subspaces import gaussian
 
 
@@ -87,38 +82,20 @@ class Code:
 class DistancePartition:
     """Distance cells of a code, with the layer counts of their search.
 
-    The search runs on recursion positions, and that is what it keeps:
-    cell_positions[c] holds the sorted positions of cell c, cell_at[p] the
-    cell of position p, and over_at[d][P] the number of cell-d vertices
-    over the (k-1)-object at position P.  cells (rho+1 sorted id arrays),
-    cell_of (the cell of each id) and over are the same in canonical ids,
-    derived on first read.  over[d][T] is the number of cell-d vertices
-    over the (k-1)-object T, at most containing_count, so int32; over[d] > 0
-    marks the objects the search stepped through from layer d.
+    cells holds rho+1 sorted id arrays, cell_of[v] the cell of vertex v,
+    and over[d][T] the number of cell-d vertices over the (k-1)-object T,
+    at most containing_count, so int32; over[d] > 0 marks the objects the
+    search stepped through from layer d.
     """
 
     spec: GraphSpec
     rho: int
-    cell_positions: list  # rho+1 sorted position arrays
-    cell_at: np.ndarray  # (V,) cell index per recursion position
-    over_at: np.ndarray  # (rho+1, S) int32 layer counts by position
+    cells: list  # rho+1 sorted id arrays
+    cell_of: np.ndarray  # (V,) cell index per vertex
+    over: np.ndarray  # (rho+1, S) int32 layer counts
 
     def sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.cell_positions)
-
-    @cached_property
-    def cells(self) -> list:
-        rank = vertex_index(self.spec).rank
-        return [np.sort(rank[c]).astype(np.int64) for c in self.cell_positions]
-
-    @cached_property
-    def cell_of(self) -> np.ndarray:
-        return np.take(self.cell_at, vertex_index(self.spec).position)
-
-    @cached_property
-    def over(self) -> np.ndarray:
-        sub = vertex_index(self.spec.level(self.spec.k - 1))
-        return np.take(self.over_at, sub.position, axis=1)
+        return tuple(len(c) for c in self.cells)
 
 
 @dataclass
@@ -145,8 +122,8 @@ class Counterexample:
 @dataclass
 class RegularityCheck:
     """The verdict, with every vertex's per-cell neighbor counts: _words
-    and _width are the packed form of _neighbor_words, by recursion
-    position, and counts[v, c] is unpacked from them on first read."""
+    and _width are the packed form of _neighbor_words, and counts[v, c] is
+    unpacked from them on first read."""
 
     ok: bool
     partition: DistancePartition
@@ -158,9 +135,7 @@ class RegularityCheck:
     @cached_property
     def counts(self) -> np.ndarray:
         """(V, rho+1) per-cell neighbor counts, row v for vertex v."""
-        at = vertex_index(self.partition.spec).position
-        return _unpack([np.take(word, at) for word in self._words],
-                       self._width, self.partition.rho + 1)
+        return _unpack(self._words, self._width, self.partition.rho + 1)
 
 
 def _sorted_ids(ids) -> np.ndarray:
@@ -195,16 +170,15 @@ def _star_counts(columns: np.ndarray, vertices: np.ndarray,
 def distance_partition(spec: GraphSpec, code) -> DistancePartition:
     """Breadth-first distance cells from the code; rho = #layers - 1.
 
-    The search runs on recursion positions (ContainmentTable.positions):
-    the code's ids are mapped to positions once.  over_at[d][P] counts the
-    cell-d vertices over the (k-1)-object P.  Layer d is counted from
-    whichever side is smaller: its own vertices, or the vertices not yet
-    reached, since each of P's containing_count vertices lies in a cell up
-    to d or is not yet reached.  The next layer is the set of unreached
-    vertices over some P with over_at[d][P] > 0; only those open vertices
-    are gathered, and they grow fewer with every layer.  The counts are
-    kept: check_completely_regular sums them into every vertex's per-cell
-    neighbor counts.
+    The search reads ContainmentTable.positions one slot row at a time.
+    over[d][T] counts the cell-d vertices over the (k-1)-object T.  Layer d
+    is counted from whichever side is smaller: its own vertices, or the
+    vertices not yet reached, since each of T's containing_count vertices
+    lies in a cell up to d or is not yet reached.  The next layer is the
+    set of unreached vertices over some T with over[d][T] > 0; only those
+    open vertices are gathered, and they grow fewer with every layer.  The
+    counts are kept: check_completely_regular sums them into every
+    vertex's per-cell neighbor counts.
     """
     ids = _code_ids(spec, code)
     if len(ids) == 0:
@@ -213,8 +187,8 @@ def distance_partition(spec: GraphSpec, code) -> DistancePartition:
     columns = table.positions
     S, m = table.sub_count, table.containing_count
     cell = np.full(spec.vertex_count, -1, dtype=np.int64)
-    cell[np.take(vertex_index(spec).position, ids)] = 0
-    cells = [np.flatnonzero(cell == 0)]
+    cell[ids] = 0
+    cells = [ids]
     over = []
     below = np.zeros(S, dtype=np.int64)  # members of the cells before layer d
     unreached = np.flatnonzero(cell == -1)
@@ -237,22 +211,20 @@ def distance_partition(spec: GraphSpec, code) -> DistancePartition:
         cell[nxt] = len(cells)
         cells.append(nxt)
         unreached = unreached[~reached]
-    return DistancePartition(spec, rho=len(cells) - 1, cell_positions=cells,
-                             cell_at=cell,
-                             over_at=np.array(over, dtype=np.int32))
+    return DistancePartition(spec, rho=len(cells) - 1, cells=cells,
+                             cell_of=cell, over=np.array(over, dtype=np.int32))
 
 
 def _neighbor_words(table, over: np.ndarray,
-                    cell_at: np.ndarray) -> tuple[list, int]:
-    """Every vertex's per-cell neighbor counts, packed into uint64 words,
-    by recursion position.
+                    cell_of: np.ndarray) -> tuple[list, int]:
+    """Every vertex's per-cell neighbor counts, packed into uint64 words.
 
     Cell c is the w-bit field c % per of word c // per, with
     w = (s * containing_count).bit_length() and per = 64 // w.  A word
-    packs over[c] (the cell-c count over each (k-1)-object, by position)
-    into its field, sums the packed values over each vertex's s
-    (k-1)-objects, one row of table.positions at a time, and takes s off
-    the field of the vertex's own cell.  No field carries: its sum is at
+    packs over[c] (the cell-c count over each (k-1)-object) into its
+    field, sums the packed values over each vertex's s (k-1)-objects, one
+    row of table.positions at a time, and takes s off the field of the
+    vertex's own cell.  No field carries: its sum is at
     most s * containing_count < 2^w.  None borrows: a vertex lies in all s
     of its own stars, so its own field holds at least s.  Returns the
     words and w.
@@ -273,7 +245,7 @@ def _neighbor_words(table, over: np.ndarray,
         word = np.take(packed, next(columns))
         for col in columns:
             word += np.take(packed, col)
-        word -= np.take(own, cell_at)
+        word -= np.take(own, cell_of)
         words.append(word)
     return words, w
 
@@ -295,21 +267,17 @@ def cell_neighbor_counts(spec: GraphSpec, cell_of: np.ndarray,
     The cells may be any partition, not only a distance partition: the
     members of each cell over each (k-1)-object are counted by one bincount
     per table row, and those counts are summed into packed words as in
-    check_completely_regular (_neighbor_words), all by recursion position.
-    The words are put in id order before they are unpacked; the result is
-    the (V, n_cells) view of an (n_cells, V) array.
+    check_completely_regular (_neighbor_words).  The result is the
+    (V, n_cells) view of an (n_cells, V) array.
     """
     table = containment_table(spec, spec.k - 1)
-    idx = vertex_index(spec)
-    cell_at = np.take(cell_of, idx.rank)
     S = table.sub_count
     over = np.zeros(n_cells * S, dtype=np.int64)
-    base = cell_at * S
+    base = cell_of * S
     for col in table.positions:
         over += np.bincount(base + col, minlength=n_cells * S)
-    words, w = _neighbor_words(table, over.reshape(n_cells, S), cell_at)
-    return _unpack([np.take(word, idx.position) for word in words], w,
-                   n_cells)
+    words, w = _neighbor_words(table, over.reshape(n_cells, S), cell_of)
+    return _unpack(words, w, n_cells)
 
 
 def check_completely_regular(spec: GraphSpec, code) -> RegularityCheck:
@@ -330,22 +298,21 @@ def check_completely_regular(spec: GraphSpec, code) -> RegularityCheck:
     part = distance_partition(spec, code)
     nc = part.rho + 1
     table = containment_table(spec, spec.k - 1)
-    words, w = _neighbor_words(table, part.over_at, part.cell_at)
-    rank = vertex_index(spec).rank
-    firsts = np.array([at[np.argmin(rank[at])] for at in part.cell_positions])
+    words, w = _neighbor_words(table, part.over, part.cell_of)
+    firsts = np.array([cell[0] for cell in part.cells])
     mismatch = np.zeros(spec.vertex_count, dtype=bool)
     for word in words:
-        mismatch |= word != word[firsts][part.cell_at]
-    bad = np.flatnonzero(mismatch)
+        mismatch |= word != word[firsts][part.cell_of]
     refs = _unpack([word[firsts] for word in words], w, nc)
-    result = RegularityCheck(ok=not bad.size, partition=part, numbers=None,
-                             counterexample=None, _words=words, _width=w)
-    if bad.size:
-        p = bad[np.argmin(rank[bad])]
-        c = int(part.cell_at[p])
-        found = _unpack([word[[p]] for word in words], w, nc)[0]
+    result = RegularityCheck(ok=not mismatch.any(), partition=part,
+                             numbers=None, counterexample=None, _words=words,
+                             _width=w)
+    if not result.ok:
+        v = int(np.argmax(mismatch))
+        c = int(part.cell_of[v])
+        found = _unpack([word[[v]] for word in words], w, nc)[0]
         result.counterexample = Counterexample(
-            vertex=int(rank[p]), cell=c,
+            vertex=v, cell=c,
             expected=tuple(int(x) for x in refs[c]),
             found=tuple(int(x) for x in found))
         return result
@@ -442,11 +409,10 @@ def design_strength(spec: GraphSpec, ids) -> tuple[int, tuple[int, ...]]:
     The blocks are the vertices named by ids inside the given level; ids
     may also be a DistancePartition of the level, whose cell 0 is the
     block set.  The returned lambdas are the cover counts (lambda_1, ...,
-    lambda_t).  Only the level's (k-1) table is read, by recursion
-    position: cover_{k-1} counts the blocks over each (k-1)-object (a
-    partition's layer-0 count over_at[0] is exactly that), and each lower
-    cover is counted down from the one above through the small table of
-    level j+1 over level j,
+    lambda_t).  Only the level's (k-1) table is read: cover_{k-1} counts
+    the blocks over each (k-1)-object (a partition's layer-0 count over[0]
+    is exactly that), and each lower cover is counted down from the one
+    above through the small table of level j+1 over level j,
 
         cover_j[T] = (sum of cover_{j+1}[S] over the (j+1)-objects
                       S containing T) / [k-j]_q,
@@ -457,7 +423,7 @@ def design_strength(spec: GraphSpec, ids) -> tuple[int, tuple[int, ...]]:
     if isinstance(ids, DistancePartition):
         if ids.spec != spec:
             raise VerificationError("partition belongs to a different graph")
-        size, cover = len(ids.cell_positions[0]), ids.over_at[0]
+        size, cover = len(ids.cells[0]), ids.over[0]
     else:
         ids = _code_ids(spec, ids)
         size, cover = len(ids), None
@@ -468,9 +434,7 @@ def design_strength(spec: GraphSpec, ids) -> tuple[int, tuple[int, ...]]:
     if k >= 2:
         if cover is None:
             table = containment_table(spec, k - 1)
-            cover = _star_counts(table.positions,
-                                 np.take(vertex_index(spec).position, ids),
-                                 table.sub_count)
+            cover = _star_counts(table.positions, ids, table.sub_count)
         cover = cover.astype(np.int64)
         covers.append(cover)
         for j in range(k - 2, 0, -1):

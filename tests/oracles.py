@@ -137,17 +137,32 @@ def eigenvalue_multiplicity(spec, i: int) -> int:
     return sp.gaussian(n, i, q) - (sp.gaussian(n, i - 1, q) if i > 0 else 0)
 
 
+def lex_order(n: int, k: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lex, rank) of one level: lex[r] is the vertex id of lexicographic
+    rank r (subspaces.enumerate_level's keys), rank[v] the rank of id v.
+    Pins taken while ids were lexicographic ranks are checked through it."""
+    lex = np.argsort(sp.enumerate_level(n, k, q)[1])
+    rank = np.empty_like(lex)
+    rank[lex] = np.arange(len(lex))
+    return lex, rank
+
+
+def lex_rows(n: int, k: int, q: int) -> np.ndarray:
+    """The rows of one level in lexicographic order."""
+    return sp.enumerate_rows(n, k, q)[lex_order(n, k, q)[0]]
+
+
 def enumerate_subspaces(n: int, k: int, q: int) -> list:
-    """All k-subspaces of GF(q)^n as Subspace objects, in canonical order."""
+    """All k-subspaces of GF(q)^n as Subspace objects, in the order of
+    their lexicographic keys."""
     if k < 0 or k > n:
         return []
-    return [Subspace(n, q, tuple(row))
-            for row in sp.enumerate_rows(n, k, q).tolist()]
+    return [Subspace(n, q, tuple(row)) for row in lex_rows(n, k, q).tolist()]
 
 
 def enumerate_subsets(n: int, k: int) -> list:
-    """All k-subsets of {1..n} in lexicographic member order."""
-    return [Subset(n, row) for row in sp.enumerate_rows(n, k, 1).tolist()]
+    """All k-subsets of {1..n} in the order of their lexicographic keys."""
+    return [Subset(n, row) for row in lex_rows(n, k, 1).tolist()]
 
 
 def pivot_pattern_rows(n: int, k: int, q: int) -> np.ndarray:
@@ -289,17 +304,19 @@ def _line_rows(texts: list, spec) -> np.ndarray:
 
 def orbit_system_loop(action) -> OrbitSystem:
     """orbits.orbit_system as a Python loop: a stack walk over the
-    generators from each vertex not yet seen, in vertex id order."""
-    V = action.spec.vertex_count
+    generators from each vertex not yet seen, in the order of the
+    lexicographic keys of subspaces.enumerate_level."""
+    spec = action.spec
+    V = spec.vertex_count
     orbit_of = np.full(V, -1, dtype=np.int64)
     orbits = []
-    for start in range(V):
+    for start in lex_order(spec.n, spec.k, spec.q)[0]:
         if orbit_of[start] != -1:
             continue
         oid = len(orbits)
-        stack = [start]
+        stack = [int(start)]
         orbit_of[start] = oid
-        members = [start]
+        members = [int(start)]
         while stack:
             v = stack.pop()
             for g in action.generators:

@@ -205,9 +205,14 @@ def test_containment_table_exhaustive(spec_text):
         assert t.ids.shape == (len(idx), gaussian(spec.k, j, spec.q))
         assert all(t.ids[:, c].flags.c_contiguous for c in range(t.per_vertex))
         id_of = {row: i for i, row in enumerate(map(tuple, t.sub_index.rows.tolist()))}
+        # subset slots pick members by the j-subsets of k places in colex
+        # order, the recursion order
+        places = sorted(itertools.combinations(range(spec.k), j),
+                        key=lambda c: c[::-1])
         for v in range(len(idx)):
             if spec.q == 1:
-                subs = itertools.combinations(idx[v].members, j)
+                members = idx[v].members
+                subs = (tuple(members[i] for i in c) for c in places)
             else:
                 subs = (u.rows for u in sp.subspaces_of(idx[v], j))
             assert t.ids[v].tolist() == [id_of[row] for row in subs], (j, v)
@@ -230,16 +235,15 @@ def test_containment_table_sampled_on_a_larger_graph():
 @pytest.mark.parametrize("spec_text,j", [("jq:2,6,3", 2), ("j:9,4", 3),
                                          ("jq:3,4,2", 1)])
 def test_ids_of_reads_rows_of_the_canonical_view(spec_text, j):
-    # rows derived without the view, for one id, some ids and all of them,
-    # against the kept view; reading them keeps nothing on the table
+    # ids is the transpose of positions, a view that copies nothing and is
+    # not kept on the table: reading one id, some ids and all of them reads
+    # positions
     t = g.containment_table(g.parse_graph_spec(spec_text), j)
     some = np.array([5, 0, 17, 5, len(t.positions[0]) - 1])
-    kept = "ids" in vars(t)
-    got = [t.ids_of(17), t.ids_of(some), t.ids_of()]
-    assert ("ids" in vars(t)) == kept
-    assert got[0].tolist() == t.ids[17].tolist()
-    assert np.array_equal(got[1], t.ids[some])
-    assert np.array_equal(got[2], t.ids)
+    assert np.shares_memory(t.ids, t.positions) and "ids" not in vars(t)
+    assert t.ids[17].tolist() == t.positions[:, 17].tolist()
+    assert np.array_equal(t.ids[some], t.positions[:, some].T)
+    assert np.array_equal(t.ids, t.positions.T)
 
 
 @pytest.mark.parametrize("spec_text,j", [("jq:2,6,3", 2), ("j:16,6", 5),
@@ -265,7 +269,8 @@ def test_ids_of_keys_finds_vertices_and_refuses_other_keys(spec_text):
         wrong = idx.rows[:, ::-1]
     else:
         wrong = idx.rows + np.uint64(spec.q ** spec.n)
-        assert np.array_equal(g.positions_of_rows(spec, wrong), idx.position)
+        assert np.array_equal(g.positions_of_rows(spec, wrong),
+                              np.arange(len(idx)))
     for bad in ([3], [3, 10, len(idx) - 1], [len(idx) - 1]):
         rows = idx.rows.copy()
         rows[bad] = wrong[bad]
@@ -280,11 +285,12 @@ def test_ids_of_keys_finds_vertices_and_refuses_other_keys(spec_text):
 def test_positions_of_rows_agree_with_a_dict_oracle(spec_text):
     spec = g.parse_graph_spec(spec_text)
     idx = g.vertex_index(spec)
-    assert np.array_equal(g.positions_of_rows(spec, idx.rows), idx.position)
+    # the recursion position of each row is its id
+    ids = np.arange(len(idx))
+    assert np.array_equal(g.positions_of_rows(spec, idx.rows), ids)
     if spec.q == 2:  # the byte tables and the digit loop
-        assert np.array_equal(g._byte_positions(spec.n, idx.rows), idx.position)
-        assert np.array_equal(g._digit_positions(spec.n, 2, idx.rows),
-                              idx.position)
+        assert np.array_equal(g._byte_positions(spec.n, idx.rows), ids)
+        assert np.array_equal(g._digit_positions(spec.n, 2, idx.rows), ids)
     rows = list(map(tuple, idx.rows.tolist()))
     oracle = {row: vid for vid, row in enumerate(rows)}
     assert len(oracle) == len(idx)
@@ -359,7 +365,8 @@ def test_ids_of_rows_refuses_rows_out_of_rref(spec_text, row, alias):
 
 
 # sha256 of containment_table(spec, j).ids as little-endian int32, taken
-# before the lookup behind the tables was replaced: ids never move
+# before the lookup behind the tables was replaced, while ids and slots
+# were in lexicographic order; checked in that order (oracles.lex_order)
 TABLE_DIGESTS = {
     ("jq:2,8,4", 3): "2aeaf95409a7b2f19de36f759370dcf34b61a63732c368850d0ebe781c1ab016",
     ("jq:3,6,3", 2): "b3a9424dea9da8d4449ac8f2bdd49851d937c4f88f63a1c8f65a49a5ffb3cbd2",
@@ -373,7 +380,7 @@ TABLE_DIGESTS = {
 }
 
 # sha256 of vertex_index(spec).rows as little-endian uint64, taken before
-# the levels were built by the q-Pascal recursion: vertex ids never move
+# the levels were built by the q-Pascal recursion, in lexicographic order
 ROW_DIGESTS = {
     "jq:2,8,4": "6abe5fdd202963cfe457784e74702d4ca0a0e4f9dcee13fa9b4fe1d861a759e2",
     "jq:2,8,3": "1958b5e96d030e19b3baf1be6decde39d98ad20a311503f48ce62051c67ab6fd",
@@ -385,16 +392,25 @@ ROW_DIGESTS = {
 
 
 def test_containment_tables_reproduce_the_pinned_bytes():
+    # vertices, slots (the j-by-k patterns) and sub-level ids each moved
+    # from lexicographic to recursion order; moved back, nothing changed
     for (text, j), want in TABLE_DIGESTS.items():
-        ids = g.containment_table(g.parse_graph_spec(text), j).ids
+        spec = g.parse_graph_spec(text)
+        ids = g.containment_table(spec, j).ids
+        lex, _ = oracles.lex_order(spec.n, spec.k, spec.q)
+        slots, _ = oracles.lex_order(spec.k, j, spec.q)
+        _, rank = oracles.lex_order(spec.n, j, spec.q)
+        ids = rank[ids[lex][:, slots]]
         got = hashlib.sha256(np.ascontiguousarray(ids.astype("<i4")).tobytes())
         assert got.hexdigest() == want, (text, j)
 
 
 def test_vertex_rows_reproduce_the_pinned_bytes():
     for text, want in ROW_DIGESTS.items():
-        rows = g.vertex_index(g.parse_graph_spec(text)).rows
+        spec = g.parse_graph_spec(text)
+        rows = g.vertex_index(spec).rows
         assert rows.dtype == np.uint64
+        rows = rows[oracles.lex_order(spec.n, spec.k, spec.q)[0]]
         got = hashlib.sha256(np.ascontiguousarray(rows.astype("<u8")).tobytes())
         assert got.hexdigest() == want, text
 

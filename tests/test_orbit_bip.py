@@ -164,8 +164,10 @@ def test_generators_reproduce_the_pinned_bytes():
             action = ob.GroupAction(spec, [(3 * np.arange(16) + 1) % 16])
         else:
             action = _group(spec, group)
+        lex, rank = oracles.lex_order(spec.n, spec.k, spec.q)
         digest = hashlib.sha256()
         for g in action.generators:
+            g = rank[g[lex]]  # on lexicographic ranks, the ids of the pins
             digest.update(np.ascontiguousarray(g.astype("<i8")).tobytes())
         assert digest.hexdigest() == want, (graph, group)
 
@@ -419,6 +421,25 @@ def test_export_opb_golden():
     assert text == GOLDEN_OPB
     assert sum(1 for ln in text.splitlines()
                if ln and not ln.startswith("*")) == inst.r + 1
+
+
+# sha256 of export_opb for two search points, taken while the vertex ids
+# were still the lexicographic ones: the orbits, and so every OPB
+# variable, keep their numbering whatever the vertex ids are
+OPB_DIGESTS = {
+    ("jq:2,6,3", 21, 84, 9):
+        "82cd3425bbfd7f3145411c9d0bc1a98172adf5c0cc4e2aa0c96da48d30819597",
+    ("jq:2,7,3", 1, 203, 14):
+        "3c19ecc90a0adfa45ebd49ebbfdf27e33d98582101c7098e754c5caaa3aa6894",
+}
+
+
+def test_export_opb_reproduces_the_pinned_bytes():
+    for (graph, exponent, beta0, gamma1), want in OPB_DIGESTS.items():
+        spec = parse_graph_spec(graph)
+        osys = ob.orbit_system(ob.singer_action(spec, exponent))
+        text = bip.export_opb(bip.build_instance(spec, osys, beta0, gamma1))
+        assert hashlib.sha256(text.encode()).hexdigest() == want, graph
 
 
 def test_export_opb_round_trip():

@@ -303,13 +303,15 @@ def test_slice_decides_j273_points_without_milp(singer73, monkeypatch,
 
 def test_orbital_branching_shrinks_the_j273_proof(singer73):
     # the Frobenius map permutes the 93 orbits of singer:1 and fixes the
-    # system; without it the same proof takes 346 nodes
+    # system; without it the same proof takes 346 nodes.  Both counts hang
+    # on the orbit numbering (orbits.orbit_system), so they are exact
     osys, B = singer73
     inst = bip.build_instance(S73, osys, 203, 14, B=B)
     symmetry = search._symmetry(osys, search._normalizers(S73, 1))
     res = bip.solve(inst, symmetry=symmetry)
-    assert res.status == bip.UNSAT and res.nodes < 100
-    assert bip.solve(inst, max_nodes=100).status == bip.BUDGET_EXCEEDED
+    assert (res.status, res.nodes) == (bip.UNSAT, 45)
+    plain = bip.solve(inst)
+    assert (plain.status, plain.nodes) == (bip.UNSAT, 346)
     out = search_parameter_point(S73, osys, 203, 14, B=B, max_seconds=30,
                                  singer_exponent=1)
     assert (out.status, out.stage, out.nodes) == (bip.UNSAT, "dfs", res.nodes)
@@ -353,6 +355,22 @@ def test_probe_witnesses_satisfy_original_system():
     assert ((A_ext @ x) == rhs).all()
     rep = vf.verify_report(S63, out.code)
     assert rep["completely_regular"] and rep["gamma"] == [12]
+
+
+def test_criterion_8_gamma1_15_is_decided_before_milp(monkeypatch):
+    # (78, 15) under singer:21 is SAT on a ladder rung in pass 1; with the
+    # orbits numbered by another order than the lexicographic one, pass 1
+    # leaves it open and milp runs on three rungs
+    def no_milp(inst, budget):
+        raise AssertionError("milp ran on criterion 8's gamma1 = 15")
+
+    monkeypatch.setattr(search, "_milp_witness", no_milp)
+    osys = ob.orbit_system(ob.singer_action(S63, 21))
+    out = search_parameter_point(S63, osys, 78, 15, max_seconds=60,
+                                 singer_exponent=21)
+    assert (out.status, out.stage) == (bip.SAT,
+                                       "refinement:singer:21+frobenius:2")
+    assert out.lift_verified
 
 
 @pytest.mark.parametrize("gamma1", [33, 36, 39, 42, 45])

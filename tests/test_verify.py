@@ -172,13 +172,8 @@ def perturbed_codes(spec):
 def test_counterexample_on_perturbed_code(spec_text):
     # the reported vertex, cell and rows against the adjacency oracle: each
     # cell's reference is its vertex of least id, and the counterexample is
-    # the violating vertex of least id.  The checks run in recursion order,
-    # so some case must have an earlier violator by recursion position
-    # (colex order, for subsets) than by id, or the test could not tell
-    # the two orders apart
+    # the violating vertex of least id
     spec = parse_graph_spec(spec_text)
-    position = vertex_index(spec).position
-    orders_differ = False
     for ids in perturbed_codes(spec):
         res = vf.check_completely_regular(spec, ids)
         assert not res.ok and res.numbers is None
@@ -192,8 +187,6 @@ def test_counterexample_on_perturbed_code(spec_text):
         assert (ce.vertex, ce.cell, ce.expected, ce.found) == (
             v, c, tuple(refs[c].tolist()), tuple(counts[v].tolist()))
         assert np.array_equal(res.counts, counts)
-        orders_differ |= int(bad[np.argmin(position[bad])]) != v
-    assert orders_differ
 
 
 def test_check_rejects_empty_and_full():
@@ -443,9 +436,10 @@ def test_design_strength_of_a_partition_is_that_of_its_code():
 
 @pytest.mark.parametrize("spec_text", ["jq:2,6,3", "j:9,4"])
 def test_verify_builds_only_the_graphs_own_index(spec_text):
-    # cells, counts and covers run on recursion positions, so a verify
-    # builds no index of a sub-level, both when the code is completely
-    # regular (the strength reads the sub-level tables) and when it is not
+    # cells, counts and covers run on the tables alone, so a verify of ids
+    # builds no vertex index, of the graph or of a sub-level, both when the
+    # code is completely regular (the strength reads the sub-level tables)
+    # and when it is not
     spec = parse_graph_spec(spec_text)
     codes = list(perturbed_codes(spec))[:1]
     if spec.q == 1:
@@ -457,10 +451,7 @@ def test_verify_builds_only_the_graphs_own_index(spec_text):
         graphs.containment_table.cache_clear()
         rep = vf.verify_report(spec, ids)
         assert "counterexample" in rep or rep["completely_regular"]
-        assert graphs.vertex_index.cache_info().currsize == 1
-        hits = graphs.vertex_index.cache_info().hits
-        vertex_index(spec)
-        assert graphs.vertex_index.cache_info().hits == hits + 1
+        assert graphs.vertex_index.cache_info().currsize == 0
     assert rep["completely_regular"] and "strength" in rep
 
 
