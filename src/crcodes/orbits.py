@@ -21,8 +21,9 @@ Orbits are numbered by the least lexicographic key of their members
 (subspaces.enumerate_level), not by their least vertex id.  The exact
 solver branches on orbits in that numbering, so it shapes every search
 tree.  Numbered by least id instead, criterion 8 of the acceptance tests
-slows from about 27 to 63 s on a 2-core VM: its gamma1 = 15 is no longer decided in pass
-1, and milp runs on the 90-, 155- and 165-orbit rungs.
+takes about 69 s of search instead of 28 on a 2-core VM: its gamma1 = 15
+is no longer decided in pass 1, and milp runs on the 90-, 155- and
+165-orbit rungs.
 
 The orbits of an automorphism group induce an equitable partition, so
 the orbit quotient matrix B (B_ij = neighbors of an O_i vertex inside O_j)
