@@ -44,6 +44,10 @@ nothing.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -100,13 +104,19 @@ class BipInstance:
         return self.spec.vertex_count * self.gamma1 // (self.beta0 + self.gamma1)
 
     def rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """(A_ext, rhs): r quotient rows with theta folded in, plus cardinality."""
+        """(A_ext, rhs): r quotient rows with theta folded in, plus
+        cardinality; built once per instance and read-only."""
+        return self._rows
+
+    @functools.cached_property
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
         r = self.r
         A_ext = np.empty((r + 1, r), dtype=np.int64)
         A_ext[:r], A_ext[r] = self.B, self.orbit_sizes
         A_ext.ravel()[:r * r:r + 1] -= self.target_eigenvalue  # the diagonal
         rhs = np.full(r + 1, self.gamma1, dtype=np.int64)
         rhs[r] = self.code_size
+        A_ext.flags.writeable = rhs.flags.writeable = False
         return A_ext, rhs
 
 
@@ -186,6 +196,29 @@ def farkas_certificate(ray, A_ext: np.ndarray, rhs: np.ndarray,
     return None
 
 
+HIGHS_CORE = "scipy.optimize._highspy._core"
+
+
+def _highs_core():
+    """HiGHS's extension module, loaded from its file in scipy's
+    optimize/_highspy/ (whose __init__.py is empty) without importing
+    scipy.optimize, which costs about 0.5 s and 45 MB; registered under its
+    real name, so that a later import of scipy.optimize shares it."""
+    if HIGHS_CORE not in sys.modules:
+        (scipy_dir,) = importlib.util.find_spec(
+            "scipy").submodule_search_locations
+        folder = f"{scipy_dir}/optimize/_highspy"
+        spec = importlib.machinery.FileFinder(folder, (
+            importlib.machinery.ExtensionFileLoader,
+            importlib.machinery.EXTENSION_SUFFIXES)).find_spec(HIGHS_CORE)
+        if spec is None:
+            raise ImportError(f"no HiGHS extension module in {folder}")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[HIGHS_CORE] = module
+    return sys.modules[HIGHS_CORE]
+
+
 NODE_LP_OPTIONS = {"output_flag": False, "presolve": "off",
                    "dual_simplex_cost_perturbation_multiplier": 0.0}
 
@@ -199,10 +232,11 @@ def _node_lp(A_ext: np.ndarray, rhs: np.ndarray):
     is switched off (NODE_LP_OPTIONS).  Presolve is off too: each run
     starts from the previous run's basis.  HiGHS answers an unknown
     option name with a status, not an exception, so each status is
-    checked: RuntimeError if one is refused.  scipy is imported here so
-    that importing the package stays cheap.
+    checked: RuntimeError if one is refused.  HiGHS is loaded here, on
+    its own (_highs_core), so that importing the package stays cheap and
+    node LPs never import scipy.optimize.
     """
-    from scipy.optimize._highspy import _core as highs
+    highs = _highs_core()
     lp = highs._Highs()
     for name, value in NODE_LP_OPTIONS.items():
         if lp.setOptionValue(name, value) != highs.HighsStatus.kOk:

@@ -160,9 +160,11 @@ def _carry(x, sup: OrbitSystem, osys: OrbitSystem) -> np.ndarray:
 
 def _milp_witness(inst: BipInstance, budget: float):
     """HiGHS branch-and-cut for at most budget seconds; its point rounded to
-    0/1, which the caller checks exactly, or None.  scipy is imported at
-    call time, so a rebound scipy.optimize.milp (a tracer's wrapper) sees
-    every call."""
+    0/1, which the caller checks exactly, or None.  This is the only
+    place that imports scipy.optimize, at call time: a search that never
+    reaches pass 2 does not pay for it, and a rebound scipy.optimize.milp
+    (a tracer's wrapper) sees every call.  It shares the HiGHS module
+    that node LPs load (bip._highs_core)."""
     if budget <= 0:
         return None  # HiGHS ignores a negative time_limit
     from scipy.optimize import Bounds, LinearConstraint, milp

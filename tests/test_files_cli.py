@@ -569,10 +569,26 @@ def test_cli_json_byte_stability(tmp_path):
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize costs about half a second to import; only a search
-    # that reaches HiGHS may pay for it
+    # scipy.optimize costs about half a second and 45 MB to import; only a
+    # search whose pass 2 runs milp may pay for it (node LPs load HiGHS's
+    # extension module alone)
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, crcodes.cli; print('scipy.optimize' in sys.modules)"],
         capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_search_without_milp_leaves_scipy_optimize_unloaded():
+    # UNSAT from 44 node LPs: HiGHS is loaded, scipy.optimize is not
+    script = (
+        "import sys\n"
+        "from crcodes import cli\n"
+        "rc = cli.main(['search', '--graph', 'jq:2,7,3', '--group', "
+        "'singer:1', '--theta', '-7', '--gamma1', '14', "
+        "'--max-seconds', '30'])\n"
+        "print(rc, 'scipy.optimize' in sys.modules,\n"
+        "      'scipy.optimize._highspy._core' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", script],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "1 False True"

@@ -1,4 +1,6 @@
 import hashlib
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -225,6 +227,13 @@ def test_instance_invariants_and_targets(gamma21):
     A_ext, rhs = inst.rows()
     assert A_ext.shape == (466, 465)
     assert rhs[-1] == 180
+    # built once per instance, and read-only, since every caller shares it
+    again = inst.rows()
+    assert again[0] is A_ext and again[1] is rhs
+    with pytest.raises(ValueError):
+        A_ext[0, 0] = 0
+    with pytest.raises(ValueError):
+        rhs[0] = 0
     with pytest.raises(vf.VerificationError):
         bip.build_instance(S63, osys, 80, 12, B=B)  # size not integral
 
@@ -381,6 +390,39 @@ def test_node_lp_is_a_pure_feasibility_lp(monkeypatch):
     monkeypatch.setitem(bip.NODE_LP_OPTIONS, "no_such_option", 0.0)
     with pytest.raises(RuntimeError, match="no_such_option"):
         bip._node_lp(FARKAS_A, FARKAS_B)
+
+
+def _run_warnings_as_errors(script: str) -> str:
+    return subprocess.run([sys.executable, "-W", "error", "-c", script],
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_node_lps_and_scipy_optimize_share_one_highs_module():
+    # scipy.optimize first: the node LP takes the module it loaded
+    out = _run_warnings_as_errors(
+        "import numpy as np, scipy.optimize\n"
+        "from crcodes import bip\n"
+        "lp = bip._node_lp(np.array([[1, 1, 1], [1, -1, 0]]), "
+        "np.array([2, 0]))\n"
+        "lp.run()\n"
+        "print(lp.getModelStatus().name,\n"
+        "      bip._highs_core() is scipy.optimize._highspy._core)\n")
+    assert out.split() == ["kOptimal", "True"]
+    # node LP first: milp, imported later, runs on the module it loaded
+    out = _run_warnings_as_errors(
+        "import sys\n"
+        "from crcodes import bip, search, orbits as ob\n"
+        "from crcodes.graphs import GraphSpec\n"
+        "spec = GraphSpec('grassmann', 2, 4, 2)\n"
+        "inst = bip.build_instance(\n"
+        "    spec, ob.orbit_system(ob.singer_action(spec, 5)), 15, 6)\n"
+        "bip._node_lp(*inst.rows()).run()\n"
+        "core = sys.modules['scipy.optimize._highspy._core']\n"
+        "x = search._milp_witness(inst, 30.0)\n"
+        "import scipy.optimize._highspy._highs_wrapper as wrapper\n"
+        "print(x is not None and bip.exact_witness(*inst.rows(), x),\n"
+        "      core is bip._highs_core() is wrapper._h)\n")
+    assert out.split() == ["True", "True"]
 
 
 def test_budget_exceeded_reported(gamma21):
