@@ -30,7 +30,7 @@ import numpy as np
 
 from . import subspaces as sp
 from .galois import prime_factors
-from .graphs import GraphSpec, containment_table, vertex_index
+from .graphs import GraphSpec, containment_table, ids_of_rows, vertex_index
 from .orbits import orbit_system, singer_action
 from .subspaces import Subspace
 from .verify import Code
@@ -92,7 +92,7 @@ def extended_hamming_sqs(m: int) -> Code:
     quads[quads == 0] = n
     quads.sort(axis=1)
     level = GraphSpec("johnson", 1, n, 4, allow_unbalanced=True)
-    return Code(level, vertex_index(level).ids_of_rows(quads), label="sqs")
+    return Code(level, ids_of_rows(level, quads), label="sqs")
 
 
 # ----------------------------------------------------------------------
@@ -142,9 +142,9 @@ def _hyperplane_points(spec: GraphSpec, hyperplane: Optional[Subspace]):
         raise ValueError(f"hyperplane must be a {spec.n - 1}-subspace "
                          f"of GF({spec.q})^{spec.n}")
     table = containment_table(spec, 1)
-    inside = np.zeros(len(table.sub_index), dtype=bool)
+    inside = np.zeros(table.sub_count, dtype=bool)
     points = [p.rows for p in sp.subspaces_of(h, 1)]
-    inside[table.sub_index.ids_of_rows(points)] = True
+    inside[ids_of_rows(spec.level(1), points)] = True
     return table.ids, inside
 
 
@@ -163,8 +163,7 @@ def hyperplane_point_code(spec: GraphSpec,
     points, inside = _hyperplane_points(spec, hyperplane)
     v = point if point is not None else spec.q ** (spec.n - 1)
     try:  # the point's canonical row; the zero vector spans no point
-        pid = vertex_index(spec.level(1)).ids_of_rows(
-            [sp.rref([v], spec.n, spec.q).rows])[0]
+        pid = ids_of_rows(spec.level(1), [sp.rref([v], spec.n, spec.q).rows])[0]
     except KeyError:
         raise ValueError(f"point {v} is not a nonzero vector of "
                          f"GF({spec.q})^{spec.n}") from None
@@ -187,7 +186,7 @@ def blocks_contained_counts(spec: GraphSpec, design: Code) -> np.ndarray:
     if design.spec != spec.level(design.spec.k):
         raise ValueError("design and graph live in different ambient spaces")
     table = containment_table(spec, design.spec.k)
-    flags = np.zeros(len(table.sub_index), dtype=np.int64)
+    flags = np.zeros(table.sub_count, dtype=np.int64)
     flags[design.ids] = 1
     counts = np.zeros(spec.vertex_count, dtype=np.int64)
     for col in table.ids.T:

@@ -7,8 +7,9 @@ are comma-separated members.  Files are written in id order, which is
 the q-Pascal recursion order of subspaces.py (colex order for subsets),
 and read in any order; a vertex on two lines is an error that names both.
 
-A code file is read as one byte array, in one numpy pass, under this
-grammar:
+A code file is read as bytes and its body parsed in blocks of about
+BLOCK_BYTES, each cut just after a newline, so the parse's working set does
+not grow with the file; no level of the graph is enumerated.  The grammar:
 
 - ASCII only.
 - Lines end in '\n' or '\r\n'; the last line may lack its newline.
@@ -20,7 +21,8 @@ grammar:
   at most 16 hex or 20 decimal digits and below 2^64.
 
 A header without graph= or size=, or a body line that breaks the grammar,
-names no vertex or repeats another, raises ValueError naming its line.
+names no vertex or repeats another, raises ValueError naming its line, the
+line one pass over the whole body would name.
 
 A design file is the code file of the design's block level: a spread of
 GF(2)^6 is `code graph=jq:2,6,2 size=21 label=spread`, then its lines.
@@ -33,8 +35,14 @@ from typing import Union
 
 import numpy as np
 
-from .graphs import GraphSpec, parse_graph_spec, vertex_index
+from .graphs import GraphSpec, ids_of_rows, parse_graph_spec, vertex_index
 from .verify import Code
+
+# bytes of a code-file body parsed at once: the parse's numpy temporaries
+# take about 15 bytes per body byte (26 MB for the 1.7 MB J_2(8,4)
+# spread-avoid file in one piece), so 64 KiB blocks keep them near 1 MB
+# whatever the file's size
+BLOCK_BYTES = 1 << 16
 
 
 def _parse_header(line: str, no: int) -> tuple[GraphSpec, int, str | None]:
@@ -89,7 +97,7 @@ def _code_from_bytes(raw: bytes) -> Code:
     head, first, body = _split_header(raw)
     spec, size, label = _parse_header(head, first - 1)
     try:
-        ids = _body_ids(body, vertex_index(spec), size)
+        ids = _body_ids(body, spec, size)
     except _LineFault as fault:
         line, why = fault.args
         text = body.split(b"\n")[line].decode("utf-8", "backslashreplace")
@@ -165,15 +173,17 @@ def _check(cls: np.ndarray, bad: np.ndarray, why: str, pos=None) -> None:
 
 
 def _body_rows(body: bytes, k: int, base: int):
-    """The (m, k) uint64 rows of a code-file body, in one pass over its bytes.
+    """The (m, k) uint64 rows of whole lines of a code-file body (a block of
+    _blocks, or all of it), in one pass over their bytes.
 
     Every byte is classed by one bytes.translate; carriage returns, spaces,
     tabs and bad bytes are looked for only when the classes hold one.  The
     separator and newline positions bound the tokens, and the tokens are
     read one digit position at a time, all at once.  Returns the classes,
     the rows, and the position in the classes of each row's newline; raises
-    _LineFault at the first line that breaks the grammar.  Whether a row is
-    a vertex is checked by VertexIndex.ids_of_rows.
+    _LineFault at the first line, counted from the first byte given, of the
+    first kind of grammar fault checked.  Whether a row is a vertex is
+    checked by graphs.ids_of_rows.
     """
     table, most = _GRAMMAR[base]
     cls = np.frombuffer(body.translate(table), dtype=np.uint8)
@@ -236,22 +246,76 @@ def _body_rows(body: bytes, k: int, base: int):
     return cls, vals.reshape(-1, k), ends[k - 1::k]
 
 
-def _body_ids(body: bytes, idx, size: int) -> np.ndarray:
-    """The sorted vertex ids named by a code-file body of size vertices."""
-    cls, rows, ends = _body_rows(body, idx.spec.k, 10 if idx.spec.q == 1 else 16)
-    if len(rows) != size:
-        raise ValueError(f"header says {size} vertices, file has {len(rows)}")
-    try:
-        ids = idx.ids_of_rows(rows)
-    except KeyError as exc:  # its second argument is the first row of none
-        raise _fault(cls, int(ends[exc.args[1]]), "names no vertex") from None
+def _blocks(body: bytes):
+    """(start, end) of the blocks of body: at most BLOCK_BYTES each, but for
+    a line longer than that, and each but the last ending in a newline."""
+    start = 0
+    while start < len(body):
+        end = len(body)
+        if start + BLOCK_BYTES < end:
+            end = (body.rfind(b"\n", start, start + BLOCK_BYTES) + 1
+                   or body.find(b"\n", start + BLOCK_BYTES) + 1 or end)
+        yield start, end
+        start = end
+
+
+def _moved(fault: _LineFault, body: bytes, start: int) -> _LineFault:
+    """A block's fault, its line counted from the top of the body."""
+    line, why = fault.args
+    return _LineFault(body.count(b"\n", 0, start) + line, why)
+
+
+def _line_of_row(body: bytes, k: int, base: int, row: int) -> int:
+    """The body line of the row-th vertex line, by parsing again the blocks
+    up to it; only a fault is named this way."""
+    for start, end in _blocks(body):
+        cls, rows, ends = _body_rows(body[start:end], k, base)
+        if row < len(rows):
+            return body.count(b"\n", 0, start) + _line_of(cls, int(ends[row]))
+        row -= len(rows)
+
+
+def _body_ids(body: bytes, spec: GraphSpec, size: int) -> np.ndarray:
+    """The sorted vertex ids named by a code-file body of size vertices.
+
+    Each block is parsed and its rows turned into ids on its own; only the
+    ids are kept.  A bad body is named as one pass over all of it would
+    name it: the first line of the first kind of grammar fault, then a
+    wrong size, then the first line that names no vertex, then the repeat
+    nearest the top.
+    """
+    k, base = spec.k, 10 if spec.q == 1 else 16
+    ids, count, unnamed = [], 0, None
+    for start, end in _blocks(body):
+        try:
+            cls, rows, ends = _body_rows(body[start:end], k, base)
+        except _LineFault as fault:
+            # the blocks before hold no grammar fault, but a later one may
+            # hold a kind checked first: the rest is parsed as one
+            try:
+                _body_rows(body[start:], k, base)
+            except _LineFault as first:
+                fault = first
+            raise _moved(fault, body, start) from None
+        count += len(rows)
+        if unnamed is None:
+            try:
+                ids.append(ids_of_rows(spec, rows))
+            except KeyError as exc:  # its second argument is the first row of none
+                unnamed = _moved(_fault(cls, int(ends[exc.args[1]]),
+                                        "names no vertex"), body, start)
+    if count != size:
+        raise ValueError(f"header says {size} vertices, file has {count}")
+    if unnamed is not None:
+        raise unnamed
     # a file written in id order is one sorted run, which the stable sort
     # passes in linear time; equal ids keep their line order
+    ids = np.concatenate([np.empty(0, dtype=np.intp)] + ids)
     order = np.argsort(ids, kind="stable")
     ids = ids[order]
     same = np.flatnonzero(ids[1:] == ids[:-1])
     if len(same):  # the repeat nearest the top, and the line it repeats
         at = same[np.argmin(order[same + 1])]
-        raise _LineFault(_line_of(cls, int(ends[order[at + 1]])),
-                         _line_of(cls, int(ends[order[at]])))
+        raise _LineFault(*(_line_of_row(body, k, base, int(order[i]))
+                           for i in (at + 1, at)))
     return ids

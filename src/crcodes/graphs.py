@@ -8,8 +8,9 @@ row i, and ids follow the q-Pascal recursion order of subspaces.py (colex
 order for subsets), so they are stable across runs.  Subspace and Subset
 objects are built one at a time, only when asked for.  A vertex given from
 outside (a code file, a group's image, a construction) is found by
-arithmetic: positions_of_rows gives its place in the recursion order,
-which is its id, and the row stored there is compared with the row given.
+arithmetic, with no level enumerated: ids_of_rows gives its place in the
+recursion order, which is its id, and checks in the same pass that the row
+given is canonical.
 
 The eigenvalues come as the ladder
 
@@ -148,13 +149,13 @@ def theta_ladder(spec: GraphSpec) -> list[int]:
 # ----------------------------------------------------------------------
 
 class VertexIndex:
-    """Bijection between [0, vertex_count) and canonical vertices.
+    """A graph's enumerated level, for the edges that need one: writing a
+    code file (rows[ids]) and building a Subspace or Subset (idx[vid]).
 
     rows is the (V, k) uint64 array of subspaces.enumerate_rows: row i is
-    vertex i, in the recursion order.  Every vertex -> id question from
-    outside the tables (files, orbits, constructions) is answered by
-    ids_of_rows, by arithmetic.  idx[vid] builds the one Subspace or Subset
-    asked for.
+    vertex i, in the recursion order.  A row -> id question needs no
+    VertexIndex; ids_of_rows answers it by arithmetic, and the method of
+    that name is kept for callers that hold one.
     """
 
     def __init__(self, spec: GraphSpec):
@@ -172,26 +173,29 @@ class VertexIndex:
         return Subspace(self.spec.n, self.spec.q, row)
 
     def ids_of_rows(self, rows) -> np.ndarray:
-        """Ids of an (m, k) array of rows; KeyError if any row is no vertex,
-        with the index of the first such row as its second argument.
+        """graphs.ids_of_rows on this graph."""
+        return ids_of_rows(self.spec, rows)
 
-        The id of a row is its recursion position (positions_of_rows).  A
-        row that is not canonical (a subspace row wider than n digits or
-        out of RREF, members out of order) gets some position too, so the
-        rows found are compared with the rows asked for: a row equal to the
-        row of the vertex at its position is that vertex.
-        """
-        rows = np.asarray(rows, dtype=np.uint64)
-        if rows.ndim != 2 or rows.shape[1] != self.spec.k:
-            raise KeyError(f"rows of shape {rows.shape} are not {self.spec.k}-rows")
-        ids = positions_of_rows(self.spec, rows).astype(np.intp, copy=False)
-        np.clip(ids, 0, len(self) - 1, out=ids)
-        found = np.take(self.rows, ids, axis=0)
-        if not np.array_equal(found, rows):
-            first = int(np.flatnonzero((found != rows).any(axis=1))[0])
-            raise KeyError(f"row {first} does not name a vertex of {self.spec}",
-                           first)
-        return ids
+
+def ids_of_rows(spec: GraphSpec, rows) -> np.ndarray:
+    """Vertex ids of an (m, k) integer array of rows; KeyError if any row is
+    no vertex, with the index of the first such row as its second argument.
+
+    The id of a row is its recursion position (positions_of_rows), and the
+    pass that sums it also checks that the row is canonical: members
+    strictly increasing inside [1, n] for subsets; for subspaces k nonzero
+    rows in reduced row echelon form, rows in pivot order, with no digit
+    past column n - 1.  No level is enumerated.
+    """
+    rows = np.asarray(rows, dtype=np.uint64)
+    if rows.ndim != 2 or rows.shape[1] != spec.k:
+        raise KeyError(f"rows of shape {rows.shape} are not {spec.k}-rows")
+    ok = np.ones(len(rows), dtype=bool)
+    at = _positions(spec, rows, ok)
+    if not ok.all():
+        first = int(np.argmin(ok))
+        raise KeyError(f"row {first} does not name a vertex of {spec}", first)
+    return at.astype(np.intp, copy=False)
 
 
 def positions_of_rows(spec: GraphSpec, rows: np.ndarray) -> np.ndarray:
@@ -203,18 +207,37 @@ def positions_of_rows(spec: GraphSpec, rows: np.ndarray) -> np.ndarray:
     columns, the q-Pascal recursion unrolled: with kk the number of pivots
     in columns <= c and d_c = sum_r digit(r, c) q^r, column c adds
     d_c [c, kk]_q, or q d_c [c, kk]_q when it is a pivot column, which is
-    when d_c >= q^(pivots before c).  Any other row gets some position,
-    which ids_of_rows checks.
+    when d_c >= q^(pivots before c).  Any other row gets some position;
+    ids_of_rows refuses it.
     """
+    return _positions(spec, rows)
+
+
+def _positions(spec: GraphSpec, rows: np.ndarray, ok=None) -> np.ndarray:
+    """positions_of_rows; ok, a bool per row when given, is cleared at each
+    row that is not a vertex row, in the same pass."""
     if spec.q == 1:
-        table = _colex_table(spec.n, spec.k)
-        at = np.zeros(len(rows), dtype=np.int64)
-        for c in range(spec.k):
-            at += table[c][np.minimum(rows[:, c], np.uint64(spec.n))]
-        return at
+        return _colex_positions(spec.n, rows, ok)
     if spec.q == 2 and spec.n <= 8:
-        return _byte_positions(spec.n, rows)
-    return _digit_positions(spec.n, spec.q, rows)
+        return _byte_positions(spec.n, rows, ok)
+    return _digit_positions(spec.n, spec.q, rows, ok)
+
+
+def _colex_positions(n: int, rows: np.ndarray, ok=None) -> np.ndarray:
+    """positions_of_rows for subsets, the colex rank.  ok, when given, is
+    cleared at each row whose members do not rise strictly from 1 up to n.
+    """
+    table = _colex_table(n, rows.shape[1])
+    at = np.zeros(len(rows), dtype=np.int64)
+    if ok is None:
+        ok = np.ones(len(rows), dtype=bool)
+    below = np.uint64(0)
+    for c, member in enumerate(rows.T):
+        ok &= member > below
+        below = member
+        at += table[c][np.minimum(member, np.uint64(n))]
+    ok &= below <= np.uint64(n)
+    return at
 
 
 def _colex_table(n: int, k: int) -> np.ndarray:
@@ -239,19 +262,33 @@ def _column_weights(n: int, k: int, q: int) -> np.ndarray:
     return weights
 
 
-def _digit_positions(n: int, q: int, rows: np.ndarray) -> np.ndarray:
-    """positions_of_rows one column at a time, for any q >= 2."""
-    weights = _column_weights(n, rows.shape[1], q)
-    powers = q ** np.arange(rows.shape[1] + 1, dtype=np.int64)
+def _digit_positions(n: int, q: int, rows: np.ndarray, ok=None) -> np.ndarray:
+    """positions_of_rows one column at a time, for any q >= 2.
+
+    ok, when given, is cleared at each row that is not a vertex row.  A row
+    is one when d_c = q^kk exactly at each of its pivot columns (a
+    digit 1 in the next row, 0 in the others; at any other column
+    d_c < q^kk holds by definition), it has k pivots, and no digit lies
+    past column n - 1.
+    """
+    k = rows.shape[1]
+    weights = _column_weights(n, k, q)
+    powers = q ** np.arange(k + 1, dtype=np.int64)
     at = np.zeros(len(rows), dtype=np.int64)
     kk = np.zeros(len(rows), dtype=np.intp)  # pivots in the columns so far
+    if ok is None:
+        ok = np.ones(len(rows), dtype=bool)
     rest = rows
     for c in range(n):
         rest, digits = np.divmod(rest, np.uint64(q))
         d = digits.astype(np.int64) @ powers[:-1]
-        pivot = d >= powers[kk]
+        top = powers[kk]
+        pivot = d >= top
+        ok &= d <= top
         kk += pivot
         at += d * np.where(pivot, q, 1) * weights[c, kk]
+    ok &= kk == k
+    ok &= ~rest.any(axis=1)
     return at
 
 
@@ -268,18 +305,32 @@ def _byte_weights(n: int, k: int) -> np.ndarray:
     return table
 
 
-def _byte_positions(n: int, rows: np.ndarray) -> np.ndarray:
+def _byte_positions(n: int, rows: np.ndarray, ok=None) -> np.ndarray:
     """positions_of_rows for q = 2 and n <= 8, where a row is one byte: row
     r adds 2^r times the entry of its byte under the pivots of all the rows
     (_byte_weights).  Bits above the byte are dropped, so such a row gets
-    the position of the row without them."""
+    the position of the row without them.
+
+    ok, when given, is cleared at each row that is not a vertex row: one
+    with a bit at column n or above, or whose byte planes' lowest set bits,
+    their pivots, are not nonzero and rising from plane to plane, or where
+    a plane holds another plane's pivot.
+    """
     planes = np.ascontiguousarray(rows.T, dtype=np.uint8)
-    pivots = np.bitwise_or.reduce(planes & (0 - planes), axis=0)
+    low = planes & (0 - planes)
+    pivots = np.bitwise_or.reduce(low, axis=0)
     base = pivots.astype(np.intp) << 8
     table = _byte_weights(n, rows.shape[1])
     at = np.zeros(len(rows), dtype=np.int64)
+    if ok is None:
+        ok = np.ones(len(rows), dtype=bool)
+    ok &= np.bitwise_or.reduce(rows, axis=1) < np.uint64(1 << n)
+    below = np.uint8(0)
     for r, plane in enumerate(planes):
         at += table[base + plane] << r
+        ok &= low[r] > below
+        ok &= (plane & pivots) == low[r]
+        below = low[r]
     return at
 
 

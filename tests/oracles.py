@@ -14,7 +14,7 @@ import numpy as np
 from crcodes import files
 from crcodes import subspaces as sp
 from crcodes.galois import default_modulus, prime_factors
-from crcodes.graphs import vertex_index
+from crcodes.graphs import positions_of_rows, vertex_index
 from crcodes.orbits import OrbitSystem
 from crcodes.subspaces import Subset, Subspace
 from crcodes.verify import Code
@@ -94,6 +94,17 @@ def id_of(idx, v) -> int:
     """The id of one Subspace or Subset in a VertexIndex."""
     row = v.members if idx.spec.q == 1 else v.rows
     return int(idx.ids_of_rows([row])[0])
+
+
+def vertex_rows_by_table(spec, rows) -> np.ndarray:
+    """Which rows of an (m, k) array are vertex rows, by the table
+    comparison graphs.ids_of_rows made before its arithmetic check: a row
+    is a vertex row iff the row stored in the enumerated level at its
+    recursion position equals it."""
+    rows = np.asarray(rows, dtype=np.uint64)
+    level = vertex_index(spec).rows
+    at = np.clip(positions_of_rows(spec, rows), 0, len(level) - 1)
+    return (level[at] == rows).all(axis=1)
 
 
 def subsets_of(s: Subset, j: int) -> list:

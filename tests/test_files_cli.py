@@ -222,6 +222,132 @@ def test_code_reader_names_a_repeated_line(body, message):
         files.code_from_text(text)
 
 
+def _edit(lines, size=None, **at):
+    """The lines with each line L<no> of at replaced (the header is line 1),
+    and the header's size=155 changed to size."""
+    out = list(lines)
+    for no, text in at.items():
+        out[int(no[1:]) - 1] = text
+    if size is not None:
+        out[0] = out[0].replace("size=155", f"size={size}")
+    return out
+
+
+def _lf(lines):
+    return "\n".join(lines) + "\n"
+
+
+def _blank_crlf(lines):
+    """CRLF line ends and a blank line after every line, so blocks start on
+    blank and vertex lines alike."""
+    return "".join(ln + "\r\n\r\n" for ln in lines)
+
+
+# edits of the J_2(6,3) hyperplane code file, each with the message of the
+# reader that parsed the body as one byte array in one pass
+CUT_CASES = [
+    pytest.param(lambda ls: _lf(_edit(ls, L156=ls[155] + "g")),
+                 "line 156: '4:8:10g' is not a vertex of jq:2,6,3 "
+                 "(a character outside the grammar)", id="bad-byte-in-last-line"),
+    pytest.param(lambda ls: _lf(_edit(ls, L81="1:2")),
+                 "line 81: '1:2' is not a vertex of jq:2,6,3 "
+                 "(a line does not hold 3 tokens)", id="token-count"),
+    pytest.param(lambda ls: _lf(_edit(ls, L81=ls[80].replace(":", "\r:", 1))),
+                 "line 81: '11\\r:2:1c' is not a vertex of jq:2,6,3 "
+                 "(a carriage return before no newline)", id="stray-cr"),
+    pytest.param(lambda ls: _lf(_edit(ls, L141=ls[3])),
+                 "line 141: '1:a:4' repeats line 4", id="repeat-across-blocks"),
+    pytest.param(lambda ls: _blank_crlf(_edit(ls, L150="3:3:4")),
+                 "line 299: '3:3:4' is not a vertex of jq:2,6,3 "
+                 "(names no vertex)",
+                 id="no-vertex-blank-crlf"),
+    pytest.param(lambda ls: _blank_crlf(_edit(ls, L150="1:2:4:8")),
+                 "line 299: '1:2:4:8' is not a vertex of jq:2,6,3 "
+                 "(a line does not hold 3 tokens)", id="token-count-blank-crlf"),
+    pytest.param(lambda ls: "\n".join(_edit(ls, L156="1:2")),
+                 "line 156: '1:2' is not a vertex of jq:2,6,3 "
+                 "(a line does not hold 3 tokens)", id="no-final-newline"),
+    pytest.param(lambda ls: _lf(_edit(ls, size=156)),
+                 "header says 156 vertices, file has 155", id="size-too-high"),
+    pytest.param(lambda ls: _lf(_edit(ls, size=154)),
+                 "header says 154 vertices, file has 155", id="size-too-low"),
+    # several faults: one pass names grammar faults first, by kind (a bad
+    # byte before a wrong token count), then a wrong size, then the first
+    # line that names no vertex, then a repeat
+    pytest.param(lambda ls: _lf(_edit(ls, L11="1:2", L151="1:2:x")),
+                 "line 151: '1:2:x' is not a vertex of jq:2,6,3 "
+                 "(a character outside the grammar)",
+                 id="bad-byte-after-token-count"),
+    pytest.param(lambda ls: _lf(_edit(ls, L11="3:3:4", L151="1:2")),
+                 "line 151: '1:2' is not a vertex of jq:2,6,3 "
+                 "(a line does not hold 3 tokens)",
+                 id="token-count-after-no-vertex"),
+    pytest.param(lambda ls: _lf(_edit(ls, size=156, L11="3:3:4")),
+                 "header says 156 vertices, file has 155",
+                 id="size-after-no-vertex"),
+    pytest.param(lambda ls: _lf(_edit(ls, L11=ls[3], L151="3:3:4")),
+                 "line 151: '3:3:4' is not a vertex of jq:2,6,3 "
+                 "(names no vertex)",
+                 id="no-vertex-after-repeat"),
+]
+
+
+@pytest.mark.parametrize("edit,message", CUT_CASES)
+def test_code_reader_names_faults_across_block_cuts(monkeypatch, edit, message):
+    # 64-byte blocks cut the 1.2 kB body about 20 times; one block of the
+    # whole body is the single pass
+    text = edit(files.code_to_text(con.hyperplane_code(S63)).splitlines())
+    for block in (64, 1 << 30):
+        monkeypatch.setattr(files, "BLOCK_BYTES", block)
+        with pytest.raises(ValueError) as err:
+            files.code_from_text(text)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("graph", ["jq:2,6,3", "jq:3,4,2", "j:16,6"])
+def test_code_reader_accepts_the_grammar_across_block_cuts(monkeypatch, graph):
+    # blank lines and CRLF at the cuts, no final newline, and 4-byte
+    # blocks, which every line outgrows
+    code = _sample_code(graph)
+    text = files.code_to_text(code)
+    variants = [_blank_crlf(text.splitlines()), text[:-1],
+                _edge_blanks("\n" + _upper_body(text).replace("\n", "\r\n\r\n")[:-4])]
+    for block in (4, 64):
+        monkeypatch.setattr(files, "BLOCK_BYTES", block)
+        for variant in variants:
+            back = files.code_from_text(variant)
+            assert back.ids.tolist() == code.ids.tolist()
+
+
+def test_reading_and_verifying_a_code_file_enumerates_no_level(tmp_path):
+    # a row's id and its vertex check are arithmetic, so a cold verify of
+    # the J_2(8,4) spread-avoid file builds no VertexIndex and lists no
+    # level (8, 4); only writing the file needs the level's rows
+    path = tmp_path / "j284.code"
+    spec = parse_graph_spec("jq:2,8,4")
+    files.write_code(path, con.avoid_code(spec, con.desarguesian_2spread(2, 8)))
+    script = (
+        "import sys\n"
+        "from crcodes import cli, graphs, subspaces\n"
+        "seen = []\n"
+        "init, level = graphs.VertexIndex.__init__, subspaces.enumerate_level\n"
+        "def spy_init(self, spec):\n"
+        "    seen.append(str(spec))\n"
+        "    init(self, spec)\n"
+        "def spy_level(n, k, q):\n"
+        "    seen.append((n, k, q))\n"
+        "    return level(n, k, q)\n"
+        "graphs.VertexIndex.__init__ = spy_init\n"
+        "subspaces.enumerate_level = spy_level\n"
+        "rc = cli.main(['verify', '--graph', 'jq:2,8,4', '--code', sys.argv[1],\n"
+        "               '--out', sys.argv[2]])\n"
+        "print(rc, [s for s in seen if isinstance(s, str) or s[:2] == (8, 4)])\n")
+    out = subprocess.run([sys.executable, "-c", script, str(path),
+                          str(tmp_path / "r.json")],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "0 []"
+
+
 def test_cli_avoid_rejects_a_repeated_block(tmp_path, capsys):
     path = tmp_path / "s.design"
     assert main(["construct", "--kind", "spread", "--graph", "jq:2,6,2",

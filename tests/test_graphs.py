@@ -364,6 +364,86 @@ def test_ids_of_rows_refuses_rows_out_of_rref(spec_text, row, alias):
     assert err.value.args[1] == 2
 
 
+def _taken_alone(spec, rows) -> np.ndarray:
+    """Whether ids_of_rows takes each row, asked alone."""
+    out = []
+    for row in rows:
+        try:
+            g.ids_of_rows(spec, row[None])
+            out.append(True)
+        except KeyError:
+            out.append(False)
+    return np.array(out, dtype=bool)
+
+
+@pytest.mark.parametrize("spec_text", [
+    "jq:2,6,3",                       # the byte path
+    "jq:2,9,3",                       # the digit loop at q = 2
+    "jq:3,5,2", "jq:4,4,2",           # GF(3) and GF(4) digits
+    "j:10,4", "jq:2,6,4",             # subsets; an unbalanced graph
+    "jq:2,5,0", "jq:4,3,0", "j:6,0",  # k = 0
+    "jq:2,4,4", "jq:3,3,3", "j:5,5",  # k = n
+])
+def test_vertex_check_agrees_with_the_table_oracle(spec_text):
+    spec = g.parse_graph_spec(spec_text, allow_unbalanced=True)
+    rows = g.vertex_index(spec).rows
+    assert oracles.vertex_rows_by_table(spec, rows).all()
+    assert g.ids_of_rows(spec, rows).tolist() == list(range(len(rows)))
+    if not spec.k:
+        return
+    # 2000 vertex rows, each with one digit (member) set at random, in a
+    # column up to n + 1: some stay vertex rows, most do not
+    rng = np.random.default_rng(11)
+    m = 2000
+    changed = rows[rng.integers(len(rows), size=m)]
+    r = rng.integers(spec.k, size=m)
+    if spec.q == 1:
+        changed[np.arange(m), r] = rng.integers(spec.n + 2, size=m)
+    else:
+        q = np.uint64(spec.q)
+        place = q ** rng.integers(spec.n + 2, size=m).astype(np.uint64)
+        digit = rng.integers(spec.q, size=m).astype(np.uint64)
+        old = changed[np.arange(m), r] // place % q
+        changed[np.arange(m), r] += digit * place - old * place
+    want = oracles.vertex_rows_by_table(spec, changed)
+    assert want.any() and not want.all()
+    assert np.array_equal(_taken_alone(spec, changed), want)
+    with pytest.raises(KeyError) as err:
+        g.ids_of_rows(spec, changed)
+    assert err.value.args[1] == int(np.argmin(want))
+
+
+@pytest.mark.parametrize("spec_text,row", [
+    ("jq:3,4,2", [2, 3]),              # a pivot digit of 2 at q = 3
+    ("jq:3,4,2", [1, 2 * 3]),
+    ("jq:3,5,2", [1 + 2 * 3, 3]),      # a digit in row 1's pivot column
+    ("jq:2,6,3", [1 | 4, 2, 4]),       # a bit in row 2's pivot column
+    ("jq:2,9,3", [1 | 4, 2, 4]),
+    ("jq:2,6,3", [2, 1, 4]),           # rows swapped
+    ("jq:2,9,3", [1, 4, 2]),
+    ("jq:3,4,2", [3, 1]),
+    ("jq:2,6,3", [1, 0, 4]),           # a zero row
+    ("jq:2,6,3", [0, 2, 4]),
+    ("jq:2,9,3", [1, 2, 0]),
+    ("jq:4,4,2", [0, 4]),
+    ("jq:2,6,3", [1 | 1 << 6, 2, 4]),  # a bit at column n or above
+    ("jq:2,6,3", [1, 2, 4 | 1 << 40]),
+    ("jq:2,9,3", [1, 2, 4 | 1 << 9]),
+    ("jq:3,4,2", [1, 3 + 3 ** 4]),
+    ("j:10,4", [1, 1, 2, 3]),          # a member repeated
+    ("j:10,4", [2, 1, 3, 4]),          # members out of order
+    ("j:10,4", [0, 1, 2, 3]),          # members outside [1, n]
+    ("j:10,4", [1, 2, 3, 11]),
+])
+def test_ids_of_rows_refuses_corrupted_rows(spec_text, row):
+    spec = g.parse_graph_spec(spec_text)
+    asked = np.array([g.vertex_index(spec).rows[1].tolist(), row], dtype=np.uint64)
+    assert oracles.vertex_rows_by_table(spec, asked).tolist() == [True, False]
+    with pytest.raises(KeyError) as err:
+        g.ids_of_rows(spec, asked)
+    assert err.value.args[1] == 1
+
+
 # sha256 of containment_table(spec, j).ids as little-endian int32, taken
 # before the lookup behind the tables was replaced, while ids and slots
 # were in lexicographic order; checked in that order (oracles.lex_order)
