@@ -4,6 +4,9 @@ Subcommands: eigenvalues, construct, verify, search, table1.  All numeric
 output is exact integers; JSON key order is fixed so identical flags and
 seed give byte-identical output.  Exit codes: 0 verified or SAT, 1
 refuted or UNSAT, 2 budget exceeded, 64 usage error.
+
+The constructions, orbit, solver and search modules are imported by the
+commands that use them, so eigenvalues and verify never load them.
 """
 
 from __future__ import annotations
@@ -18,11 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bip, constructions as con, files, verify as vf
+from . import files, verify as vf
 from .graphs import GraphSpec, parse_graph_spec, theta_ladder
-from .orbits import (GroupAction, frobenius_action, join_actions,
-                     orbit_system, quotient_matrix, singer_action)
-from .search import search_parameter_point
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -64,6 +64,7 @@ def cmd_eigenvalues(args) -> int:
 
 def _sqs(n: int):
     """The quadruple system on n = 2^m points, a code on j:n,4."""
+    from . import constructions as con
     m = n.bit_length() - 1
     if 2 ** m != n:
         raise ValueError(f"sqs needs n a power of two, got n={n}")
@@ -78,6 +79,7 @@ def _need_grassmann(spec: GraphSpec) -> None:
 
 def _design_from_flag(value: str, spec: GraphSpec):
     """The design an avoid code avoids: a code on the graph's block level."""
+    from . import constructions as con
     if value.startswith("@"):
         return files.read_code(value[1:])
     if value == "spread":
@@ -92,6 +94,7 @@ def cmd_construct(args) -> int:
     """Every kind is a code on --graph: a design on its block level (a
     d-spread on jq:q,n,d, an SQS on j:2^m,4), the others on the graph they
     live in; a kind built on another graph is refused."""
+    from . import constructions as con
     spec = parse_graph_spec(args.graph, allow_unbalanced=True)
     kind = args.kind
     if kind == "spread":
@@ -136,6 +139,8 @@ def _parse_group(spec: GraphSpec, text: str):
     """identity, or singer:<e> and frobenius:<j> parts joined by '+' (the
     names the refinement ladder prints).  Returns the action and, for a
     pure singer:<e>, the exponent e whose refinement ladder search walks."""
+    from .orbits import (GroupAction, frobenius_action, join_actions,
+                         singer_action)
     if text == "identity":
         points = np.arange(spec.level(1).vertex_count)
         return GroupAction(spec, [points], description="identity"), None
@@ -153,6 +158,7 @@ def _parse_group(spec: GraphSpec, text: str):
 
 def _gamma_list(spec: GraphSpec, theta_value: int) -> list[int]:
     """Integrality-screened gamma1 values (gamma1 <= beta0) for one eigenvalue."""
+    from . import bip
     row = next(row for row in bip.feasible_parameters(spec)
                if row["eigenvalue"] == theta_value)
     return [g1 for _, g1 in row["pairs"]]
@@ -168,6 +174,7 @@ def _run_points(spec, args, points, osys, B, exponent):
     """The outcome of every point, in order; with --jobs N > 1 the points
     run in N spawned worker processes, each handed the parent's osys and
     B."""
+    from .search import search_parameter_point
     search = partial(search_parameter_point, spec, osys, B=B,
                      mode=args.mode, max_nodes=args.max_nodes,
                      max_seconds=args.max_seconds, seed=args.seed,
@@ -183,6 +190,8 @@ def _run_points(spec, args, points, osys, B, exponent):
 
 
 def cmd_search(args) -> int:
+    from . import bip
+    from .orbits import orbit_system, quotient_matrix
     spec = parse_graph_spec(args.graph)
     action, exponent = _parse_group(spec, args.group)
     osys = orbit_system(action)
@@ -279,6 +288,7 @@ def cmd_search(args) -> int:
 
 def _known_rho1_codes(spec: GraphSpec):
     """Construct and verify the classical rho=1 codes of J_2(6,3)."""
+    from . import constructions as con
     out = []
     codes = [
         con.hyperplane_code(spec),
@@ -300,6 +310,7 @@ def _known_rho1_codes(spec: GraphSpec):
 
 
 def cmd_table1(args) -> int:
+    from . import bip
     spec = parse_graph_spec(args.graph)
     known = _known_rho1_codes(spec) if (spec.q, spec.n, spec.k) == (2, 6, 3) else []
     cached = {}

@@ -9,7 +9,9 @@ and read in any order; a vertex on two lines is an error that names both.
 
 A code file is read as bytes and its body parsed in blocks of about
 BLOCK_BYTES, each cut just after a newline, so the parse's working set does
-not grow with the file; no level of the graph is enumerated.  The grammar:
+not grow with the file; no level of the graph is enumerated.  The ids of a
+file in id order are kept as read, with no sort; only a file in another
+order is sorted, once.  The grammar:
 
 - ASCII only.
 - Lines end in '\n' or '\r\n'; the last line may lack its newline.
@@ -226,16 +228,18 @@ def _body_rows(body: bytes, k: int, base: int):
     if len(newline) % k or (newline.reshape(-1, k) != (np.arange(k) == k - 1)).any():
         _check(cls, newline != (np.arange(len(newline)) % k == k - 1),
                f"a line does not hold {k} tokens", ends)
-    # one reduce for both length checks: an empty token wraps to 2^64 - 1
-    longest = int((length - 1).view(np.uint64).max(initial=0)) + 1
-    if longest > most:
+    longest = int(length.max(initial=0))
+    if longest > most or length.min(initial=1) == 0:
         _check(cls, length == 0, "an empty token", ends)
         _check(cls, length > most, f"a token of more than {most} digits", ends)
     # Horner's rule on the last `longest` bytes before every token end, one
-    # place at a time; the bytes before a shorter token count as zeros
+    # place at a time; the bytes before a shorter token count as zeros, and
+    # so do those before the first byte, read from a zero-padded copy
+    padded = np.zeros(longest + len(cls), dtype=np.uint8)
+    padded[longest:] = cls
     vals = np.zeros(len(ends), dtype=np.uint64)
     for j in range(longest, 0, -1):
-        digit = np.take(cls, ends - j, mode="clip")
+        digit = padded[longest - j:][ends]
         if j > 1:
             digit *= length >= j
         elif longest == 20:  # base 10: the one digit that can leave the uint64
@@ -279,10 +283,12 @@ def _body_ids(body: bytes, spec: GraphSpec, size: int) -> np.ndarray:
     """The sorted vertex ids named by a code-file body of size vertices.
 
     Each block is parsed and its rows turned into ids on its own; only the
-    ids are kept.  A bad body is named as one pass over all of it would
-    name it: the first line of the first kind of grammar fault, then a
-    wrong size, then the first line that names no vertex, then the repeat
-    nearest the top.
+    ids are kept.  Ids that rise strictly from line to line, as those of a
+    file written in id order do, are returned as they are; any others are
+    sorted once, which finds the repeats.  A bad body is named as one pass
+    over all of it would name it: the first line of the first kind of
+    grammar fault, then a wrong size, then the first line that names no
+    vertex, then the repeat nearest the top.
     """
     k, base = spec.k, 10 if spec.q == 1 else 16
     ids, count, unnamed = [], 0, None
@@ -308,9 +314,10 @@ def _body_ids(body: bytes, spec: GraphSpec, size: int) -> np.ndarray:
         raise ValueError(f"header says {size} vertices, file has {count}")
     if unnamed is not None:
         raise unnamed
-    # a file written in id order is one sorted run, which the stable sort
-    # passes in linear time; equal ids keep their line order
     ids = np.concatenate([np.empty(0, dtype=np.intp)] + ids)
+    if (ids[1:] > ids[:-1]).all():  # sorted, and so no repeat
+        return ids
+    # equal ids keep their line order
     order = np.argsort(ids, kind="stable")
     ids = ids[order]
     same = np.flatnonzero(ids[1:] == ids[:-1])

@@ -324,7 +324,12 @@ def _byte_positions(n: int, rows: np.ndarray, ok=None) -> np.ndarray:
     at = np.zeros(len(rows), dtype=np.int64)
     if ok is None:
         ok = np.ones(len(rows), dtype=bool)
-    ok &= np.bitwise_or.reduce(rows, axis=1) < np.uint64(1 << n)
+    # one max clears a block with no bit at column n or above; only a
+    # block that has one compares each entry with 2^n
+    top = np.uint64(1 << n)
+    if rows.max(initial=0) >= top:
+        for column in rows.T:
+            ok &= column < top
     below = np.uint8(0)
     for r, plane in enumerate(planes):
         at += table[base + plane] << r
@@ -484,10 +489,13 @@ def containment_table(spec: GraphSpec, j: int) -> ContainmentTable:
     VertexIndex is built: the table comes from the q-Pascal recursion on
     the last coordinate (_slot_table), which gives each slot's subobject
     of every vertex as an id by arithmetic on the tables one coordinate
-    down.  Those lower tables live in a memo for this build only; the top
-    one is ContainmentTable.positions.  K d combines digits through
-    galois.field_tables, built for q <= FIELD_TABLE_MAX_Q only, so
-    0 < j < k above it raises ValueError.
+    down.  Each table, the lower ones and the top one alike, is built once
+    per process and kept read-only in one memo (_level_table) that every
+    build shares, so a build reuses the levels an earlier one made, as a
+    design strength's sub-level tables reuse those of the graph's own
+    table.  The top one is ContainmentTable.positions.  K d combines
+    digits through galois.field_tables, built for q <= FIELD_TABLE_MAX_Q
+    only, so 0 < j < k above it raises ValueError.
     """
     if not 0 <= j <= spec.k:
         raise ValueError(f"sublevel {j} out of range 0..{spec.k}")
@@ -496,14 +504,17 @@ def containment_table(spec: GraphSpec, j: int) -> ContainmentTable:
         raise ValueError(
             f"the level-{j} table of {spec} combines rows over GF({q}); "
             f"GF(q) tables are built for q <= {FIELD_TABLE_MAX_Q} only")
+    return ContainmentTable(spec, j, _level_table(q, n, k, j))
 
-    @lru_cache(maxsize=None)
-    def table(m: int, kk: int, jj: int) -> np.ndarray:
-        return _slot_table(q, m, kk, jj, partial(table, m - 1))
 
-    positions = table(n, k, j)
-    table.cache_clear()  # table refers to itself, so only gc would free it
-    return ContainmentTable(spec, j, positions)
+@lru_cache(maxsize=None)
+def _level_table(q: int, m: int, k: int, j: int) -> np.ndarray:
+    """_slot_table(q, m, k, j), built once per process from the levels one
+    coordinate down, which are built the same way; read-only, as the cache
+    hands it to every caller."""
+    table = _slot_table(q, m, k, j, partial(_level_table, q, m - 1))
+    table.setflags(write=False)
+    return table
 
 
 # ----------------------------------------------------------------------

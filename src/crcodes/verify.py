@@ -139,10 +139,12 @@ class RegularityCheck:
 
 
 def _sorted_ids(ids) -> np.ndarray:
-    """A fresh sorted int64 array; a 1-d integer ndarray is sorted by numpy."""
+    """A fresh sorted int64 array; a 1-d integer ndarray is sorted by numpy,
+    and only when it is not already in order, as a code file's ids are."""
     if isinstance(ids, np.ndarray) and ids.ndim == 1 and ids.dtype.kind in "iu":
         out = ids.astype(np.int64)
-        out.sort()
+        if (out[1:] < out[:-1]).any():
+            out.sort()
         return out
     return np.asarray(sorted(int(i) for i in ids), dtype=np.int64)
 
@@ -162,9 +164,17 @@ def _code_ids(spec: GraphSpec, code) -> np.ndarray:
 
 def _star_counts(columns: np.ndarray, vertices: np.ndarray,
                  S: int) -> np.ndarray:
-    """How many of the given vertices lie over each of the S (k-1)-objects."""
-    objects = np.take(columns, vertices, axis=1).ravel()
-    return np.bincount(objects, minlength=S)
+    """How many of the given vertices lie over each of the S (k-1)-objects.
+
+    The slot rows of columns are gathered step at a time, as many as keep
+    the gathered ids within the length of one row: the temporary is never
+    larger than one table row, and few vertices take few bincounts."""
+    counts = np.zeros(S, dtype=np.int64)
+    step = max(1, columns.shape[1] // max(1, len(vertices)))
+    for lo in range(0, len(columns), step):
+        block = np.take(columns[lo:lo + step], vertices, axis=1)
+        counts += np.bincount(block.ravel(), minlength=S)
+    return counts
 
 
 def distance_partition(spec: GraphSpec, code) -> DistancePartition:

@@ -1,4 +1,5 @@
 import json
+import random
 import re
 import subprocess
 import sys
@@ -135,6 +136,39 @@ def test_code_reader_accepts_the_grammar(graph, variant):
     back = files.code_from_text(text)
     assert back.ids.tolist() == code.ids.tolist()
     assert back.label == code.label
+
+
+@pytest.mark.parametrize("graph", ["jq:2,6,3", "j:10,4"])
+def test_code_reader_takes_any_line_order(monkeypatch, graph):
+    # an id-ordered file is kept as read; reversed and shuffled bodies,
+    # whole and cut into 64-byte blocks, are sorted to the same ids
+    code = _sample_code(graph)
+    text = files.code_to_text(code)
+    head, *lines = text.splitlines()
+    shuffled = list(lines)
+    np.random.default_rng(4).shuffle(shuffled)
+    assert shuffled != lines
+    for block in (64, 1 << 30):
+        monkeypatch.setattr(files, "BLOCK_BYTES", block)
+        for body in (lines, lines[::-1], shuffled):
+            back = files.code_from_text("\n".join([head] + body) + "\n")
+            assert back.ids.tolist() == code.ids.tolist()
+
+
+def test_code_reader_names_a_repeat_in_a_shuffled_file(monkeypatch):
+    # two repeats in a shuffled body: lines 42 and 122 hold one vertex,
+    # lines 72 and 112 another; the message is the one the reader gave
+    # when every body was sorted
+    head, *lines = files.code_to_text(con.hyperplane_code(S63)).splitlines()
+    random.Random(27).shuffle(lines)
+    lines[120] = lines[40]
+    lines[70] = lines[110]
+    text = "\n".join([head] + lines) + "\n"
+    for block in (64, 1 << 30):
+        monkeypatch.setattr(files, "BLOCK_BYTES", block)
+        with pytest.raises(ValueError) as err:
+            files.code_from_text(text)
+        assert str(err.value) == "line 112: '5:2:10' repeats line 72"
 
 
 def test_code_reader_names_lines_after_blank_lines_and_crlf():
@@ -703,6 +737,25 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
          "import sys, crcodes.cli; print('scipy.optimize' in sys.modules)"],
         capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_loads_only_the_verify_modules():
+    # the package's names resolve on first access, and the CLI imports
+    # the construction, orbit, solver and search modules in the commands
+    # that use them
+    script = (
+        "import sys, crcodes.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('crcodes.')),\n"
+        "      any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
+        "import crcodes\n"
+        "for name in crcodes.__all__:\n"
+        "    getattr(crcodes, name)\n"
+        "print(sorted(set(crcodes.__all__) - set(dir(crcodes))))\n")
+    out = subprocess.run([sys.executable, "-c", script],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == [
+        "['crcodes.cli', 'crcodes.files', 'crcodes.galois', 'crcodes.graphs', "
+        "'crcodes.subspaces', 'crcodes.verify'] False", "[]"]
 
 
 def test_cli_search_without_milp_leaves_scipy_optimize_unloaded():

@@ -444,6 +444,26 @@ def test_ids_of_rows_refuses_corrupted_rows(spec_text, row):
     assert err.value.args[1] == 1
 
 
+@pytest.mark.parametrize("spec_text", ["jq:2,6,3", "jq:2,8,4"])
+@pytest.mark.parametrize("high", ["column n", "bit 63"])
+def test_byte_path_names_a_row_with_a_high_bit(spec_text, high):
+    # a block whose rows all stay below 2^n is passed by one max; one row
+    # with a high bit among good rows is found row by row, and named
+    spec = g.parse_graph_spec(spec_text)
+    rows = g.vertex_index(spec).rows[::7][:200].copy()
+    assert g.ids_of_rows(spec, rows).tolist() == list(range(0, 7 * 200, 7))
+    bit = np.uint64(1 << (spec.n if high == "column n" else 63))
+    for at in (0, 57, len(rows) - 1):
+        bad = rows.copy()
+        bad[at, at % spec.k] |= bit
+        want = np.ones(len(bad), dtype=bool)
+        want[at] = False
+        assert np.array_equal(_taken_alone(spec, bad), want)
+        with pytest.raises(KeyError) as err:
+            g.ids_of_rows(spec, bad)
+        assert err.value.args[1] == at
+
+
 # sha256 of containment_table(spec, j).ids as little-endian int32, taken
 # before the lookup behind the tables was replaced, while ids and slots
 # were in lexicographic order; checked in that order (oracles.lex_order)

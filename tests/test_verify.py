@@ -405,6 +405,15 @@ def test_code_rejects_duplicate_and_out_of_range_ids(bad):
             vf.Code(S63, np.array(bad, dtype=np.uint64))
 
 
+def test_code_rejects_a_duplicate_in_sorted_ids():
+    # ids already in order skip the sort, not the check for repeats
+    for dtype in (np.int64, np.uint32):
+        with pytest.raises(vf.VerificationError):
+            vf.Code(S63, np.array([3, 5, 5, 7], dtype=dtype))
+    with pytest.raises(vf.VerificationError):
+        vf.Code(S63, np.array([0, 1394, 1395]))
+
+
 def _spread_avoid_ids():
     return con.avoid_code(S63, con.desarguesian_2spread(2, 6)).ids.tolist()
 
@@ -453,6 +462,30 @@ def test_verify_builds_only_the_graphs_own_index(spec_text):
         assert "counterexample" in rep or rep["completely_regular"]
         assert graphs.vertex_index.cache_info().currsize == 0
     assert rep["completely_regular"] and "strength" in rep
+
+
+@pytest.mark.parametrize("spec,code", [
+    (S166, lambda: con.avoid_code(S166, con.extended_hamming_sqs(4))),
+    (S63, lambda: con.avoid_code(S63, con.desarguesian_2spread(2, 6))),
+])
+def test_cold_verify_builds_each_table_level_once(monkeypatch, spec, code):
+    # the graph's table and the strength's sub-level tables share one memo
+    # of q-Pascal levels, so no level (q, m, k, j) is built twice
+    code = code()
+    built = []
+    slot_table = graphs._slot_table
+
+    def spy(q, m, k, j, below):
+        built.append((q, m, k, j))
+        return slot_table(q, m, k, j, below)
+
+    graphs.containment_table.cache_clear()
+    graphs._level_table.cache_clear()
+    monkeypatch.setattr(graphs, "_slot_table", spy)
+    rep = vf.verify_report(spec, code)
+    assert rep["completely_regular"] and rep["strength"] >= 1
+    assert (spec.q, spec.n, spec.k, spec.k - 1) in built
+    assert len(built) == len(set(built))
 
 
 @pytest.mark.parametrize("graph,beta,gamma,eigenvalues", [
