@@ -10,12 +10,17 @@ code with intersection array {beta0; gamma1} is exactly a binary vector x
 The solver is a depth-first search with per-row interval propagation:
 writing A = B - theta I with theta = m - beta0 - gamma1 and appending the
 cardinality row, each row's achievable sum under the partial assignment
-must bracket its right-hand side; rows whose bracket collapses onto the
-target force all their free variables.  Below the root, every node that
-propagation leaves open also gets an LP bound: one warm-started HiGHS
-model of 0 <= x <= 1 with the fixed columns' bounds set.  It is a pure
-feasibility LP (zero objective, presolve off, no dual cost perturbation),
-since only its feasibility and one point in it are read.  An infeasible
+must bracket its right-hand side, and a free variable whose coefficient
+exceeds the row's reach (how far its sum can still rise, or fall, before
+passing the target) is forced to the value that keeps it inside.  A
+round of propagation reads only the rows whose own largest coefficient
+exceeds their reach, assigns everything it forces as one batch, and
+repeats until a round forces nothing or a row's bracket misses its
+target (a conflict).  Below the root, every node that propagation leaves
+open also gets an LP bound: one warm-started HiGHS model of 0 <= x <= 1
+with the fixed columns' bounds set.  It is a pure feasibility LP (zero
+objective, presolve off, no dual cost perturbation), since only its
+feasibility and one point in it are read.  An infeasible
 LP prunes the node only when its dual ray, rounded to integers, passes an
 exact check (farkas_certificate); otherwise the LP point picks the branch.
 In mode 'first', an LP point that is integral on the free variables is
@@ -50,7 +55,7 @@ import importlib.util
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -157,6 +162,7 @@ class SolveResult:
     elapsed: float = 0.0
     lp_calls: int = 0
     certificates: int = 0      # nodes pruned by a checked Farkas vector
+    simplex_iterations: int = 0  # summed over the node LPs
 
 
 def exact_witness(A_ext: np.ndarray, rhs: np.ndarray, x) -> bool:
@@ -168,22 +174,30 @@ def exact_witness(A_ext: np.ndarray, rhs: np.ndarray, x) -> bool:
 FARKAS_SCALES = (10 ** 3, 10 ** 6, 10 ** 9)
 
 
+def _farkas_fits_int64(A_ext: np.ndarray, rhs: np.ndarray) -> bool:
+    """|y| <= 10^9 keeps every partial sum of y^T A_ext and y^T rhs inside
+    int64, so the integer check of farkas_certificate is exact."""
+    return FARKAS_SCALES[-1] * max(int(np.abs(A_ext).sum()),
+                                   int(np.abs(rhs).sum())) < 2 ** 63
+
+
 def farkas_certificate(ray, A_ext: np.ndarray, rhs: np.ndarray,
-                       lo: np.ndarray, hi: np.ndarray) -> Optional[np.ndarray]:
+                       lo: np.ndarray, hi: np.ndarray,
+                       fits: Optional[bool] = None) -> Optional[np.ndarray]:
     """An integer y proving A_ext x = rhs has no x with lo <= x <= hi, or None.
 
     ray is a floating-point dual ray; it is scaled so its largest entry
     has magnitude 10^3, 10^6 or 10^9 and rounded, and each rounding y is
     checked in integers: C = y^T A_ext, and y^T rhs must lie outside
     [min, max] of C x over the 0/1 box.  Only that integer check decides.
+    OverflowError when int64 cannot hold that check; fits is
+    _farkas_fits_int64(A_ext, rhs) when the caller has it already.
     """
     ray = np.asarray(ray, dtype=float)
     top = np.abs(ray).max() if ray.size else 0.0
     if not np.isfinite(top) or top == 0:
         return None
-    # |y| <= 10^9 bounds every partial sum below by this, so int64 is exact
-    if FARKAS_SCALES[-1] * max(int(np.abs(A_ext).sum()),
-                               int(np.abs(rhs).sum())) >= 2 ** 63:
+    if not (_farkas_fits_int64(A_ext, rhs) if fits is None else fits):
         raise OverflowError("system too large for an int64 Farkas check")
     for scale in FARKAS_SCALES:
         y = np.rint(ray * (scale / top)).astype(np.int64)
@@ -220,7 +234,8 @@ def _highs_core():
 
 
 NODE_LP_OPTIONS = {"output_flag": False, "presolve": "off",
-                   "dual_simplex_cost_perturbation_multiplier": 0.0}
+                   "dual_simplex_cost_perturbation_multiplier": 0.0,
+                   "time_limit": float("inf")}
 
 
 def _node_lp(A_ext: np.ndarray, rhs: np.ndarray):
@@ -230,11 +245,12 @@ def _node_lp(A_ext: np.ndarray, rhs: np.ndarray):
     simplex only has to reach primal feasibility; its default cost
     perturbation would make it optimise a random objective instead, so it
     is switched off (NODE_LP_OPTIONS).  Presolve is off too: each run
-    starts from the previous run's basis.  HiGHS answers an unknown
-    option name with a status, not an exception, so each status is
-    checked: RuntimeError if one is refused.  HiGHS is loaded here, on
-    its own (_highs_core), so that importing the package stays cheap and
-    node LPs never import scipy.optimize.
+    starts from the previous run's basis.  time_limit starts at infinity;
+    solve sets it before a run only when it has a deadline.  HiGHS
+    answers an unknown option name with a status, not an exception, so
+    each status is checked: RuntimeError if one is refused.  HiGHS is
+    loaded here, on its own (_highs_core), so that importing the package
+    stays cheap and node LPs never import scipy.optimize.
     """
     highs = _highs_core()
     lp = highs._Highs()
@@ -257,7 +273,9 @@ def _symmetry_group(A_ext: np.ndarray, rhs: np.ndarray,
 
     Each generator must fix the system in integers: the r quotient rows
     (A_ext[pi][:, pi] == A_ext[:r]), the orbit sizes of the last row and
-    the right-hand sides; VerificationError otherwise.
+    the right-hand sides; VerificationError otherwise.  That check runs on
+    every call; only the closure, a read-only array, is shared by the
+    calls that pass the same generators (_closure).
     """
     r = A_ext.shape[1]
     A, sizes, b = A_ext[:r], A_ext[r], rhs[:r]
@@ -270,7 +288,15 @@ def _symmetry_group(A_ext: np.ndarray, rhs: np.ndarray,
         if not (np.array_equal(A[p][:, p], A) and
                 np.array_equal(sizes[p], sizes) and np.array_equal(b[p], b)):
             raise VerificationError("symmetry does not fix the system")
-        gens.append(p)
+        gens.append(p.tobytes())
+    return _closure(r, tuple(gens))
+
+
+@functools.lru_cache(maxsize=32)
+def _closure(r: int, gens: tuple[bytes, ...]) -> np.ndarray:
+    """The group generated by the int64 permutations of range(r) whose
+    bytes are gens, one element per row, the identity first; read-only."""
+    gens = [np.frombuffer(g, dtype=np.int64) for g in gens]
     identity = np.arange(r, dtype=np.int64)
     elements = {identity.tobytes(): identity}
     frontier = [identity]
@@ -283,7 +309,9 @@ def _symmetry_group(A_ext: np.ndarray, rhs: np.ndarray,
                     elements[e.tobytes()] = e
                     found.append(e)
         frontier = found
-    return np.array(list(elements.values()))
+    group = np.array(list(elements.values()))
+    group.flags.writeable = False
+    return group
 
 
 def solve(inst: BipInstance, mode: str = "first",
@@ -294,11 +322,16 @@ def solve(inst: BipInstance, mode: str = "first",
     """Depth-first feasibility search; UNSAT is a proof, budget is not.
 
     mode 'first' stops at one solution, 'all' collects every solution,
-    'count' only counts them.  At every open node below the root the node
-    LP runs with the time left as its HiGHS time_limit, so max_seconds
-    reaches inside it; a timed-out LP decides nothing.  It prunes the node
-    only on a Farkas vector that passes the integer check, which a subtree
-    holding a solution never passes, so 'all' and 'count' stay exact.
+    'count' only counts them.  Every assignment is followed by propagation
+    to its fixpoint, one batch of forced values per round, as the module
+    docstring sets out: a row is read in a round only when its largest
+    positive or negative coefficient exceeds its reach up or down, and
+    backtracking reverts a whole trail slice at once.  At every open node
+    below the root the node LP runs with the time left as its HiGHS
+    time_limit, so max_seconds reaches inside it; a timed-out LP decides
+    nothing.  It prunes the node only on a Farkas vector that passes the
+    integer check, which a subtree holding a solution never passes, so
+    'all' and 'count' stay exact.
     Branching takes the most fractional free variable of the LP point.
     When the LP is integral on the free variables, mode 'first' rounds the
     point, keeps the fixed values, and returns it as the solution if it
@@ -323,86 +356,81 @@ def solve(inst: BipInstance, mode: str = "first",
         raise ValueError(f"mode {mode!r} enumerates every solution; "
                          "symmetry is for mode 'first' only")
     A_ext, rhs = inst.rows()
-    r = A_ext.shape[1]
+    m, r = A_ext.shape
     H = _symmetry_group(A_ext, rhs, symmetry or ())
-    cols = np.ascontiguousarray(A_ext.T)          # cols[j] = column j
-    poscols = np.maximum(cols, 0)
-    negcols = np.minimum(cols, 0)
+    # reach[k] is how far row k's sum can still rise above its least value
+    # over the free variables before passing rhs[k]; reach[m + k] is how
+    # far it can fall from its greatest.  Z = [A+; A-] (A's positive part
+    # and the magnitudes of its negative one): x_j = 1 uses up Z[:, j] of
+    # reach, and is forbidden once some Z[k, j] exceeds reach[k]; x_j = 0
+    # uses up, and is forbidden by, the same column with its halves
+    # swapped (Z[swap]).
+    pos, neg = np.maximum(A_ext, 0), np.maximum(-A_ext, 0)
+    Z = np.vstack([pos, neg])
+    ZT = np.ascontiguousarray(Z.T)
+    swap = np.r_[m:2 * m, 0:m]
+    zmax = Z.max(axis=1, initial=0)
+    omax = zmax[swap]
+    reach = np.concatenate([rhs + neg.sum(axis=1), pos.sum(axis=1) - rhs])
     x = np.full(r, -1, dtype=np.int8)
-    S = np.zeros(A_ext.shape[0], dtype=np.int64)
-    P = poscols.sum(axis=0)
-    N = negcols.sum(axis=0)
+    trail = np.empty(r, dtype=np.intp)  # assigned variables, in order
+    top = 0
     tie_rank = np.arange(r)
     if seed is not None:
         rng = np.random.default_rng(seed)
         tie_rank = rng.permutation(r)
 
-    trail: list[int] = []
     result = SolveResult(status=UNSAT)
     t0 = time.monotonic()
 
-    def assign(j: int, v: int) -> None:
-        x[j] = v
-        if v:
-            S[:] += cols[j]
-        P[:] -= poscols[j]
-        N[:] -= negcols[j]
-        trail.append(j)
+    def assign(ones: np.ndarray, zeros: np.ndarray) -> None:
+        nonlocal top
+        x[ones], x[zeros] = 1, 0
+        mid = top + len(ones)
+        trail[top:mid], trail[mid:mid + len(zeros)] = ones, zeros
+        top = mid + len(zeros)
+        reach[:] -= ZT[ones].sum(axis=0) + ZT[zeros].sum(axis=0)[swap]
 
     def undo_to(mark: int) -> None:
-        while len(trail) > mark:
-            j = trail.pop()
-            if x[j]:
-                S[:] -= cols[j]
-            P[:] += poscols[j]
-            N[:] += negcols[j]
-            x[j] = -1
+        nonlocal top
+        js = trail[mark:top]
+        ones = x[js] == 1
+        reach[:] += ZT[js[ones]].sum(axis=0) + \
+            ZT[js[~ones]].sum(axis=0)[swap]
+        x[js] = -1
+        top = mark
 
-    maxc = int(np.abs(A_ext).max())
+    none = np.empty(0, dtype=np.intp)
 
     def propagate() -> bool:
         """Bounds consistency to fixpoint; False on conflict.
 
         A free variable whose coefficient cannot fit a row's remaining
-        slack in either direction is forced: with up = rhs - lo and
-        down = hi - rhs, a coefficient c > up forbids value 1 (c > 0) or
-        value 0 (c < 0), and c > down forces 1 (c > 0) or 0 (c < 0).
+        reach in either direction is forced: with up = reach[k] and down =
+        reach[m + k], a coefficient c > up forbids value 1 (c > 0) or
+        value 0 (c < 0), and c > down forces 1 (c > 0) or 0 (c < 0).  A
+        round reads only the rows whose own largest coefficient of that
+        sign exceeds their reach, and assigns all it forces at once.
         """
         while True:
-            lo = S + N
-            hi = S + P
-            up = rhs - lo
-            down = hi - rhs
-            if (up < 0).any() or (down < 0).any():
+            if reach.min() < 0:
                 return False
-            rows_u = np.nonzero(up < maxc)[0]
-            rows_d = np.nonzero(down < maxc)[0]
-            if rows_u.size == 0 and rows_d.size == 0:
+            rz = np.nonzero(zmax > reach)[0]
+            ro = np.nonzero(omax > reach)[0]
+            if not (rz.size or ro.size):
                 return True
             free = x == -1
-            to_one = np.zeros(r, dtype=bool)
-            to_zero = np.zeros(r, dtype=bool)
-            if rows_u.size:
-                sub = A_ext[rows_u]
-                lim = up[rows_u][:, None]
-                to_zero |= free & (sub > lim).any(axis=0)
-                to_one |= free & (-sub > lim).any(axis=0)
-            if rows_d.size:
-                sub = A_ext[rows_d]
-                lim = down[rows_d][:, None]
-                to_one |= free & (sub > lim).any(axis=0)
-                to_zero |= free & (-sub > lim).any(axis=0)
+            to_zero = free & (Z[rz] > reach[rz, None]).any(axis=0)
+            to_one = free & (Z[swap[ro]] > reach[ro, None]).any(axis=0)
             if (to_one & to_zero).any():
                 return False
-            forced = int(to_one.sum()) + int(to_zero.sum())
-            if not forced:
+            ones, zeros = np.nonzero(to_one)[0], np.nonzero(to_zero)[0]
+            if not (ones.size or zeros.size):
                 return True
-            for j in np.nonzero(to_one)[0]:
-                assign(int(j), 1)
-            for j in np.nonzero(to_zero)[0]:
-                assign(int(j), 0)
+            assign(ones, zeros)
 
     lp = None  # the HiGHS model, built at the first open node
+    statuses = fits = None  # HiGHS's model statuses; _farkas_fits_int64
     all_cols = np.arange(r, dtype=np.int32)
 
     def lp_check():
@@ -410,60 +438,67 @@ def solve(inst: BipInstance, mode: str = "first",
         the LP point, rounded and checked in integers, solves the system,
         with its free variables assigned from it; else the most fractional
         free variable of the LP point, or None when the LP gives no branch."""
-        nonlocal lp
+        nonlocal lp, statuses, fits
         left = None if max_seconds is None else \
             max_seconds - (time.monotonic() - t0)
         if left is not None and left <= 0:
             return None  # HiGHS ignores a negative time_limit
         if lp is None:
             lp = _node_lp(A_ext, rhs)
-        lo = (x == 1).astype(np.int64)
-        hi = (x != 0).astype(np.int64)
-        lp.changeColsBounds(r, all_cols, lo.astype(float), hi.astype(float))
-        # HiGHS holds time_limit against its run time summed over all runs
-        lp.setOptionValue("time_limit", np.inf if left is None
-                          else lp.getRunTime() + left)
+            statuses = _highs_core().HighsModelStatus
+            fits = _farkas_fits_int64(A_ext, rhs)
+        free = x == -1
+        lp.changeColsBounds(r, all_cols, (x == 1).astype(float),
+                            (x != 0).astype(float))
+        if left is not None:
+            # HiGHS holds time_limit against its run time summed over runs
+            lp.setOptionValue("time_limit", lp.getRunTime() + left)
         lp.run()
         result.lp_calls += 1
-        status = lp.getModelStatus().name
-        if status == "kInfeasible":
+        result.simplex_iterations += lp.getInfoValue(
+            "simplex_iteration_count")[1]
+        status = lp.getModelStatus()
+        if status == statuses.kInfeasible:
             _, has_ray, ray = lp.getDualRay()
-            if has_ray and farkas_certificate(ray, A_ext, rhs, lo, hi) is not None:
+            if has_ray and farkas_certificate(
+                    ray, A_ext, rhs, (x == 1).astype(np.int64),
+                    (x != 0).astype(np.int64), fits=fits) is not None:
                 return "prune"
-        elif status == "kOptimal":
+        elif status == statuses.kOptimal:
             value = np.asarray(lp.getSolution().col_value)
-            dist = np.where(x == -1, np.abs(value - 0.5), np.inf)
+            dist = np.where(free, np.abs(value - 0.5), np.inf)
             best = dist.min()
             if best < 0.5 - 1e-6:
                 cand = np.nonzero(dist == best)[0]
                 return int(cand[np.argmin(tie_rank[cand])])
             if mode == "first":
-                point = np.where(x == -1, np.rint(value), x).astype(np.int64)
+                point = np.where(free, np.rint(value), x).astype(np.int64)
                 if exact_witness(A_ext, rhs, point):
-                    for j in np.nonzero(x == -1)[0]:
-                        assign(int(j), int(point[j]))
+                    assign(np.nonzero(free & (point == 1))[0],
+                           np.nonzero(free & (point == 0))[0])
                     return "witness"
         return None
 
     def pick_branch() -> int:
-        free = x == -1
-        open_rows = np.nonzero((P > 0) | (N < 0))[0]
-        slack = np.minimum(rhs - (S + N), (S + P) - rhs)
+        up, down = reach[:m], reach[m:]
+        # up + down is the sum of |A_ij| over the row's free variables
+        open_rows = np.nonzero(up + down > 0)[0]
+        slack = np.minimum(up, down)
         row = int(open_rows[np.argmin(slack[open_rows])])
-        coeffs = np.abs(A_ext[row]) * free
+        coeffs = np.abs(A_ext[row]) * (x == -1)
         best = coeffs.max()
         cand = np.nonzero(coeffs == best)[0]
         return int(cand[np.argmin(tie_rank[cand])])
 
-    def branch_orbit(j: int):
+    def branch_orbit(j: int) -> np.ndarray:
         """j's orbit under the elements of H that fix the assignment."""
         if len(H) == 1:
-            return (j,)
+            return np.full(1, j, dtype=np.intp)
         return np.unique(H[(x[H] == x).all(axis=1), j])
 
     # Frames: (trail mark before the branch on a variable, the variables
     # its value-0 branch sets to 0, or None once that branch is taken).
-    stack: list[tuple[int, Optional[Sequence[int]]]] = []
+    stack: list[tuple[int, Optional[np.ndarray]]] = []
 
     def backtrack() -> bool:
         """Move to the next untried branch; False when the tree is exhausted."""
@@ -472,8 +507,7 @@ def solve(inst: BipInstance, mode: str = "first",
             undo_to(mark)
             if zeros is not None:
                 stack.append((mark, None))
-                for i in zeros:
-                    assign(int(i), 0)
+                assign(none, zeros)
                 if propagate():
                     return True
         return False
@@ -481,10 +515,10 @@ def solve(inst: BipInstance, mode: str = "first",
     nodes = 0
     alive = propagate()
     while alive:
-        if not (x == -1).any():
+        if top == r:
             result.count += 1
             if mode in ("first", "all"):
-                result.solutions.append((x == 1).astype(np.int8).copy())
+                result.solutions.append((x == 1).astype(np.int8))
             if mode == "first":
                 result.status = SAT
                 break
@@ -506,8 +540,8 @@ def solve(inst: BipInstance, mode: str = "first",
             continue
         if j is None:
             j = pick_branch()
-        stack.append((len(trail), branch_orbit(j)))
-        assign(j, 1)
+        stack.append((top, branch_orbit(j)))
+        assign(np.full(1, j, dtype=np.intp), none)
         if not propagate():
             alive = backtrack()
 

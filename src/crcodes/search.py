@@ -83,6 +83,7 @@ class SearchOutcome:
     elapsed: float = 0.0
     lp_calls: int = 0           # over every bip.solve of this point
     certificates: int = 0       # nodes pruned by a checked Farkas vector
+    simplex_iterations: int = 0  # over every bip.solve's node LPs
     lift_verified: bool = False  # code passed verify_report on the graph
 
 
@@ -259,12 +260,13 @@ def search_parameter_point(spec: GraphSpec, osys: OrbitSystem,
         raise ValueError(f"unknown search mode {mode!r}")
     t0 = time.monotonic()
     inst = build_instance(spec, osys, beta0, gamma1, B=B)
-    lp_calls = certificates = 0
+    lp_calls = certificates = simplex_iterations = 0
 
     def tally(res):
-        nonlocal lp_calls, certificates
+        nonlocal lp_calls, certificates, simplex_iterations
         lp_calls += res.lp_calls
         certificates += res.certificates
+        simplex_iterations += res.simplex_iterations
 
     res = symmetry = None
     if mode == "first":
@@ -280,6 +282,7 @@ def search_parameter_point(spec: GraphSpec, osys: OrbitSystem,
             return SearchOutcome(status=bip.SAT, stage=stage, assignment=x,
                                  code=code, elapsed=time.monotonic() - t0,
                                  lp_calls=lp_calls, certificates=certificates,
+                                 simplex_iterations=simplex_iterations,
                                  lift_verified=True)
         max_seconds = deadline - time.monotonic()
     if res is None:
@@ -288,7 +291,8 @@ def search_parameter_point(spec: GraphSpec, osys: OrbitSystem,
         tally(res)
     out = SearchOutcome(status=res.status, stage="dfs", nodes=res.nodes,
                         count=res.count, elapsed=time.monotonic() - t0,
-                        lp_calls=lp_calls, certificates=certificates)
+                        lp_calls=lp_calls, certificates=certificates,
+                        simplex_iterations=simplex_iterations)
     if res.solutions:
         out.assignment = res.solutions[0]
         out.code = _verified_lift(out.assignment, osys, spec, gamma1, label)

@@ -321,6 +321,59 @@ def test_inconsistent_parameters_unsat():
     assert brute_force_assignments(inst) == []
 
 
+def _random_system(seed):
+    """A seeded 0/1 system on r = 8..14 variables: r rows cycling through
+    k = 2..4 sparse rows with coefficients in -2..3, then a row of
+    positive sizes, as a quotient system ends; a planted x0 solves it."""
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(8, 15))
+    k = int(rng.integers(2, 5))
+    A = rng.integers(-2, 4, size=(k, r)) * (rng.random((k, r)) < 0.6)
+    x0 = (rng.random(r) < 0.5).astype(np.int64)
+    A_ext = np.vstack([np.tile(A, (-(-r // k), 1))[:r],
+                       rng.integers(1, 4, size=r)]).astype(np.int64)
+    return SimpleNamespace(r=r, rows=lambda: (A_ext, A_ext @ x0))
+
+
+def _forced_at_root(A_ext, rhs):
+    """Variables the first propagation round forces, row by row and
+    variable by variable: |c| above a row's reach up or down."""
+    lo = np.minimum(A_ext, 0).sum(axis=1)
+    hi = np.maximum(A_ext, 0).sum(axis=1)
+    return len({j for i, b in enumerate(rhs) for j, c in enumerate(A_ext[i])
+                if abs(c) > b - lo[i] or abs(c) > hi[i] - b})
+
+
+# seed -> variables forced in the first round, solution count, nodes and
+# the sha256 of the solutions in the order mode 'all' finds them,
+# recorded while propagation still assigned one variable at a time
+PROPAGATION_PINS = {
+    0: (1, 4, 13, "6f0aa8413abbafe87a59a49d6d78ec261f0d58ac3be7b08ffb8151a6783f6b65"),
+    1: (4, 3, 4, "b91451f2423107c38fc05ab4d1b4b678da612abc745ec90b913ede5b2a4541b8"),
+    2: (0, 12, 39, "2099cd221c1688c08d929b6d08924aeb69c76e97af987539f1c5bb5b3c849578"),
+    3: (1, 18, 28, "d419ff691e14360f5af1c66c7db5e8e1dddb56554633bcb02cbb8ce9b4de3e36"),
+    4: (0, 2, 3, "6a381f9361583f64a18a22500d4a6882000d5b3d4ae7f3e8d152b6156b3de1df"),
+    5: (4, 1, 1, "179381e6e2c8475cdc671f57e6035e427c1235632ea3127e26809c883c0cfc40"),
+    6: (1, 1, 4, "71453b79a60830822915e5e26baead3e9b138d6536a34b062c3cda4fb3e03632"),
+    7: (0, 4, 32, "218f64a7135359d1d9dca94821c92af8f796b38abe6c636c2d34ae9aa87a1428"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PROPAGATION_PINS))
+def test_propagation_keeps_its_fixpoints(seed):
+    inst = _random_system(seed)
+    forced, count, nodes, digest = PROPAGATION_PINS[seed]
+    assert _forced_at_root(*inst.rows()) == forced
+    every = bip.solve(inst, mode="all")
+    found = b"".join(x.tobytes() for x in every.solutions)
+    assert (every.count, every.nodes,
+            hashlib.sha256(found).hexdigest()) == (count, nodes, digest)
+    assert sorted(tuple(x) for x in every.solutions) == \
+        brute_force_assignments(inst)
+    counted = bip.solve(inst, mode="count")
+    assert (counted.count, counted.nodes) == (count, nodes)
+
+
 # x1 + x2 + x3 = 2 and x1 - x2 = 0: the only 0/1 solution is (1, 1, 0)
 FARKAS_A = np.array([[1, 1, 1], [1, -1, 0]], dtype=np.int64)
 FARKAS_B = np.array([2, 0], dtype=np.int64)
@@ -665,6 +718,33 @@ def test_symmetry_that_breaks_the_system_is_refused(singer42):
                                    [np.array([1, 0])])) == 2
 
 
+def test_cached_closure_never_skips_the_integer_check(singer42):
+    osys, B = singer42
+    inst = bip.build_instance(S42, osys, 18, 3, B=B)
+    A_ext, rhs = inst.rows()
+    r = inst.r
+    # the swap fixes A = [[1, 0], [0, 1], [1, 1]] with rhs (1, 1, 2), so
+    # its closure is cached; with rhs (1, 0, 1) it breaks the system
+    swap = [np.array([1, 0])]
+    A = np.array([[1, 0], [0, 1], [1, 1]], dtype=np.int64)
+    group = bip._symmetry_group(A, np.array([1, 1, 2]), swap)
+    assert group is bip._symmetry_group(A, np.array([1, 1, 2]), swap)
+    assert not group.flags.writeable
+    with pytest.raises(vf.VerificationError):
+        bip._symmetry_group(A, np.array([1, 0, 1]), swap)
+    # field-action generators of the r = 15 system, their closure cached
+    # from it, are refused on the system with two quotient rows swapped
+    from crcodes.search import _normalizers, _symmetry
+    broken = A_ext.copy()
+    broken[[0, 1]] = broken[[1, 0]]
+    breaks = [p for p in _symmetry(osys, _normalizers(S42, 5))
+              if not np.array_equal(broken[p][:, p], broken[:r])]
+    assert breaks
+    assert len(bip._symmetry_group(A_ext, rhs, breaks)) > 1
+    with pytest.raises(vf.VerificationError):
+        bip._symmetry_group(broken, rhs, breaks)
+
+
 class _PointLP:
     """Stands in for bip._node_lp: every node LP is optimal, at the first
     of points that takes the node's fixed values (else the last one)."""
@@ -685,7 +765,10 @@ class _PointLP:
         pass
 
     def getModelStatus(self):
-        return SimpleNamespace(name="kOptimal")
+        return bip._highs_core().HighsModelStatus.kOptimal
+
+    def getInfoValue(self, name):
+        return bip._highs_core().HighsStatus.kOk, 0
 
     def getSolution(self):
         fixed = self.lo == self.hi

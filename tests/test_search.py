@@ -1,3 +1,4 @@
+import hashlib
 import time
 
 import numpy as np
@@ -315,6 +316,56 @@ def test_orbital_branching_shrinks_the_j273_proof(singer73):
     out = search_parameter_point(S73, osys, 203, 14, B=B, max_seconds=30,
                                  singer_exponent=1)
     assert (out.status, out.stage, out.nodes) == (bip.UNSAT, "dfs", res.nodes)
+
+
+# the benchmark's eight search points at seed 0: (graph, singer
+# exponent, beta0 + gamma1, gamma1) -> status, stage, lp_calls,
+# certificates, simplex_iterations and the sha256 of the assignment's
+# int8 bytes.  Recorded before propagation was batched and the node LP
+# step trimmed; a node kernel that changes any branch decision, LP call
+# or certificate changes one of them.  A pass makes 163 node LPs and
+# 1376 simplex iterations
+BENCH_POINT_PINS = {
+    (S63, 21, 93, 9): (bip.SAT, "refinement:singer:7+frobenius:1", 4, 1, 34,
+                       "ef70fc9fafa1009b363321c2df558004e1f01a9e0311c9d1e01a901913eb5807"),
+    (S63, 21, 93, 12): (bip.SAT, "refinement:singer:7+frobenius:1", 17, 9, 86,
+                        "a8acb69703f46767c842ed77a7dfe3ae40c057ec306e51f36d4c9f547b189d4e"),
+    (S63, 21, 93, 18): (bip.SAT, "refinement:singer:7+frobenius:1", 20, 11, 124,
+                        "4b1f28384ba19746ba7965689916b8d91c8a9eeecc0f3604825aa14eb12ee9ab"),
+    (S63, 21, 93, 21): (bip.SAT, "refinement:singer:1+frobenius:1", 0, 0, 0,
+                        "95b8917f9c822e076c931e297883ffa1b844dbbc68c31a0996e2f2b8d8a6a20b"),
+    (S63, 21, 93, 27): (bip.SAT, "refinement:singer:7+frobenius:1", 18, 12, 175,
+                        "cd2431aade663e5a9a15365da50fd2c87624991a6eb8a46ba29cdeb2b3a43c1f"),
+    (S63, 21, 93, 30): (bip.SAT, "refinement:singer:7+frobenius:1", 53, 29, 350,
+                        "149967f41d6ceb65d36b4c007cfcb7a6c83d91408c36d51adaeee73dfa808352"),
+    (S73, 1, 217, 7): (bip.UNSAT, "dfs", 7, 1, 70, None),
+    (S73, 1, 217, 14): (bip.UNSAT, "dfs", 44, 23, 537, None),
+}
+
+
+@pytest.fixture(scope="module")
+def bench_systems():
+    out = {}
+    for spec, exponent in ((S63, 21), (S73, 1)):
+        osys = ob.orbit_system(ob.singer_action(spec, exponent))
+        out[spec] = osys, ob.quotient_matrix(spec, osys)
+    return out
+
+
+def test_benchmark_points_keep_their_trees(bench_systems):
+    got = {}
+    for spec, exponent, total, gamma1 in BENCH_POINT_PINS:
+        osys, B = bench_systems[spec]
+        out = search_parameter_point(spec, osys, total - gamma1, gamma1, B=B,
+                                     seed=0, singer_exponent=exponent)
+        digest = None if out.assignment is None else hashlib.sha256(
+            np.asarray(out.assignment, dtype=np.int8).tobytes()).hexdigest()
+        got[spec, exponent, total, gamma1] = (
+            out.status, out.stage, out.lp_calls, out.certificates,
+            out.simplex_iterations, digest)
+    assert got == BENCH_POINT_PINS
+    assert sum(v[2] for v in got.values()) == 163
+    assert sum(v[4] for v in got.values()) == 1376
 
 
 def test_slice_shrinks_as_orbits_grow():
