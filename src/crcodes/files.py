@@ -7,11 +7,12 @@ are comma-separated members.  Files are written in id order, which is
 the q-Pascal recursion order of subspaces.py (colex order for subsets),
 and read in any order; a vertex on two lines is an error that names both.
 
-A code file is read as bytes and its body parsed in blocks of about
-BLOCK_BYTES, each cut just after a newline, so the parse's working set does
-not grow with the file; no level of the graph is enumerated.  The ids of a
-file in id order are kept as read, with no sort; only a file in another
-order is sorted, once.  The grammar:
+A code file is read as bytes and its body parsed in place, in blocks of
+about BLOCK_BYTES sliced from those bytes, each cut just after a newline,
+so the parse's working set does not grow with the file; no level of the
+graph is enumerated.  The ids go into one array sized by the header.  The
+ids of a file in id order are kept as read, with no sort; only a file in
+another order is sorted, once.  The grammar:
 
 - ASCII only.
 - Lines end in '\n' or '\r\n'; the last line may lack its newline.
@@ -43,7 +44,9 @@ from .verify import Code
 # bytes of a code-file body parsed at once: the parse's numpy temporaries
 # take about 15 bytes per body byte (26 MB for the 1.7 MB J_2(8,4)
 # spread-avoid file in one piece), so 64 KiB blocks keep them near 1 MB
-# whatever the file's size
+# whatever the file's size.  Each block is sliced from the bytes read, with
+# no copy of the whole body, so a read holds the file's bytes, the ids and
+# one block's temporaries
 BLOCK_BYTES = 1 << 16
 
 
@@ -99,19 +102,23 @@ def _code_from_bytes(raw: bytes) -> Code:
     head, first, body = _split_header(raw)
     spec, size, label = _parse_header(head, first - 1)
     try:
-        ids = _body_ids(body, spec, size)
+        ids = _body_ids(raw, body, spec, size)
     except _LineFault as fault:
         line, why = fault.args
-        text = body.split(b"\n")[line].decode("utf-8", "backslashreplace")
-        text = text.strip(" \t\r")
+        for _ in range(line):
+            body = raw.index(b"\n", body) + 1
+        end = raw.find(b"\n", body)
+        text = raw[body:len(raw) if end < 0 else end]
+        text = text.decode("utf-8", "backslashreplace").strip(" \t\r")
         what = (f"repeats line {first + why}" if isinstance(why, int)
                 else f"is not a vertex of {spec} ({why})")
         raise ValueError(f"line {first + line}: {text!r} {what}") from None
     return Code(spec, ids, label=label)
 
 
-def _split_header(raw: bytes) -> tuple[str, int, bytes]:
-    """The header line, the number of the line after it, the body's bytes."""
+def _split_header(raw: bytes) -> tuple[str, int, int]:
+    """The header line, the number of the line after it, the offset of the
+    body in raw."""
     at, no = 0, 1
     while True:
         end = raw.find(b"\n", at)
@@ -125,7 +132,7 @@ def _split_header(raw: bytes) -> tuple[str, int, bytes]:
         head = raw[at:end].decode("ascii")
     except UnicodeDecodeError:
         raise ValueError(f"line {no}: the header is not ASCII") from None
-    return head, no + 1, raw[end + 1:]
+    return head, no + 1, min(end + 1, len(raw))
 
 
 class _LineFault(Exception):
@@ -250,71 +257,80 @@ def _body_rows(body: bytes, k: int, base: int):
     return cls, vals.reshape(-1, k), ends[k - 1::k]
 
 
-def _blocks(body: bytes):
-    """(start, end) of the blocks of body: at most BLOCK_BYTES each, but for
-    a line longer than that, and each but the last ending in a newline."""
-    start = 0
-    while start < len(body):
-        end = len(body)
+def _blocks(raw: bytes, start: int):
+    """(start, end) in raw of the blocks of the body from byte start on: at
+    most BLOCK_BYTES each, but for a line longer than that, and each but
+    the last ending in a newline."""
+    while start < len(raw):
+        end = len(raw)
         if start + BLOCK_BYTES < end:
-            end = (body.rfind(b"\n", start, start + BLOCK_BYTES) + 1
-                   or body.find(b"\n", start + BLOCK_BYTES) + 1 or end)
+            end = (raw.rfind(b"\n", start, start + BLOCK_BYTES) + 1
+                   or raw.find(b"\n", start + BLOCK_BYTES) + 1 or end)
         yield start, end
         start = end
 
 
-def _moved(fault: _LineFault, body: bytes, start: int) -> _LineFault:
-    """A block's fault, its line counted from the top of the body."""
+def _moved(fault: _LineFault, raw: bytes, body: int, start: int) -> _LineFault:
+    """A block's fault, its line counted from the top of the body, which
+    begins at byte body of raw."""
     line, why = fault.args
-    return _LineFault(body.count(b"\n", 0, start) + line, why)
+    return _LineFault(raw.count(b"\n", body, start) + line, why)
 
 
-def _line_of_row(body: bytes, k: int, base: int, row: int) -> int:
+def _line_of_row(raw: bytes, body: int, k: int, base: int, row: int) -> int:
     """The body line of the row-th vertex line, by parsing again the blocks
     up to it; only a fault is named this way."""
-    for start, end in _blocks(body):
-        cls, rows, ends = _body_rows(body[start:end], k, base)
+    for start, end in _blocks(raw, body):
+        cls, rows, ends = _body_rows(raw[start:end], k, base)
         if row < len(rows):
-            return body.count(b"\n", 0, start) + _line_of(cls, int(ends[row]))
+            return (raw.count(b"\n", body, start)
+                    + _line_of(cls, int(ends[row])))
         row -= len(rows)
 
 
-def _body_ids(body: bytes, spec: GraphSpec, size: int) -> np.ndarray:
-    """The sorted vertex ids named by a code-file body of size vertices.
+def _body_ids(raw: bytes, body: int, spec: GraphSpec, size: int) -> np.ndarray:
+    """The sorted vertex ids named by a code-file body of size vertices,
+    the bytes of raw from offset body on.
 
     Each block is parsed and its rows turned into ids on its own; only the
-    ids are kept.  Ids that rise strictly from line to line, as those of a
-    file written in id order do, are returned as they are; any others are
-    sorted once, which finds the repeats.  A bad body is named as one pass
+    ids are kept, in one array sized by the header and made up front.  Ids
+    that rise strictly from line to line, as those of a file written in id
+    order do, are returned as they are; any others are sorted once, which
+    finds the repeats.  A bad body is named as one pass
     over all of it would name it: the first line of the first kind of
     grammar fault, then a wrong size, then the first line that names no
     vertex, then the repeat nearest the top.
     """
     k, base = spec.k, 10 if spec.q == 1 else 16
-    ids, count, unnamed = [], 0, None
-    for start, end in _blocks(body):
+    # a body of more lines than the graph has vertices repeats one within
+    # its first V + 1, so no header size makes a larger array
+    ids = np.empty(min(size, spec.vertex_count + 1), dtype=np.intp)
+    count, unnamed = 0, None
+    for start, end in _blocks(raw, body):
         try:
-            cls, rows, ends = _body_rows(body[start:end], k, base)
+            cls, rows, ends = _body_rows(raw[start:end], k, base)
         except _LineFault as fault:
             # the blocks before hold no grammar fault, but a later one may
             # hold a kind checked first: the rest is parsed as one
             try:
-                _body_rows(body[start:], k, base)
+                _body_rows(raw[start:], k, base)
             except _LineFault as first:
                 fault = first
-            raise _moved(fault, body, start) from None
-        count += len(rows)
+            raise _moved(fault, raw, body, start) from None
         if unnamed is None:
             try:
-                ids.append(ids_of_rows(spec, rows))
+                got = ids_of_rows(spec, rows)
             except KeyError as exc:  # its second argument is the first row of none
                 unnamed = _moved(_fault(cls, int(ends[exc.args[1]]),
-                                        "names no vertex"), body, start)
+                                        "names no vertex"), raw, body, start)
+            else:
+                kept = ids[count:count + len(got)]
+                kept[:] = got[:len(kept)]
+        count += len(rows)
     if count != size:
         raise ValueError(f"header says {size} vertices, file has {count}")
     if unnamed is not None:
         raise unnamed
-    ids = np.concatenate([np.empty(0, dtype=np.intp)] + ids)
     if (ids[1:] > ids[:-1]).all():  # sorted, and so no repeat
         return ids
     # equal ids keep their line order
@@ -323,6 +339,6 @@ def _body_ids(body: bytes, spec: GraphSpec, size: int) -> np.ndarray:
     same = np.flatnonzero(ids[1:] == ids[:-1])
     if len(same):  # the repeat nearest the top, and the line it repeats
         at = same[np.argmin(order[same + 1])]
-        raise _LineFault(*(_line_of_row(body, k, base, int(order[i]))
+        raise _LineFault(*(_line_of_row(raw, body, k, base, int(order[i]))
                            for i in (at + 1, at)))
     return ids

@@ -29,6 +29,14 @@ ContainmentTable.positions is computed in, so everything runs straight on
 that array: no id is mapped to another label.  A cell's reference vertex
 and the counterexample are the ones of least id.
 
+Beside the containment table a verify holds two per-vertex things: one
+int8 cell label per vertex (DistancePartition.cell_of) and the code's
+ids.  Every other per-vertex array (the star ids gathered, the packed
+words, the labels they are compared under) is made for one id range of
+CHUNK_IDS vertices at a time and dropped before the next, so the working
+set beside the table does not grow with the graph.  The cells, their
+sizes and the per-vertex counts are computed from the labels when read.
+
 The design strength reads the same (k-1) table and no other full-size
 one: the code's cover of the (k-1)-objects, which is the partition's
 layer-0 count when a partition is at hand, is counted down, level by
@@ -38,7 +46,7 @@ level, through the tables of the much smaller sub-levels
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -46,6 +54,11 @@ import numpy as np
 
 from .graphs import GraphSpec, containment_table, theta, theta_ladder
 from .subspaces import gaussian
+
+# vertex ids a per-vertex pass takes at once: a chunk's temporaries (star
+# ids as intp, packed uint64 words, labels) take a few MB at most, so the
+# working set beside the containment table does not grow with the graph
+CHUNK_IDS = 1 << 15
 
 
 class VerificationError(ValueError):
@@ -78,24 +91,39 @@ class Code:
         return f"Code({self.spec}, size={len(self)}{tag})"
 
 
+def _chunks(count: int):
+    """(lo, hi) of the id ranges of count vertices, CHUNK_IDS ids each but
+    the last."""
+    for lo in range(0, count, CHUNK_IDS):
+        yield lo, min(lo + CHUNK_IDS, count)
+
+
 @dataclass
 class DistancePartition:
     """Distance cells of a code, with the layer counts of their search.
 
-    cells holds rho+1 sorted id arrays, cell_of[v] the cell of vertex v,
-    and over[d][T] the number of cell-d vertices over the (k-1)-object T,
-    at most containing_count, so int32; over[d] > 0 marks the objects the
-    search stepped through from layer d.
+    cell_of[v] is the cell of vertex v, an int8 (the diameter
+    min(k, n - k) is at most 126), and over[d][T] the number of cell-d
+    vertices over the (k-1)-object T, at most containing_count, so int32;
+    over[d] > 0 marks the objects the search stepped through from layer d.
+    The cells and their sizes are computed from the labels when read.
     """
 
     spec: GraphSpec
     rho: int
-    cells: list  # rho+1 sorted id arrays
-    cell_of: np.ndarray  # (V,) cell index per vertex
+    cell_of: np.ndarray  # (V,) int8 cell index per vertex
     over: np.ndarray  # (rho+1, S) int32 layer counts
 
+    @property
+    def cells(self) -> list:
+        """rho+1 sorted id arrays, cell c the ids labelled c."""
+        return [np.flatnonzero(self.cell_of == c) for c in range(self.rho + 1)]
+
     def sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.cells)
+        sizes = np.zeros(self.rho + 1, dtype=np.int64)
+        for lo, hi in _chunks(len(self.cell_of)):
+            sizes += np.bincount(self.cell_of[lo:hi], minlength=self.rho + 1)
+        return tuple(int(x) for x in sizes)
 
 
 @dataclass
@@ -121,21 +149,20 @@ class Counterexample:
 
 @dataclass
 class RegularityCheck:
-    """The verdict, with every vertex's per-cell neighbor counts: _words
-    and _width are the packed form of _neighbor_words, and counts[v, c] is
-    unpacked from them on first read."""
+    """The verdict on a distance partition.  No per-vertex count is kept:
+    counts[v, c] is computed from the partition's labels through
+    cell_neighbor_counts on first read."""
 
     ok: bool
     partition: DistancePartition
     numbers: Optional[IntersectionNumbers]
     counterexample: Optional[Counterexample]
-    _words: list = field(repr=False)
-    _width: int = field(repr=False)
 
     @cached_property
     def counts(self) -> np.ndarray:
         """(V, rho+1) per-cell neighbor counts, row v for vertex v."""
-        return _unpack(self._words, self._width, self.partition.rho + 1)
+        part = self.partition
+        return cell_neighbor_counts(part.spec, part.cell_of, part.rho + 1)
 
 
 def _sorted_ids(ids) -> np.ndarray:
@@ -163,131 +190,175 @@ def _code_ids(spec: GraphSpec, code) -> np.ndarray:
 
 
 def _star_counts(columns: np.ndarray, vertices: np.ndarray,
-                 S: int) -> np.ndarray:
-    """How many of the given vertices lie over each of the S (k-1)-objects.
+                 counts: np.ndarray) -> None:
+    """Add to counts[T] how many of the given vertices lie over the
+    (k-1)-object T.
 
-    The slot rows of columns are gathered step at a time, as many as keep
-    the gathered ids within the length of one row: the temporary is never
-    larger than one table row, and few vertices take few bincounts."""
-    counts = np.zeros(S, dtype=np.int64)
-    step = max(1, columns.shape[1] // max(1, len(vertices)))
+    columns holds the slot rows of one chunk and vertices are positions in
+    it.  The slot rows are gathered step at a time, as many as keep the
+    gathered ids within the length of one chunk row, and few vertices take
+    few gathers.  np.add.at costs a few ns per id and makes no array of
+    len(counts), which a bincount per chunk would."""
+    if len(vertices) == 0:
+        return
+    step = max(1, columns.shape[1] // len(vertices))
     for lo in range(0, len(columns), step):
-        block = np.take(columns[lo:lo + step], vertices, axis=1)
-        counts += np.bincount(block.ravel(), minlength=S)
-    return counts
+        np.add.at(counts, columns[lo:lo + step].take(vertices, axis=1), 1)
 
 
 def distance_partition(spec: GraphSpec, code) -> DistancePartition:
     """Breadth-first distance cells from the code; rho = #layers - 1.
 
-    The search reads ContainmentTable.positions one slot row at a time.
-    over[d][T] counts the cell-d vertices over the (k-1)-object T.  Layer d
-    is counted from whichever side is smaller: its own vertices, or the
-    vertices not yet reached, since each of T's containing_count vertices
-    lies in a cell up to d or is not yet reached.  The next layer is the
-    set of unreached vertices over some T with over[d][T] > 0; only those
-    open vertices are gathered, and they grow fewer with every layer.  The
-    counts are kept: check_completely_regular sums them into every
-    vertex's per-cell neighbor counts.
+    The search reads ContainmentTable.positions chunk by chunk, one slot
+    row at a time.  over[d][T] counts the cell-d vertices over the
+    (k-1)-object T.  Layer d is counted from whichever side is smaller: its
+    own vertices, or the vertices not yet reached, since each of T's
+    containing_count vertices lies in a cell up to d or is not yet
+    reached.  The next layer is the set of unreached vertices over some T
+    with over[d][T] > 0; each chunk finds its own unreached ids among its
+    labels and marks those it reaches, so only the labels span all
+    vertices.  The counts are kept: check_completely_regular sums them into
+    every vertex's per-cell neighbor counts.
     """
     ids = _code_ids(spec, code)
     if len(ids) == 0:
         raise VerificationError("code is empty")
+    assert min(spec.k, spec.n - spec.k) <= 126, "cell labels are int8"
     table = containment_table(spec, spec.k - 1)
-    columns = table.positions
-    S, m = table.sub_count, table.containing_count
-    cell = np.full(spec.vertex_count, -1, dtype=np.int64)
-    cell[ids] = 0
-    cells = [ids]
+    S, m, V = table.sub_count, table.containing_count, spec.vertex_count
+    cell_of = np.full(V, -1, dtype=np.int8)
+    cell_of[ids] = 0
     over = []
-    below = np.zeros(S, dtype=np.int64)  # members of the cells before layer d
-    unreached = np.flatnonzero(cell == -1)
+    size, left = len(ids), V - len(ids)  # layer d's vertices, the unreached
     while True:
-        if len(cells[-1]) <= len(unreached):
-            layer = _star_counts(columns, cells[-1], S)
-        else:
-            layer = m - below - _star_counts(columns, unreached, S)
-        below += layer
-        over.append(layer)
-        if unreached.size == 0:
+        d = len(over)
+        side = d if size <= left else -1
+        layer = np.zeros(S, dtype=np.int64)
+        for lo, hi in _chunks(V):
+            _star_counts(table.positions[:, lo:hi],
+                         np.flatnonzero(cell_of[lo:hi] == side), layer)
+        if side < 0:  # the rest of each star lies in the cells up to d
+            np.subtract(m, layer, out=layer)
+            for row in over:
+                layer -= row
+        over.append(layer.astype(np.int32))
+        if left == 0:
             break
         mark = layer > 0
-        reached = np.zeros(unreached.size, dtype=bool)
-        for col in columns:
-            reached |= np.take(mark, np.take(col, unreached))
-        nxt = unreached[reached]
-        if nxt.size == 0:
+        size = 0
+        for lo, hi in _chunks(V):
+            labels = cell_of[lo:hi]
+            unreached = np.flatnonzero(labels == -1)
+            reached = np.zeros(len(unreached), dtype=bool)
+            for col in table.positions[:, lo:hi]:
+                reached |= mark.take(col.take(unreached))
+            labels[unreached[reached]] = d + 1
+            size += int(np.count_nonzero(reached))
+        if size == 0:
             raise VerificationError("some vertices are unreachable from the code")
-        cell[nxt] = len(cells)
-        cells.append(nxt)
-        unreached = unreached[~reached]
-    return DistancePartition(spec, rho=len(cells) - 1, cells=cells,
-                             cell_of=cell, over=np.array(over, dtype=np.int32))
+        left -= size
+    return DistancePartition(spec, rho=len(over) - 1, cell_of=cell_of,
+                             over=np.array(over))
 
 
-def _neighbor_words(table, over: np.ndarray,
-                    cell_of: np.ndarray) -> tuple[list, int]:
-    """Every vertex's per-cell neighbor counts, packed into uint64 words.
+def _packed_layers(table, over: np.ndarray) -> tuple[list, list, int]:
+    """The layer counts packed into uint64 fields, for _neighbor_words.
 
     Cell c is the w-bit field c % per of word c // per, with
-    w = (s * containing_count).bit_length() and per = 64 // w.  A word
-    packs over[c] (the cell-c count over each (k-1)-object) into its
-    field, sums the packed values over each vertex's s (k-1)-objects, one
-    row of table.positions at a time, and takes s off the field of the
-    vertex's own cell.  No field carries: its sum is at
-    most s * containing_count < 2^w.  None borrows: a vertex lies in all s
-    of its own stars, so its own field holds at least s.  Returns the
-    words and w.
+    w = (s * containing_count).bit_length() and per = 64 // w.  Returns
+    (packed, own, w), a packed and an own array per word: packed[T] holds
+    over[c][T] in the field of each cell c of the word, for every
+    (k-1)-object T, and own[c] holds s in the field of cell c.
     """
     s = table.per_vertex
     w = (s * table.containing_count).bit_length()
     per = 64 // w
     nc, S = over.shape
-    words = []
+    packed, own = [], []
     for lo in range(0, nc, per):
-        packed = np.zeros(S, dtype=np.uint64)
-        own = np.zeros(nc, dtype=np.uint64)
+        packed.append(np.zeros(S, dtype=np.uint64))
+        own.append(np.zeros(nc, dtype=np.uint64))
         for c in range(lo, min(lo + per, nc)):
             shift = np.uint64(w * (c - lo))
-            packed |= over[c].astype(np.uint64) << shift
-            own[c] = np.uint64(s) << shift
-        columns = iter(table.positions)
-        word = np.take(packed, next(columns))
-        for col in columns:
-            word += np.take(packed, col)
-        word -= np.take(own, cell_of)
+            packed[-1] |= over[c].astype(np.uint64) << shift
+            own[-1][c] = np.uint64(s) << shift
+    return packed, own, w
+
+
+def _neighbor_words(table, packed: list, own: list, vertices,
+                    labels: np.ndarray) -> list:
+    """The per-cell neighbor counts of some vertices, packed into uint64
+    words; vertices is a chunk's slice or an id array, labels their cells.
+
+    A word sums the packed layer counts (_packed_layers) over each vertex's
+    s (k-1)-objects, one row of table.positions at a time, and takes s off
+    the field of the vertex's own cell.  No field carries: its sum is at
+    most s * containing_count < 2^w.  None borrows: a vertex lies in all s
+    of its own stars, so its own field holds at least s.
+    """
+    columns = table.positions[:, vertices]
+    words = []
+    for fields, mine in zip(packed, own):
+        rows = iter(columns)
+        word = fields.take(next(rows))
+        for row in rows:
+            word += fields.take(row)
+        word -= mine.take(labels)
         words.append(word)
-    return words, w
+    return words
 
 
 def _unpack(words: list, w: int, n_cells: int) -> np.ndarray:
-    """The (len, n_cells) int64 counts held in the words of _neighbor_words."""
+    """The (n_cells, len) int64 counts held in the words of _neighbor_words."""
     per = 64 // w
     mask = np.uint64((1 << w) - 1)
     counts = np.empty((n_cells, len(words[0])), dtype=np.int64)
     for c, row in enumerate(counts):
         row[:] = words[c // per] >> np.uint64(w * (c % per)) & mask
-    return counts.T
+    return counts
 
 
 def cell_neighbor_counts(spec: GraphSpec, cell_of: np.ndarray,
                          n_cells: int) -> np.ndarray:
     """counts[v, c] = number of neighbors of v lying in cell c, for every v.
 
-    The cells may be any partition, not only a distance partition: the
-    members of each cell over each (k-1)-object are counted by one bincount
-    per table row, and those counts are summed into packed words as in
-    check_completely_regular (_neighbor_words).  The result is the
-    (V, n_cells) view of an (n_cells, V) array.
+    The cells may be any partition, not only a distance partition, with
+    labels of any integer dtype: the members of each cell over each
+    (k-1)-object are counted chunk by chunk, and those counts are summed
+    into packed words as in check_completely_regular (_neighbor_words).
+    The result is the (V, n_cells) view of an (n_cells, V) array.
     """
     table = containment_table(spec, spec.k - 1)
+    V = spec.vertex_count
+    if len(cell_of) != V or cell_of.min() < 0 or cell_of.max() >= n_cells:
+        raise VerificationError(
+            f"cell labels are not {V} values in 0..{n_cells - 1}")
     S = table.sub_count
     over = np.zeros(n_cells * S, dtype=np.int64)
-    base = cell_of * S
-    for col in table.positions:
-        over += np.bincount(base + col, minlength=n_cells * S)
-    words, w = _neighbor_words(table, over.reshape(n_cells, S), cell_of)
-    return _unpack(words, w, n_cells)
+    for lo, hi in _chunks(V):
+        np.add.at(over, cell_of[lo:hi].astype(np.int64) * S
+                  + table.positions[:, lo:hi], 1)
+    packed, own, w = _packed_layers(table, over.reshape(n_cells, S))
+    counts = np.empty((n_cells, V), dtype=np.int64)
+    for lo, hi in _chunks(V):
+        words = _neighbor_words(table, packed, own, slice(lo, hi),
+                                cell_of[lo:hi])
+        counts[:, lo:hi] = _unpack(words, w, n_cells)
+    return counts.T
+
+
+def _firsts(cell_of: np.ndarray, n_cells: int) -> np.ndarray:
+    """The least id of each cell, read from the labels chunk by chunk."""
+    firsts = np.full(n_cells, -1, dtype=np.int64)
+    for lo, hi in _chunks(len(cell_of)):
+        labels = cell_of[lo:hi]
+        for c in np.flatnonzero(firsts < 0):
+            hit = labels == c
+            if hit.any():
+                firsts[c] = lo + int(np.argmax(hit))
+        if (firsts >= 0).all():
+            break
+    return firsts
 
 
 def check_completely_regular(spec: GraphSpec, code) -> RegularityCheck:
@@ -295,10 +366,11 @@ def check_completely_regular(spec: GraphSpec, code) -> RegularityCheck:
 
     Every vertex's per-cell neighbor counts, packed from the partition's
     layer counts (_neighbor_words), are compared word by word against those
-    of its cell's reference vertex, the one of least id; on failure the
-    violating vertex of least id is reported with expected and found
-    counts.  Only those few vertices are unpacked; RegularityCheck.counts
-    unpacks all of them when read.
+    of its cell's reference vertex, the one of least id, one chunk of ids
+    at a time; the first chunk with a mismatch gives the violating vertex
+    of least id, reported with expected and found counts.  Only those few
+    vertices are unpacked, and each chunk's words are dropped once
+    compared.
     """
     code = _as_code(spec, code)
     if len(code) == 0:
@@ -308,24 +380,28 @@ def check_completely_regular(spec: GraphSpec, code) -> RegularityCheck:
     part = distance_partition(spec, code)
     nc = part.rho + 1
     table = containment_table(spec, spec.k - 1)
-    words, w = _neighbor_words(table, part.over, part.cell_of)
-    firsts = np.array([cell[0] for cell in part.cells])
-    mismatch = np.zeros(spec.vertex_count, dtype=bool)
-    for word in words:
-        mismatch |= word != word[firsts][part.cell_of]
-    refs = _unpack([word[firsts] for word in words], w, nc)
-    result = RegularityCheck(ok=not mismatch.any(), partition=part,
-                             numbers=None, counterexample=None, _words=words,
-                             _width=w)
-    if not result.ok:
-        v = int(np.argmax(mismatch))
-        c = int(part.cell_of[v])
-        found = _unpack([word[[v]] for word in words], w, nc)[0]
-        result.counterexample = Counterexample(
-            vertex=v, cell=c,
-            expected=tuple(int(x) for x in refs[c]),
-            found=tuple(int(x) for x in found))
-        return result
+    packed, own, w = _packed_layers(table, part.over)
+    ref_words = _neighbor_words(table, packed, own, _firsts(part.cell_of, nc),
+                                np.arange(nc))
+    refs = _unpack(ref_words, w, nc).T  # row c: cell c's reference counts
+    result = RegularityCheck(ok=True, partition=part, numbers=None,
+                             counterexample=None)
+    for lo, hi in _chunks(spec.vertex_count):
+        labels = part.cell_of[lo:hi]
+        words = _neighbor_words(table, packed, own, slice(lo, hi), labels)
+        mismatch = np.zeros(hi - lo, dtype=bool)
+        for word, ref in zip(words, ref_words):
+            mismatch |= word != ref.take(labels)
+        if mismatch.any():
+            at = int(np.argmax(mismatch))
+            c = int(labels[at])
+            found = _unpack([word[at:at + 1] for word in words], w, nc)[:, 0]
+            result.ok = False
+            result.counterexample = Counterexample(
+                vertex=lo + at, cell=c,
+                expected=tuple(int(x) for x in refs[c]),
+                found=tuple(int(x) for x in found))
+            return result
     # distance cells can never host edges skipping a layer; make sure
     for c in range(nc):
         for c2 in range(nc):
@@ -433,7 +509,7 @@ def design_strength(spec: GraphSpec, ids) -> tuple[int, tuple[int, ...]]:
     if isinstance(ids, DistancePartition):
         if ids.spec != spec:
             raise VerificationError("partition belongs to a different graph")
-        size, cover = len(ids.cells[0]), ids.over[0]
+        size, cover = ids.sizes()[0], ids.over[0]
     else:
         ids = _code_ids(spec, ids)
         size, cover = len(ids), None
@@ -444,7 +520,10 @@ def design_strength(spec: GraphSpec, ids) -> tuple[int, tuple[int, ...]]:
     if k >= 2:
         if cover is None:
             table = containment_table(spec, k - 1)
-            cover = _star_counts(table.positions, ids, table.sub_count)
+            cover = np.zeros(table.sub_count, dtype=np.int64)
+            for lo, hi in _chunks(spec.vertex_count):
+                a, b = np.searchsorted(ids, (lo, hi))
+                _star_counts(table.positions[:, lo:hi], ids[a:b] - lo, cover)
         cover = cover.astype(np.int64)
         covers.append(cover)
         for j in range(k - 2, 0, -1):

@@ -338,6 +338,28 @@ def test_code_reader_names_faults_across_block_cuts(monkeypatch, edit, message):
         assert str(err.value) == message
 
 
+def test_code_reader_names_a_size_beyond_the_graph(monkeypatch):
+    # the ids array is sized by the header, but never past V + 1 ids: a
+    # size no code can have, and a body of more lines than the 35 vertices,
+    # whose repeat nearest the top lies within its first 36
+    spec = GraphSpec("grassmann", 2, 4, 2)
+    head, *lines = files.code_to_text(Code(spec, range(35))).splitlines()
+    head = "code graph=jq:2,4,2 size="
+    cases = [(head + "99999999999999", lines,
+              "header says 99999999999999 vertices, file has 35"),
+             (head + "40", lines + lines[3:8], "line 37: '5:6' repeats line 5"),
+             (head + "40", lines[::-1] + lines[10:15],
+              "line 37: 'd:6' repeats line 26"),
+             (head + "40", lines + lines[3:7] + ["3:3"],
+              "line 41: '3:3' is not a vertex of jq:2,4,2 (names no vertex)")]
+    for block in (4, 1 << 16):
+        monkeypatch.setattr(files, "BLOCK_BYTES", block)
+        for header, body, message in cases:
+            with pytest.raises(ValueError) as err:
+                files.code_from_text("\n".join([header] + body) + "\n")
+            assert str(err.value) == message
+
+
 @pytest.mark.parametrize("graph", ["jq:2,6,3", "jq:3,4,2", "j:16,6"])
 def test_code_reader_accepts_the_grammar_across_block_cuts(monkeypatch, graph):
     # blank lines and CRLF at the cuts, no final newline, and 4-byte

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,13 +74,19 @@ def test_layer_counts_match_the_star_members(spec_text, code_frac):
                               (part.cell_of[members] == c).sum(axis=1))
 
 
-@pytest.mark.parametrize("spec_text", ["jq:2,6,3", "j:9,4"])
+# labels of every integer dtype, narrow ones too: the distance partition's
+# own labels are int8
+@pytest.mark.parametrize("spec_text,dtype", [
+    pytest.param(spec_text, dtype,
+                 id=spec_text if dtype == "int64" else f"{spec_text}-{dtype}")
+    for spec_text in ["jq:2,6,3", "j:9,4"]
+    for dtype in ["int8", "uint8", "int16", "int32", "int64"]])
 def test_cell_counts_of_a_partition_that_is_not_a_distance_partition(
-        spec_text):
+        spec_text, dtype):
     spec = parse_graph_spec(spec_text)
     rng = np.random.default_rng(7)
     for _ in range(3):
-        cell_of = rng.integers(0, 3, spec.vertex_count)
+        cell_of = rng.integers(0, 3, spec.vertex_count).astype(dtype)
         counts = vf.cell_neighbor_counts(spec, cell_of, 3)
         assert np.array_equal(counts, brute_force_cell_counts(spec, cell_of))
 
@@ -187,6 +194,74 @@ def test_counterexample_on_perturbed_code(spec_text):
         assert (ce.vertex, ce.cell, ce.expected, ce.found) == (
             v, c, tuple(refs[c].tolist()), tuple(counts[v].tolist()))
         assert np.array_equal(res.counts, counts)
+
+
+CHUNK_CODES = {
+    "jq:2,6,3": lambda: con.avoid_code(S63, con.desarguesian_2spread(2, 6)),
+    "j:16,6": lambda: con.avoid_code(S166, con.extended_hamming_sqs(4)),
+    "jq:3,6,3": lambda: con.hyperplane_code(GraphSpec("grassmann", 3, 6, 3))}
+
+
+@pytest.mark.parametrize("graph", list(CHUNK_CODES))
+def test_chunks_of_any_size_give_the_default_results(monkeypatch, graph):
+    # chunks of one id, of 7 ids, cutting the cells anywhere, and of 4096
+    # ids against the default chunk (two chunks on J_3(6,3)), on a
+    # completely regular code and on a copy with one vertex deleted; the
+    # check compared is the one the report makes
+    whole = CHUNK_CODES[graph]()
+    deleted = vf.Code(whole.spec, np.delete(whole.ids, len(whole) // 2))
+    check = vf.check_completely_regular
+    for code in (whole, deleted):
+        def results(chunk):
+            checks = []
+
+            def recorded(*args):
+                checks.append(check(*args))
+                return checks[-1]
+
+            monkeypatch.setattr(vf, "check_completely_regular", recorded)
+            if chunk:
+                monkeypatch.setattr(vf, "CHUNK_IDS", chunk)
+            report = vf.verify_report(code.spec, code)
+            (res,) = checks
+            part = res.partition
+            out = (report, part.cell_of, part.over, part.cells, res.counts,
+                   res.counterexample)
+            monkeypatch.undo()
+            return out
+
+        want = results(None)
+        assert want[1].dtype == np.int8
+        assert (want[-1] is None) == (code is whole)
+        for chunk in (1, 7, 4096):
+            report, cell_of, over, cells, counts, counterexample = results(chunk)
+            assert report == want[0]
+            assert np.array_equal(cell_of, want[1])
+            assert np.array_equal(over, want[2])
+            assert all(np.array_equal(a, b) for a, b in zip(cells, want[3]))
+            assert np.array_equal(counts, want[4])
+            assert counterexample == want[5]
+
+
+def test_check_working_set_beside_the_table_is_small():
+    # the J_2(8,4) table is built first; beside it a check holds the int8
+    # labels, the layer counts and one chunk's temporaries.  Traced peaks:
+    # 3.3 MiB on the spread-avoid code and on a one-swap copy, against
+    # 8.4 MiB with int64 labels and words over every vertex at once
+    S84 = GraphSpec("grassmann", 2, 8, 4)
+    containment_table(S84, 3)
+    code = con.avoid_code(S84, con.desarguesian_2spread(2, 8))
+    swapped = code.ids.copy()
+    swapped[1000] = np.setdiff1d(np.arange(1000), code.ids)[0]
+    for each in (code, vf.Code(S84, swapped)):
+        tracemalloc.start()
+        try:
+            res = vf.check_completely_regular(S84, each)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.ok == (each is code)
+        assert peak < 6 << 20, peak
 
 
 def test_check_rejects_empty_and_full():
